@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .continuum import build_grid
+from .continuum import GRID_SCHEMES, build_grid
 from .errors import ConfigParse, RecurrenceWindowExceeded, SimulationError
 from .evolution import decompose_initial, discrete_state, evolve, recompose
 from .measurement import MeasurementSetup, readout
@@ -85,6 +85,18 @@ def _parse_times(data) -> TimeGrid:
     return grid
 
 
+def _parse_grid(data: dict) -> tuple[int, str]:
+    try:
+        m = int(data.get("m", 2000))
+    except (TypeError, ValueError) as exc:
+        raise ConfigParse(f"malformed 'grid' block: {exc}") from exc
+    scheme = str(data.get("scheme", "uniform-midpoint"))
+    if scheme not in GRID_SCHEMES:
+        raise ConfigParse(f"unknown grid.scheme '{scheme}'; "
+                          f"expected one of {', '.join(GRID_SCHEMES)}")
+    return m, scheme
+
+
 def load_config(path, grid_m=None, out=None, seed=None) -> RunConfig:
     """Parse a JSON run config, applying any command-line overrides."""
     path = Path(path)
@@ -95,6 +107,8 @@ def load_config(path, grid_m=None, out=None, seed=None) -> RunConfig:
         raise ConfigParse(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigParse("config root must be a JSON object")
+    if not isinstance(data.get("grid", {}), dict):
+        raise ConfigParse("'grid' block must be a JSON object")
 
     if grid_m is not None:
         data.setdefault("grid", {})
@@ -104,7 +118,7 @@ def load_config(path, grid_m=None, out=None, seed=None) -> RunConfig:
     if seed is not None:
         data["seed"] = seed
 
-    grid_block = data.get("grid", {})
+    grid_m, grid_scheme = _parse_grid(data.get("grid", {}))
     model_ref = _require(data, "model")
     model_path = (path.parent / model_ref).resolve()
     if not model_path.exists():
@@ -115,8 +129,8 @@ def load_config(path, grid_m=None, out=None, seed=None) -> RunConfig:
     reserved = {"model", "grid", "times", "output_dir", "seed"}
     return RunConfig(
         model=model,
-        grid_m=int(grid_block.get("m", 2000)),
-        grid_scheme=str(grid_block.get("scheme", "uniform-midpoint")),
+        grid_m=grid_m,
+        grid_scheme=grid_scheme,
         times=times,
         output_dir=Path(data.get("output_dir", "out")),
         seed=int(data.get("seed", 0)),
@@ -143,8 +157,7 @@ def _fmt(value) -> str:
 def _write_csv(path: Path, command: str, cfg: RunConfig, grid, columns, rows):
     # the recurrence horizon is a grid property; quoting it in every artifact
     # marks the window inside which oracle cross-checks are meaningful
-    spacing = (grid.nodes[-1] - grid.nodes[0]) / (grid.size - 1)
-    recurrence = 2.0 * np.pi / spacing
+    recurrence = grid.recurrence_time
     lines = [
         f"# pointersim {command}",
         f"# config_hash: {config_hash(command, cfg)}",

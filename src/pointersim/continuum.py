@@ -49,6 +49,12 @@ class ContinuumGrid:
     def size(self) -> int:
         return len(self.nodes)
 
+    @property
+    def recurrence_time(self) -> float:
+        """2*pi over the mean node spacing, after which the nodes rephase."""
+        spacing = (self.nodes[-1] - self.nodes[0]) / (self.size - 1)
+        return 2.0 * np.pi / spacing
+
     def spacing_near(self, omega: float) -> float:
         """Local node spacing around a point, for probe distances."""
         k = int(np.searchsorted(self.nodes, omega))

@@ -8,9 +8,9 @@ downstream is spectral decomposition; no perturbative input enters anywhere,
 which is what makes this module a legitimate independent check.
 
 A finite grid is quasi-periodic: beyond roughly half the recurrence time
-2*pi / (node spacing), the nodes rephase and the dynamics stops mimicking
-irreversible decay.  Evolution past that horizon triggers a warning and the
-corresponding runs must not be tagged valid.
+(``ContinuumGrid.recurrence_time``), the nodes rephase and the dynamics stops
+mimicking irreversible decay.  Evolution past that horizon triggers a warning
+and the corresponding runs must not be tagged valid.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.optimize import curve_fit
 
 from .continuum import ContinuumGrid
@@ -30,11 +31,13 @@ _ORTHO_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class OracleModel:
-    """Discretized Hamiltonian with its full eigendecomposition."""
+    """Eigendecomposition of the discretized Hamiltonian.
+
+    The Hamiltonian itself is not kept: it is diagonalized in place.
+    """
 
     spec: ModelSpec
     grid: ContinuumGrid
-    hamiltonian: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     recurrence_time: float
@@ -48,8 +51,11 @@ class OracleModel:
         return len(self.eigenvalues)
 
     def orthonormality_defect(self) -> float:
+        """max |Q^T Q - I|; NaN when the eigenvectors are not finite."""
         q = self.eigenvectors
-        return float(np.max(np.abs(q.T @ q - np.eye(self.size))))
+        gram = q.T @ q
+        gram.flat[:: self.size + 1] -= 1.0
+        return float(np.max(np.abs(gram, out=gram)))
 
 
 def discretize(spec: ModelSpec, grid: ContinuumGrid) -> OracleModel:
@@ -64,21 +70,23 @@ def discretize(spec: ModelSpec, grid: ContinuumGrid) -> OracleModel:
         h[i, n:] = row
         h[n:, i] = row
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
+        # h is symmetric, so h.T is a Fortran-ordered view of the same buffer
+        # and LAPACK's dsyevd overwrites it instead of working on a copy;
+        # non-finite entries surface as a ValueError from the finiteness check
+        eigenvalues, eigenvectors = eigh(h.T, overwrite_a=True, driver="evd")
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise EigensolverFailure(f"eigh failed on a {n + m} x {n + m} Hamiltonian: {exc}") from exc
 
-    spacing = (grid.nodes[-1] - grid.nodes[0]) / (m - 1)
     model = OracleModel(
         spec=spec,
         grid=grid,
-        hamiltonian=h,
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
-        recurrence_time=2.0 * np.pi / spacing,
+        recurrence_time=grid.recurrence_time,
     )
     defect = model.orthonormality_defect()
-    if defect > _ORTHO_TOL:
+    # written so that a NaN defect fails the gate too
+    if not defect <= _ORTHO_TOL:
         raise EigensolverFailure(f"eigenvector orthonormality defect {defect:g} above {_ORTHO_TOL}")
     return model
 
@@ -105,12 +113,23 @@ def _check_window(model: OracleModel, t: float):
         )
 
 
+def _real_matvec(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """q @ v for a real matrix q and a complex vector v.
+
+    The real and imaginary parts of v ride as two real columns, so q is read
+    once and never upcast to a complex copy.
+    """
+    columns = np.ascontiguousarray(v, complex).view(float).reshape(-1, 2)
+    return (q @ columns).view(complex).ravel()
+
+
 def evolve_pure(model: OracleModel, amplitudes, t: float) -> np.ndarray:
     """Exact exp(-i H t) applied through the spectral decomposition."""
     _check_window(model, t)
     psi = embed_discrete(model, amplitudes)
     q = model.eigenvectors
-    return q @ (np.exp(-1j * model.eigenvalues * t) * (q.T @ psi))
+    coefficients = _real_matvec(q.T, psi)
+    return _real_matvec(q, np.exp(-1j * model.eigenvalues * t) * coefficients)
 
 
 def survival_probability(model: OracleModel, i: int, t: float) -> float:

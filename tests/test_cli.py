@@ -170,6 +170,22 @@ def test_malformed_times_rejected(tmp_path, capsys):
     assert "t_end" in capsys.readouterr().err
 
 
+def test_unknown_grid_scheme_rejected(tmp_path, capsys):
+    write_model(tmp_path)
+    config = write_config(tmp_path, grid={"m": 200, "scheme": "foo"})
+    assert main(["spectrum", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "scheme" in err and len(err.strip().splitlines()) == 1
+
+
+def test_malformed_grid_size_rejected(tmp_path, capsys):
+    write_model(tmp_path)
+    config = write_config(tmp_path, grid={"m": "abc"})
+    assert main(["spectrum", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "grid" in err and len(err.strip().splitlines()) == 1
+
+
 def test_invalid_model_fails_cleanly(tmp_path, capsys):
     write_model(tmp_path, levels=(1.0, 1.0))
     config = write_config(tmp_path)

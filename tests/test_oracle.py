@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import pointersim.oracle
 from pointersim import (
+    CouplingProfile,
+    ModelSpec,
     build_grid,
     coherence,
     discretize,
@@ -14,8 +17,10 @@ from pointersim import (
     pointer_weights,
     resonance_center,
     survival_probability,
+    validate,
 )
-from pointersim.errors import RecurrenceWindowExceeded
+from pointersim.errors import EigensolverFailure, RecurrenceWindowExceeded
+from pointersim.model import coupling_at
 from .conftest import make_constant_model
 
 
@@ -33,6 +38,42 @@ def test_zero_coupling_spectrum_is_union_of_levels_and_nodes(decoupled):
 
 def test_eigenvector_orthonormality(oracle_unit):
     assert oracle_unit.orthonormality_defect() < 1e-10
+
+
+def test_discretize_decomposes_the_discretized_hamiltonian():
+    # the eigensolve overwrites its input, so the Hamiltonian is rebuilt here
+    # from its definition: levels, then nodes, coupled through V * sqrt(w)
+    spec = validate(ModelSpec(levels=[1.0, 2.5], omega_max=10.0,
+                              coupling=CouplingProfile.gaussian_window([0.3, 0.2], [1.0, 2.0])))
+    grid = build_grid(10.0, 40)
+    model = discretize(spec, grid)
+    h = np.diag(np.concatenate([spec.levels, grid.nodes]))
+    for i in range(spec.n_levels):
+        row = coupling_at(spec, grid.nodes, i) * np.sqrt(grid.weights)
+        h[i, spec.n_levels:] = row
+        h[spec.n_levels:, i] = row
+    q = model.eigenvectors
+    assert np.max(np.abs(q @ np.diag(model.eigenvalues) @ q.T - h)) < 1e-12
+
+
+def test_nan_eigenvector_fails_the_orthonormality_gate(monkeypatch, unit_model):
+    eigh = pointersim.oracle.eigh
+
+    def poisoned(*args, **kwargs):
+        eigenvalues, eigenvectors = eigh(*args, **kwargs)
+        eigenvectors[3, 5] = np.nan
+        return eigenvalues, eigenvectors
+
+    monkeypatch.setattr(pointersim.oracle, "eigh", poisoned)
+    with pytest.raises(EigensolverFailure, match="orthonormality"):
+        discretize(unit_model, build_grid(10.0, 64))
+
+
+def test_non_finite_hamiltonian_is_an_eigensolver_failure(monkeypatch, unit_model):
+    monkeypatch.setattr(pointersim.oracle, "coupling_at",
+                        lambda spec, omega, i: np.full_like(omega, np.nan))
+    with pytest.raises(EigensolverFailure):
+        discretize(unit_model, build_grid(10.0, 64))
 
 
 def test_recurrence_time_estimate(oracle_unit):
@@ -54,6 +95,19 @@ def test_evolve_pure_identity_at_zero_time(oracle_unit):
     psi = rng.normal(size=oracle_unit.size) + 1j * rng.normal(size=oracle_unit.size)
     psi /= np.linalg.norm(psi)
     assert np.allclose(evolve_pure(oracle_unit, psi, 0.0), psi, atol=1e-10)
+
+
+def test_evolve_pure_matches_complex_spectral_product(oracle_unit, oracle_two):
+    rng = np.random.default_rng(11)
+    psi = rng.normal(size=oracle_unit.size) + 1j * rng.normal(size=oracle_unit.size)
+    psi /= np.linalg.norm(psi)
+    cases = [(oracle_unit, psi), (oracle_two, np.array([0.6, 0.8j]))]
+    for model, amplitudes in cases:
+        q, energies = model.eigenvectors, model.eigenvalues
+        full = embed_discrete(model, amplitudes)
+        for t in (0.0, 0.7, 25.0, 140.0):
+            reference = q @ (np.exp(-1j * energies * t) * (q.T @ full))
+            assert np.max(np.abs(evolve_pure(model, amplitudes, t) - reference)) < 1e-13
 
 
 def test_zero_coupling_evolution_is_a_pure_phase(decoupled):
