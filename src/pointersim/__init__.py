@@ -62,9 +62,6 @@ from .spectrum import (
     LiouvilleSpectrum,
     decay_rate,
     eigenvector_corrections,
-    lambda_dij,
-    lambda_iu,
-    lambda_ui,
     level_shift,
     liouville_spectrum,
 )
@@ -104,9 +101,6 @@ __all__ = [
     "fit_exponential_rate",
     "fitted_decay_rate",
     "integrate",
-    "lambda_dij",
-    "lambda_iu",
-    "lambda_ui",
     "level_shift",
     "liouville_spectrum",
     "load_model",

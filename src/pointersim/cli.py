@@ -21,7 +21,7 @@ import numpy as np
 from .continuum import GRID_SCHEMES, build_grid
 from .errors import ConfigParse, RecurrenceWindowExceeded, SimulationError
 from .evolution import decompose_initial, discrete_state, evolve, recompose
-from .measurement import MeasurementSetup, readout
+from .measurement import MeasurementSetup, premeasure, readout
 from .model import ModelSpec, load_model
 from .oracle import coherence, discretize, survival_probability
 from .spectrum import liouville_spectrum
@@ -97,6 +97,13 @@ def _parse_grid(data: dict) -> tuple[int, str]:
     return m, scheme
 
 
+def _parse_seed(value) -> int:
+    # bool is an int subclass, but true/false is no seed
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigParse(f"seed must be a non-negative integer, got {value!r}")
+    return value
+
+
 def load_config(path, grid_m=None, out=None, seed=None) -> RunConfig:
     """Parse a JSON run config, applying any command-line overrides."""
     path = Path(path)
@@ -133,7 +140,7 @@ def load_config(path, grid_m=None, out=None, seed=None) -> RunConfig:
         grid_scheme=grid_scheme,
         times=times,
         output_dir=Path(data.get("output_dir", "out")),
-        seed=int(data.get("seed", 0)),
+        seed=_parse_seed(data.get("seed", 0)),
         params={k: v for k, v in data.items() if k not in reserved},
         effective=data,
     )
@@ -180,26 +187,37 @@ def _model_grid(cfg: RunConfig):
                       avoid=cfg.model.levels)
 
 
+def _level_values(raw, field: str, n_levels: int, pairs: bool = False) -> np.ndarray:
+    """One finite number per level from a config list; [re, im] pairs when
+    ``pairs``, returned as complex amplitudes."""
+    shape = (n_levels, 2) if pairs else (n_levels,)
+    try:
+        arr = np.asarray(raw, float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigParse(f"malformed '{field}': {exc}") from exc
+    if arr.shape != shape:
+        raise ConfigParse(f"'{field}' must have shape {shape}, one row per level; got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigParse(f"'{field}' entries must be finite")
+    return arr[:, 0] + 1j * arr[:, 1] if pairs else arr
+
+
 def _initial_rho_d(cfg: RunConfig) -> np.ndarray:
     initial = cfg.params.get("initial")
     if initial is None:
         raise ConfigParse("evolve needs an 'initial' block with 'amplitudes' or 'diagonal'")
+    if not isinstance(initial, dict):
+        raise ConfigParse("'initial' block must be a JSON object")
+    n = cfg.model.n_levels
     if "amplitudes" in initial:
-        a = _complex_array(initial["amplitudes"])
+        a = _level_values(initial["amplitudes"], "initial.amplitudes", n, pairs=True)
         return np.outer(np.conj(a), a)
     if "diagonal" in initial:
-        return np.diag(np.asarray(initial["diagonal"], float)).astype(complex)
+        diagonal = _level_values(initial["diagonal"], "initial.diagonal", n)
+        if np.any(diagonal < 0):
+            raise ConfigParse("'initial.diagonal' occupations must be >= 0")
+        return np.diag(diagonal).astype(complex)
     raise ConfigParse("'initial' block must contain 'amplitudes' or 'diagonal'")
-
-
-def _complex_array(pairs) -> np.ndarray:
-    try:
-        arr = np.asarray(pairs, float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("expected [re, im] pairs")
-    except (TypeError, ValueError) as exc:
-        raise ConfigParse(f"malformed amplitude list: {exc}") from exc
-    return arr[:, 0] + 1j * arr[:, 1]
 
 
 def _rel_error(oracle_value: float, predicted: float) -> float:
@@ -223,6 +241,18 @@ def run_spectrum(cfg: RunConfig):
                        ["i", "j", "re_lambda", "im_lambda", "gamma_i", "delta_i"], rows)]
 
 
+def _evolved(cfg: RunConfig, spec, state0):
+    """(t, physical state at t) for every configured time."""
+    for t in cfg.times.values():
+        t = float(t)
+        yield t, recompose(evolve(state0, spec, t), spec)
+
+
+def _level_atoms(state, spec) -> list:
+    """Pointer-atom weight at each level energy."""
+    return [state.rho_omega_atoms.weight_at(float(level)) for level in spec.levels]
+
+
 def run_evolve(cfg: RunConfig):
     if cfg.times is None:
         raise ConfigParse("evolve needs a 'times' block")
@@ -235,12 +265,10 @@ def run_evolve(cfg: RunConfig):
     columns = (["t"] + [f"occ_{i}" for i in range(n)] + [f"atom_{i}" for i in range(n)]
                + [f"abs_coh_{i}_{j}" for i, j in pairs])
     rows = []
-    for t in cfg.times.values():
-        state = recompose(evolve(state0, spec, float(t)), spec)
+    for t, state in _evolved(cfg, spec, state0):
         occ = [float(np.real(state.rho_d[i, i])) for i in range(n)]
-        atom = [state.rho_omega_atoms.weight_at(float(spec.levels[i])) for i in range(n)]
         coh = [float(np.abs(state.rho_d[i, j])) for i, j in pairs]
-        rows.append([float(t)] + occ + atom + coh)
+        rows.append([t] + occ + _level_atoms(state, spec) + coh)
     return [_write_csv(cfg.output_dir / "evolve.csv", "evolve", cfg, grid, columns, rows)]
 
 
@@ -283,24 +311,19 @@ def run_compare(cfg: RunConfig):
 def run_measure(cfg: RunConfig):
     if "amplitudes" not in cfg.params:
         raise ConfigParse("measure needs an 'amplitudes' list of [re, im] pairs")
+    setup = MeasurementSetup(amplitudes=_level_values(
+        cfg.params["amplitudes"], "amplitudes", cfg.model.n_levels, pairs=True))
     grid = _model_grid(cfg)
     spec = liouville_spectrum(cfg.model, grid)
-    setup = MeasurementSetup(amplitudes=_complex_array(cfg.params["amplitudes"]))
     pointer = readout(setup, spec)
     rows = [(i, omega, probability) for i, (omega, probability) in enumerate(pointer)]
     artifacts = [_write_csv(cfg.output_dir / "measure.csv", "measure", cfg, grid,
                             ["i", "omega", "probability"], rows)]
 
     if cfg.times is not None:
-        state0 = decompose_initial(
-            discrete_state(grid, np.outer(np.conj(setup.amplitudes), setup.amplitudes)), spec)
-        n = spec.n_levels
-        columns = ["t"] + [f"atom_{i}" for i in range(n)]
-        time_rows = []
-        for t in cfg.times.values():
-            state = recompose(evolve(state0, spec, float(t)), spec)
-            time_rows.append([float(t)] + [state.rho_omega_atoms.weight_at(float(spec.levels[i]))
-                                           for i in range(n)])
+        state0 = decompose_initial(premeasure(setup, grid), spec)
+        columns = ["t"] + [f"atom_{i}" for i in range(spec.n_levels)]
+        time_rows = [[t] + _level_atoms(state, spec) for t, state in _evolved(cfg, spec, state0)]
         artifacts.append(_write_csv(cfg.output_dir / "measure_timeseries.csv", "measure",
                                     cfg, grid, columns, time_rows))
     return artifacts

@@ -141,6 +141,21 @@ def continuous_state(grid: ContinuumGrid, density, n_levels: int = 1) -> General
     return state
 
 
+def _shift_level_atoms(state: GeneralizedState, spectrum: LiouvilleSpectrum,
+                       sign: float, basis: str) -> GeneralizedState:
+    """Copy of ``state`` in ``basis`` with sign * rho_d[i, i] added to the
+    continuum-diagonal atom at each level energy."""
+    out = state.copy()
+    atoms = out.rho_omega_atoms
+    for i in range(spectrum.n_levels):
+        weight = float(np.real(state.rho_d[i, i]))
+        if weight != 0.0:
+            atoms = atoms.adding(float(spectrum.levels[i]), sign * weight)
+    out.rho_omega_atoms = atoms
+    out.basis = basis
+    return out
+
+
 def decompose_initial(state: GeneralizedState, spectrum: LiouvilleSpectrum) -> GeneralizedState:
     """Rewrite a free-basis state as eigenbasis coefficients.
 
@@ -152,30 +167,14 @@ def decompose_initial(state: GeneralizedState, spectrum: LiouvilleSpectrum) -> G
     if state.basis != BASIS_FREE:
         raise ValueError("decompose_initial expects a free-basis state")
     state.validate()
-    out = state.copy()
-    atoms = out.rho_omega_atoms
-    for i in range(spectrum.n_levels):
-        weight = float(np.real(state.rho_d[i, i]))
-        if weight != 0.0:
-            atoms = atoms.adding(float(spectrum.levels[i]), weight)
-    out.rho_omega_atoms = atoms
-    out.basis = BASIS_EIGEN
-    return out
+    return _shift_level_atoms(state, spectrum, 1.0, BASIS_EIGEN)
 
 
 def recompose(state: GeneralizedState, spectrum: LiouvilleSpectrum) -> GeneralizedState:
     """Inverse of ``decompose_initial``: back to physical free-basis components."""
     if state.basis != BASIS_EIGEN:
         raise ValueError("recompose expects an eigen-basis state")
-    out = state.copy()
-    atoms = out.rho_omega_atoms
-    for i in range(spectrum.n_levels):
-        weight = float(np.real(state.rho_d[i, i]))
-        if weight != 0.0:
-            atoms = atoms.adding(float(spectrum.levels[i]), -weight)
-    out.rho_omega_atoms = atoms
-    out.basis = BASIS_FREE
-    return out
+    return _shift_level_atoms(state, spectrum, -1.0, BASIS_FREE)
 
 
 def evolve(state: GeneralizedState, spectrum: LiouvilleSpectrum, t: float) -> GeneralizedState:

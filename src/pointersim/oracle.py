@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.optimize import curve_fit
 
 from .continuum import ContinuumGrid
 from .errors import EigensolverFailure, RecurrenceWindowExceeded
@@ -219,21 +218,19 @@ def fitted_decay_rate(model: OracleModel, i: int, t_min: float | None = None,
 def resonance_center(model: OracleModel, i: int, window_iqr: float = 20.0) -> float:
     """Position of the level-i resonance line in the exact spectrum.
 
-    Fits a Lorentzian to the level's spectral weight density around its
-    weighted median; the window is ``window_iqr`` interquartile ranges wide.
+    Near a Lorentzian line the inverse spectral weight density is a parabola
+    with its vertex at the line centre.  It is fitted with a density-weighted
+    quadratic over the eigenvalues within ``window_iqr`` interquartile ranges
+    of the level's weighted median.  When fewer than three of them carry
+    weight (a decoupled level) there is no line to fit, and the eigenvalue
+    carrying the level's largest weight is returned.
     """
     mass = model.eigenvectors[i, :] ** 2
     center0, iqr = _spectral_quartiles(model, i)
-    if iqr <= 0:
-        return float(center0)
     energies = model.eigenvalues
-    local_spacing = np.gradient(energies)
-    mask = np.abs(energies - center0) < window_iqr * iqr
-    density = mass[mask] / local_spacing[mask]
-
-    def lorentzian(e, center, half_width, strength):
-        return strength / ((e - center) ** 2 + half_width ** 2)
-
-    p0 = (center0, iqr / 2, np.max(density) * (iqr / 2) ** 2)
-    popt, _ = curve_fit(lorentzian, energies[mask], density, p0=p0)
-    return float(popt[0])
+    mask = (np.abs(energies - center0) < window_iqr * iqr) & (mass > 0)
+    if np.count_nonzero(mask) < 3:
+        return float(energies[np.argmax(mass)])
+    density = mass[mask] / np.gradient(energies)[mask]
+    a, b, _ = np.polyfit(energies[mask], 1.0 / density, 2, w=density)
+    return float(-b / (2.0 * a))

@@ -29,7 +29,7 @@ from .continuum import AtomicMeasure, ContinuumGrid, principal_value
 from .model import ModelSpec, coupling_at
 
 
-def decay_rate(spec: ModelSpec, grid: ContinuumGrid, i: int) -> float:
+def decay_rate(spec: ModelSpec, i: int) -> float:
     """Golden-rule width gamma_i = 2 pi V(Omega_i, i)^2 of level i."""
     v = coupling_at(spec, spec.levels[i], i)
     return 2.0 * np.pi * v * v
@@ -38,27 +38,6 @@ def decay_rate(spec: ModelSpec, grid: ContinuumGrid, i: int) -> float:
 def level_shift(spec: ModelSpec, grid: ContinuumGrid, i: int) -> float:
     """Second-order shift delta_i = PV int V(w, i)^2 / (w - Omega_i) dw."""
     return principal_value(lambda w: coupling_at(spec, w, i) ** 2, spec.levels[i], grid)
-
-
-def lambda_dij(spec: ModelSpec, grid: ContinuumGrid, i: int, j: int) -> complex:
-    """Discrete-block eigenvalue; reduces to i*gamma_i on the diagonal."""
-    re = (spec.levels[i] - spec.levels[j]) - (level_shift(spec, grid, i) - level_shift(spec, grid, j))
-    im = (decay_rate(spec, grid, i) + decay_rate(spec, grid, j)) / 2.0
-    return complex(re, im)
-
-
-def lambda_ui(spec: ModelSpec, grid: ContinuumGrid, i: int, u):
-    """Continuum-discrete eigenvalue u - Omega_i (purely real: no damping)."""
-    return np.asarray(u, float) - spec.levels[i] + 0.0j
-
-
-def lambda_iu(spec: ModelSpec, grid: ContinuumGrid, i: int, u):
-    """Discrete-continuum eigenvalue; damps at half the level width.
-
-    lambda(i, u) = Omega_i - u - delta_i + i pi V(Omega_i, i)^2.
-    """
-    re = spec.levels[i] - np.asarray(u, float) - level_shift(spec, grid, i)
-    return re + 0.5j * decay_rate(spec, grid, i)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +75,7 @@ class LiouvilleSpectrum:
 def liouville_spectrum(spec: ModelSpec, grid: ContinuumGrid) -> LiouvilleSpectrum:
     """Compute rates, shifts and the discrete eigenvalue block."""
     n = spec.n_levels
-    gamma = np.array([decay_rate(spec, grid, i) for i in range(n)])
+    gamma = np.array([decay_rate(spec, i) for i in range(n)])
     shift = np.array([level_shift(spec, grid, i) for i in range(n)])
     # both differences are antisymmetric at the ulp level, the sum of rates
     # symmetric, so the pairing lambda_d[j, i] == -conj(lambda_d[i, j]) is exact

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pointersim
 from pointersim.cli import main
 
 
@@ -199,3 +204,40 @@ def test_missing_initial_block_rejected(tmp_path, capsys):
         "t_start": 0.5, "t_end": 5.0, "samples": 4, "spacing": "log"})
     assert main(["evolve", "--config", str(config)]) == 1
     assert "initial" in capsys.readouterr().err
+
+
+_TIMES = {"t_start": 0.5, "t_end": 5.0, "samples": 3, "spacing": "log"}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("evolve", {"times": _TIMES, "initial": {"diagonal": [1.0]}}),
+    ("evolve", {"times": _TIMES, "initial": {"amplitudes": [[1.0, 0.0]]}}),
+    ("measure", {"amplitudes": [[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]]}),
+    ("evolve", {"times": _TIMES, "initial": {"diagonal": ["a", "b"]}}),
+    ("evolve", {"times": _TIMES, "initial": {"diagonal": [-0.5, 1.5]}}),
+    ("evolve", {"times": _TIMES, "initial": 5}),
+    ("spectrum", {"seed": "abc"}),
+    ("spectrum", {"seed": 1.5}),
+    ("compare", {"times": _TIMES, "seed": -1}),
+], ids=["short-diagonal", "short-initial-amplitudes", "long-amplitudes",
+        "non-numeric-diagonal", "negative-diagonal", "initial-not-an-object",
+        "string-seed", "fractional-seed", "negative-seed"])
+def test_malformed_level_inputs_fail_with_one_line(tmp_path, capsys, command, extra):
+    write_model(tmp_path)
+    config = write_config(tmp_path, **extra)
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # importing scipy.optimize costs more than the rest of the package import
+    code = ("import sys, pointersim; from pointersim import cli; "
+            "print('scipy.optimize' in sys.modules)")
+    src = str(Path(pointersim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, check=True)
+    assert result.stdout.strip() == "False"

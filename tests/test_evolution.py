@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pointersim import (
+    AtomicMeasure,
     build_grid,
     continuous_state,
     decompose_initial,
@@ -66,6 +67,18 @@ def test_recompose_inverts_decompose(grid, spectrum):
     assert back.basis == "free"
     assert np.allclose(back.rho_d, state.rho_d)
     assert back.rho_omega_atoms.weight_at(1.0) == pytest.approx(0.0, abs=1e-15)
+    assert back.trace() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_round_trip_merges_onto_an_atom_at_a_level_energy(grid, spectrum):
+    state = discrete_state(grid, np.diag([0.3, 0.5]))
+    state.rho_omega_atoms = AtomicMeasure(locations=[1.0, 6.5], weights=[0.15, 0.05])
+    eigen = decompose_initial(state.validate(), spectrum)
+    assert eigen.rho_omega_atoms.locations.tolist() == [1.0, 2.0, 6.5]
+    assert eigen.rho_omega_atoms.weight_at(1.0) == pytest.approx(0.45, abs=1e-15)
+    back = recompose(eigen, spectrum)
+    assert back.rho_omega_atoms.locations.tolist() == [1.0, 2.0, 6.5]
+    assert back.rho_omega_atoms.weights == pytest.approx([0.15, 0.0, 0.05], abs=1e-15)
     assert back.trace() == pytest.approx(1.0, abs=1e-12)
 
 

@@ -237,6 +237,12 @@ def test_resonance_center_sits_below_the_bare_level(oracle_unit):
     assert displacement == pytest.approx(delta, rel=0.10)
 
 
+def test_resonance_center_of_decoupled_level_is_its_bare_energy(decoupled):
+    # a decoupled level's weight sits on one eigenvalue: no line to fit
+    assert resonance_center(decoupled, 0) == 1.0
+    assert resonance_center(decoupled, 1) == 2.0
+
+
 def test_embed_discrete_shapes(oracle_two):
     full = embed_discrete(oracle_two, [0.6, 0.8j])
     assert full.shape == (oracle_two.size,)

@@ -5,9 +5,6 @@ from pointersim import (
     build_grid,
     decay_rate,
     eigenvector_corrections,
-    lambda_dij,
-    lambda_iu,
-    lambda_ui,
     level_shift,
     liouville_spectrum,
 )
@@ -21,12 +18,12 @@ def grid():
 
 def test_decay_rate_constant_coupling(grid):
     spec = make_constant_model([1.0], 0.1)
-    assert decay_rate(spec, grid, 0) == pytest.approx(2 * np.pi * 0.01)
+    assert decay_rate(spec, 0) == pytest.approx(2 * np.pi * 0.01)
 
 
 def test_decay_rate_vanishes_for_decoupled_level(grid):
     spec = make_constant_model([1.0], 0.1, scale=0.0)
-    assert decay_rate(spec, grid, 0) == 0.0
+    assert decay_rate(spec, 0) == 0.0
 
 
 def test_level_shift_symmetric_level_vanishes(grid):
@@ -41,20 +38,21 @@ def test_level_shift_constant_coupling_closed_form(grid):
 
 def test_diagonal_eigenvalue_is_pure_damping(grid):
     spec = make_constant_model([1.0], 0.1)
-    lam = lambda_dij(spec, grid, 0, 0)
+    lam = liouville_spectrum(spec, grid).lambda_d[0, 0]
     assert lam.real == 0.0
-    assert lam.imag == pytest.approx(decay_rate(spec, grid, 0))
+    assert lam.imag == pytest.approx(decay_rate(spec, 0))
 
 
 def test_zero_coupling_reduces_to_level_splitting(grid):
     spec = make_constant_model([1.0, 2.0], 0.1, scale=0.0)
-    assert lambda_dij(spec, grid, 0, 1) == complex(-1.0, 0.0)
-    assert lambda_dij(spec, grid, 1, 0) == complex(1.0, 0.0)
+    s = liouville_spectrum(spec, grid)
+    assert s.lambda_d[0, 1] == complex(-1.0, 0.0)
+    assert s.lambda_d[1, 0] == complex(1.0, 0.0)
 
 
 def test_two_level_damping_is_sum_of_half_rates(grid):
     spec = make_constant_model([1.0, 2.0], 0.1)
-    lam = lambda_dij(spec, grid, 0, 1)
+    lam = liouville_spectrum(spec, grid).lambda_d[0, 1]
     assert lam.imag == pytest.approx(np.pi * (0.01 + 0.01))
 
 
@@ -87,22 +85,23 @@ def test_rates_and_shifts_scale_quadratically(grid):
 
 def test_continuum_discrete_eigenvalue_is_real(grid):
     spec = make_constant_model([1.0], 0.1)
-    lam = lambda_ui(spec, grid, 0, 4.0)
+    lam = liouville_spectrum(spec, grid).lambda_continuum_discrete(4.0, 0)
     assert lam.imag == 0.0
     assert lam.real == pytest.approx(3.0)
 
 
 def test_discrete_continuum_eigenvalue_damps_at_half_rate(grid):
     spec = make_constant_model([1.0], 0.1)
-    lam = lambda_iu(spec, grid, 0, 4.0)
-    assert lam.imag == pytest.approx(decay_rate(spec, grid, 0) / 2.0)
+    lam = liouville_spectrum(spec, grid).lambda_discrete_continuum(0, 4.0)
+    assert lam.imag == pytest.approx(decay_rate(spec, 0) / 2.0)
     assert lam.real == pytest.approx(1.0 - 4.0 - level_shift(spec, grid, 0))
 
 
 def test_mixed_eigenvalues_zero_coupling_reduce_to_detuning(grid):
     spec = make_constant_model([1.0], 0.1, scale=0.0)
-    assert lambda_ui(spec, grid, 0, 4.0) == complex(3.0, 0.0)
-    assert lambda_iu(spec, grid, 0, 4.0) == complex(-3.0, 0.0)
+    s = liouville_spectrum(spec, grid)
+    assert s.lambda_continuum_discrete(4.0, 0) == complex(3.0, 0.0)
+    assert s.lambda_discrete_continuum(0, 4.0) == complex(-3.0, 0.0)
 
 
 def test_continuum_continuum_eigenvalue_is_real(grid):
@@ -116,11 +115,8 @@ def test_continuum_continuum_eigenvalue_is_real(grid):
 def test_spectrum_container_matches_free_functions(grid):
     spec = make_constant_model([1.0, 2.0], 0.05)
     s = liouville_spectrum(spec, grid)
-    assert s.gamma[0] == decay_rate(spec, grid, 0)
+    assert s.gamma[0] == decay_rate(spec, 0)
     assert s.shift[1] == level_shift(spec, grid, 1)
-    assert s.lambda_d[0, 1] == lambda_dij(spec, grid, 0, 1)
-    assert s.lambda_discrete_continuum(0, 4.0) == lambda_iu(spec, grid, 0, 4.0)
-    assert s.lambda_continuum_discrete(4.0, 0) == lambda_ui(spec, grid, 0, 4.0)
 
 
 # -- first-order eigenvector corrections --------------------------------------
