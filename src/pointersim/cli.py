@@ -64,18 +64,24 @@ def _require(data: dict, key: str):
     return data[key]
 
 
+def _json_int(value, name: str, minimum: int = 0) -> int:
+    """A JSON integer >= minimum; fractions are refused, never truncated."""
+    # bool is an int subclass, but true/false is no count
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigParse(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _parse_times(data) -> TimeGrid:
     try:
         grid = TimeGrid(
             t_start=float(_require(data, "t_start")),
             t_end=float(_require(data, "t_end")),
-            samples=int(_require(data, "samples")),
+            samples=_json_int(_require(data, "samples"), "times.samples", minimum=2),
             spacing=str(data.get("spacing", "log")),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigParse(f"malformed 'times' block: {exc}") from exc
-    if grid.samples < 2:
-        raise ConfigParse(f"times.samples must be >= 2, got {grid.samples}")
     if not 0 <= grid.t_start < grid.t_end:
         raise ConfigParse("times must satisfy t_end > t_start >= 0")
     if grid.spacing not in ("linear", "log"):
@@ -86,22 +92,12 @@ def _parse_times(data) -> TimeGrid:
 
 
 def _parse_grid(data: dict) -> tuple[int, str]:
-    try:
-        m = int(data.get("m", 2000))
-    except (TypeError, ValueError) as exc:
-        raise ConfigParse(f"malformed 'grid' block: {exc}") from exc
+    m = _json_int(data.get("m", 2000), "grid.m")
     scheme = str(data.get("scheme", "uniform-midpoint"))
     if scheme not in GRID_SCHEMES:
         raise ConfigParse(f"unknown grid.scheme '{scheme}'; "
                           f"expected one of {', '.join(GRID_SCHEMES)}")
     return m, scheme
-
-
-def _parse_seed(value) -> int:
-    # bool is an int subclass, but true/false is no seed
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ConfigParse(f"seed must be a non-negative integer, got {value!r}")
-    return value
 
 
 def load_config(path, grid_m=None, out=None, seed=None) -> RunConfig:
@@ -140,7 +136,7 @@ def load_config(path, grid_m=None, out=None, seed=None) -> RunConfig:
         grid_scheme=grid_scheme,
         times=times,
         output_dir=Path(data.get("output_dir", "out")),
-        seed=_parse_seed(data.get("seed", 0)),
+        seed=_json_int(data.get("seed", 0), "seed"),
         params={k: v for k, v in data.items() if k not in reserved},
         effective=data,
     )

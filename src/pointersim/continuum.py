@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import (
     DiscontinuousAtSingularity,
+    InvalidGrid,
+    InvalidState,
     NonFiniteValue,
     SingularityOutsideSupport,
     TooFewNodes,
@@ -75,9 +77,9 @@ class AtomicMeasure:
         object.__setattr__(self, "locations", np.atleast_1d(np.asarray(self.locations, float)))
         object.__setattr__(self, "weights", np.atleast_1d(np.asarray(self.weights, float)))
         if self.locations.shape != self.weights.shape:
-            raise ValueError("locations and weights must have matching shapes")
+            raise InvalidState("locations and weights must have matching shapes")
         if len(self.locations) > 1 and np.any(np.diff(np.sort(self.locations)) <= self._MERGE_TOL):
-            raise ValueError("atom locations must be distinct")
+            raise InvalidState("atom locations must be distinct")
 
     @classmethod
     def empty(cls) -> "AtomicMeasure":
@@ -124,7 +126,7 @@ def build_grid(omega_max: float, m: int, scheme: str = "uniform-midpoint",
     if m < _MIN_NODES:
         raise TooFewNodes(f"need at least {_MIN_NODES} nodes, got {m}")
     if omega_max <= 0 or not np.isfinite(omega_max):
-        raise ValueError(f"omega_max must be positive and finite, got {omega_max}")
+        raise InvalidGrid(f"omega_max must be positive and finite, got {omega_max}")
 
     if scheme == "uniform-midpoint":
         h = omega_max / m
@@ -139,7 +141,7 @@ def build_grid(omega_max: float, m: int, scheme: str = "uniform-midpoint",
         nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
         weights = (half[:, None] * w[None, :]).ravel()
     else:
-        raise ValueError(f"unknown grid scheme '{scheme}'")
+        raise InvalidGrid(f"unknown grid scheme '{scheme}'")
 
     for target in np.atleast_1d(np.asarray(avoid, float)):
         hit = np.flatnonzero(np.isclose(nodes, target, rtol=0.0, atol=1e-12))
@@ -154,7 +156,7 @@ def build_grid(omega_max: float, m: int, scheme: str = "uniform-midpoint",
             nodes[k] = shifted
 
     if np.any(np.diff(nodes) <= 0):
-        raise ValueError("grid nodes are not strictly increasing after collision shifts")
+        raise InvalidGrid("grid nodes are not strictly increasing after collision shifts")
     return ContinuumGrid(nodes=nodes, weights=weights, scheme=scheme, omega_max=float(omega_max))
 
 

@@ -33,6 +33,10 @@ class TooFewNodes(SimulationError):
     """Grid size below the minimum needed for the quadrature contracts."""
 
 
+class InvalidGrid(SimulationError, ValueError):
+    """Grid parameters are malformed: cutoff, scheme, or node ordering."""
+
+
 class NonFiniteValue(SimulationError):
     """Integrand produced NaN or infinity on the grid."""
 
@@ -47,6 +51,10 @@ class DiscontinuousAtSingularity(SimulationError):
 
 # -- evolution --------------------------------------------------------------
 
+class InvalidState(SimulationError, ValueError):
+    """State components have the wrong shape or violate a physical invariant."""
+
+
 class TraceViolation(SimulationError):
     """State components do not sum to unit trace within tolerance."""
 
@@ -58,7 +66,12 @@ class NegativeTime(SimulationError):
 # -- oracle -----------------------------------------------------------------
 
 class EigensolverFailure(SimulationError):
-    """Dense eigendecomposition of the discretized Hamiltonian failed."""
+    """Eigendecomposition of the discretized Hamiltonian failed.
+
+    Raised for non-finite Hamiltonian entries, a failed dense ``eigh``, a
+    secular-equation root that does not converge, and eigenvectors that fail
+    the orthonormality gate.
+    """
 
 
 class RecurrenceWindowExceeded(UserWarning):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .continuum import AtomicMeasure, ContinuumGrid
-from .errors import NegativeTime, TraceViolation
+from .errors import InvalidState, NegativeTime, TraceViolation
 from .spectrum import LiouvilleSpectrum
 
 _TRACE_TOL = 1e-10
@@ -54,12 +54,12 @@ class GeneralizedState:
         self.rho_iomega = np.asarray(self.rho_iomega, complex)
         self.rho_omegai = np.asarray(self.rho_omegai, complex)
         if self.rho_omega_regular.shape != self.grid.nodes.shape:
-            raise ValueError("rho_omega_regular must match the grid size")
+            raise InvalidState("rho_omega_regular must match the grid size")
         n = self.rho_d.shape[0]
         if self.rho_d.shape != (n, n):
-            raise ValueError("rho_d must be square")
+            raise InvalidState("rho_d must be square")
         if self.rho_iomega.shape != (n, self.grid.size) or self.rho_omegai.shape != (n, self.grid.size):
-            raise ValueError("mixed sectors must have shape (n_levels, grid size)")
+            raise InvalidState("mixed sectors must have shape (n_levels, grid size)")
 
     @property
     def n_levels(self) -> int:
@@ -86,15 +86,15 @@ class GeneralizedState:
     def validate(self, tol: float = _TRACE_TOL) -> "GeneralizedState":
         """Check the physical-state invariants (free basis) and return self."""
         if np.any(self.rho_omega_regular < -1e-12):
-            raise ValueError("continuum diagonal density must be >= 0")
+            raise InvalidState("continuum diagonal density must be >= 0")
         if np.any(self.rho_omega_atoms.weights < -1e-12):
-            raise ValueError("atom weights must be >= 0")
+            raise InvalidState("atom weights must be >= 0")
         if self.hermiticity_defect() > _HERM_TOL:
-            raise ValueError("rho_d (and rho_omegaomega) must be Hermitian")
+            raise InvalidState("rho_d (and rho_omegaomega) must be Hermitian")
         if np.any(np.real(np.diag(self.rho_d)) < -1e-12):
-            raise ValueError("discrete occupations must be >= 0")
+            raise InvalidState("discrete occupations must be >= 0")
         if np.max(np.abs(self.rho_iomega - self.rho_omegai.conj()), initial=0.0) > _HERM_TOL:
-            raise ValueError("mixed sectors must be conjugates of each other")
+            raise InvalidState("mixed sectors must be conjugates of each other")
         tr = self.trace()
         if abs(tr - 1.0) > tol:
             raise TraceViolation(f"state trace is {tr!r}, expected 1 within {tol}")

@@ -7,6 +7,12 @@ squared couplings converges to the continuum integral of V^2.  Everything
 downstream is spectral decomposition; no perturbative input enters anywhere,
 which is what makes this module a legitimate independent check.
 
+With one level the Hamiltonian is an arrowhead matrix, and its eigenpairs come
+from the roots of a secular equation in O(M^2) time without assembling H;
+with two or more levels H is assembled and handed to a dense O((N + M)^3)
+``scipy.linalg.eigh``.  Both paths return the same ``OracleModel`` (ascending
+eigenvalues, eigenvectors as columns) and pass the same orthonormality gate.
+
 A finite grid is quasi-periodic: beyond roughly half the recurrence time
 (``ContinuumGrid.recurrence_time``), the nodes rephase and the dynamics stops
 mimicking irreversible decay.  Evolution past that horizon triggers a warning
@@ -32,7 +38,8 @@ _ORTHO_TOL = 1e-10
 class OracleModel:
     """Eigendecomposition of the discretized Hamiltonian.
 
-    The Hamiltonian itself is not kept: it is diagonalized in place.
+    The Hamiltonian itself is not kept: the dense path diagonalizes it in
+    place and the single-level path never assembles it.
     """
 
     spec: ModelSpec
@@ -58,23 +65,19 @@ class OracleModel:
 
 
 def discretize(spec: ModelSpec, grid: ContinuumGrid) -> OracleModel:
-    """Assemble and diagonalize the discretized Hamiltonian."""
-    n, m = spec.n_levels, grid.size
-    h = np.zeros((n + m, n + m))
-    h[np.arange(n), np.arange(n)] = spec.levels
-    h[np.arange(n, n + m), np.arange(n, n + m)] = grid.nodes
+    """Assemble and diagonalize the discretized Hamiltonian.
+
+    One level makes H an arrowhead matrix, solved through its secular
+    equation in O(M^2); more levels go through a dense eigensolve.  Both
+    paths pass the same orthonormality gate.
+    """
     sqrt_w = np.sqrt(grid.weights)
-    for i in range(n):
-        row = coupling_at(spec, grid.nodes, i) * sqrt_w
-        h[i, n:] = row
-        h[n:, i] = row
-    try:
-        # h is symmetric, so h.T is a Fortran-ordered view of the same buffer
-        # and LAPACK's dsyevd overwrites it instead of working on a copy;
-        # non-finite entries surface as a ValueError from the finiteness check
-        eigenvalues, eigenvectors = eigh(h.T, overwrite_a=True, driver="evd")
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise EigensolverFailure(f"eigh failed on a {n + m} x {n + m} Hamiltonian: {exc}") from exc
+    couplings = np.array([coupling_at(spec, grid.nodes, i) * sqrt_w
+                          for i in range(spec.n_levels)])
+    if spec.n_levels == 1:
+        eigenvalues, eigenvectors = _arrowhead_eigh(spec.levels[0], grid.nodes, couplings[0])
+    else:
+        eigenvalues, eigenvectors = _dense_eigh(spec.levels, grid.nodes, couplings)
 
     model = OracleModel(
         spec=spec,
@@ -88,6 +91,191 @@ def discretize(spec: ModelSpec, grid: ContinuumGrid) -> OracleModel:
     if not defect <= _ORTHO_TOL:
         raise EigensolverFailure(f"eigenvector orthonormality defect {defect:g} above {_ORTHO_TOL}")
     return model
+
+
+def _dense_eigh(levels, nodes, couplings):
+    """Eigenpairs of the full Hamiltonian: levels, then nodes, coupled by rows."""
+    n, m = len(levels), len(nodes)
+    h = np.zeros((n + m, n + m))
+    h[np.arange(n), np.arange(n)] = levels
+    h[np.arange(n, n + m), np.arange(n, n + m)] = nodes
+    h[:n, n:] = couplings
+    h[n:, :n] = couplings.T
+    try:
+        # h is symmetric, so h.T is a Fortran-ordered view of the same buffer
+        # and LAPACK's dsyevd overwrites it instead of working on a copy;
+        # non-finite entries surface as a ValueError from the finiteness check
+        return eigh(h.T, overwrite_a=True, driver="evd")
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise EigensolverFailure(f"eigh failed on a {n + m} x {n + m} Hamiltonian: {exc}") from exc
+
+
+# -- one level: the arrowhead secular equation --------------------------------
+#
+# With one level at e coupled by g_k to nodes w_k, H = [[e, g^T], [g, diag(w)]]
+# and, once couplings too small to matter are deflated to the exact pairs
+# (w_k, e_k), every other eigenvalue is a root of the secular equation
+#
+#     f(x) = x - e - sum_k g_k^2 / (x - w_k),
+#
+# which increases between its poles: one root lies below the first node, one
+# in each gap and one above the last node (Gu & Eisenstat 1995; Stor,
+# Slapnicar & Barlow 2015).  The grid's nodes are strictly increasing, so the
+# poles are sorted and distinct.  Dropping a coupling below eps * |H| moves
+# H by rounding noise, but a kept one must be a genuine pole: an underflowing
+# g_k^2 would leave its gap without a sign change.  A root is kept as an
+# offset d from its nearer pole p, so x - w_k = (w_p - w_k) + d stays accurate
+# to full relative precision however close x is to w_p, and d solves
+# F(d) = d * f(w_p + d), which has no pole at d = 0.  The eigenvector of root
+# x is (1, g_k / (x - w_k)) normalized.
+
+_EPS = np.finfo(float).eps
+_SECULAR_MAX_ITER = 64
+# roots are handled in row chunks of about 64k matrix elements (512 kB), so
+# no M x M temporary exists while solving
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def _arrowhead_eigh(level: float, nodes: np.ndarray, coupling: np.ndarray):
+    """Ascending eigenvalues and eigenvectors (columns) of the arrowhead H."""
+    if not (np.isfinite(level) and np.all(np.isfinite(nodes)) and np.all(np.isfinite(coupling))):
+        raise EigensolverFailure("the Hamiltonian has non-finite entries")
+    scale = max(abs(level), float(np.max(np.abs(nodes))), float(np.linalg.norm(coupling)))
+    negligible = np.abs(coupling) <= _EPS * scale
+    active, deflated = np.flatnonzero(~negligible), np.flatnonzero(negligible)
+    poles, g = nodes[active], coupling[active]
+    anchor, offset = _secular_roots(level, poles, g * g)
+
+    # Q^T with rows (roots, deflated nodes) and columns (level, active nodes,
+    # deflated nodes): the roots' vectors fill the leading block and every
+    # deflated node keeps its unit vector
+    k = len(poles)
+    qt = np.zeros((len(nodes) + 1, len(nodes) + 1))
+    for rows in _chunks(k + 1, k):
+        vectors = qt[rows, : k + 1]
+        np.divide(g, _distances(poles, anchor[rows], offset[rows]), out=vectors[:, 1:])
+        vectors[:, 0] = 1.0
+        vectors /= np.sqrt(np.einsum("ij,ij->i", vectors, vectors))[:, None]
+    np.fill_diagonal(qt[k + 1:, k + 1:], 1.0)
+    eigenvalues = np.concatenate([anchor + offset, nodes[deflated]])
+    if len(deflated):
+        # back to ascending eigenvalues and to the level-then-nodes components
+        order = np.argsort(eigenvalues, kind="stable")
+        components = np.argsort(np.concatenate([[0], 1 + active, 1 + deflated]))
+        qt = qt[np.ix_(order, components)]
+        eigenvalues = eigenvalues[order]
+    return eigenvalues, qt.T
+
+
+def _chunks(count: int, width: int):
+    """Row slices that keep a chunk-by-width temporary near _CHUNK_ELEMENTS."""
+    step = max(1, _CHUNK_ELEMENTS // max(width, 1))
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def _distances(poles, anchor, offset):
+    """x_n - w_k = (anchor_n - w_k) + d_n for roots n (rows) and poles k (columns)."""
+    return (anchor[:, None] - poles[None, :]) + offset[:, None]
+
+
+def _secular_roots(level: float, poles: np.ndarray, g2: np.ndarray):
+    """Roots of f, ascending, each as its nearer pole plus an offset.
+
+    A vectorized safeguarded Newton iteration on F(d) = d * f(w_p + d): every
+    root keeps a bracket on which f changes sign, and a Newton step that
+    leaves it is replaced by bisection.  Without poles the one root is the
+    level itself.
+    """
+    k = len(poles)
+    if k == 0:
+        return np.array([level]), np.zeros(1)
+    # every eigenvalue lies within |g| of the diagonal's range
+    radius = float(np.sqrt(np.sum(g2)))
+    origin = np.empty(k + 1, dtype=np.intp)
+    lo = np.empty(k + 1)
+    hi = np.empty(k + 1)
+    origin[0], lo[0], hi[0] = 0, min(level, poles[0]) - radius - poles[0], 0.0
+    origin[k], lo[k], hi[k] = k - 1, 0.0, max(level, poles[-1]) + radius - poles[-1]
+    offset = 0.5 * (lo + hi)
+    if k > 1:
+        # roots 1..k-1 lie between poles n-1 and n; the sign of f at the
+        # gap's midpoint says which half holds the root, hence its pole
+        half = 0.5 * np.diff(poles)
+        left = np.arange(k - 1)
+        others, _, _ = _pole_sum(poles, g2, left, half)
+        f_mid = (poles[left] + half - level) - (others + g2[left] / half)
+        lower_half = f_mid >= 0
+        origin[1:k] = np.where(lower_half, left, left + 1)
+        lo[1:k] = np.where(lower_half, 0.0, -half)
+        hi[1:k] = np.where(lower_half, half, 0.0)
+        # first guess: the gap's two poles exact, the rest frozen at the
+        # midpoint, c - g_l^2 / (x - w_l) - g_r^2 / (x - w_r) = 0
+        c = f_mid + (g2[left] - g2[left + 1]) / half
+        guess = np.where(lower_half,
+                         _two_pole_root(c, g2[left], g2[left + 1], 2 * half),
+                         -_two_pole_root(-c, g2[left + 1], g2[left], 2 * half))
+        inside = (guess > lo[1:k]) & (guess < hi[1:k])
+        offset[1:k] = np.where(inside, guess, offset[1:k])
+
+    base = poles[origin] - level
+    pending = np.arange(k + 1)
+    for _ in range(_SECULAR_MAX_ITER):
+        d, p, b = offset[pending], origin[pending], base[pending]
+        low, high = lo[pending], hi[pending]
+        sums, slopes, magnitude = _pole_sum(poles, g2, p, d)
+        reduced = b + d - sums                      # f without the pole at w_p
+        value = d * reduced - g2[p]                 # F(d)
+        slope = reduced + d * (1.0 + slopes)        # F'(d)
+        bound = np.abs(d) * (np.abs(b + d) + magnitude) + g2[p]
+
+        # f < 0 where F and d differ in sign: the root lies further up
+        up = (value < 0) == (d > 0)
+        low = np.where(up, d, low)
+        high = np.where(up | (value == 0), high, d)
+        newton = d - np.divide(value, slope, out=np.full_like(d, np.nan), where=slope != 0)
+        step = np.where((newton > low) & (newton < high), newton, 0.5 * (low + high))
+        done = (np.abs(value) <= 4 * _EPS * bound) | (np.abs(step - d) <= 2 * _EPS * np.abs(d))
+        offset[pending] = np.where(done, d, step)
+        lo[pending], hi[pending] = low, high
+        pending = pending[~done]
+        if not len(pending):
+            return poles[origin], offset
+    raise EigensolverFailure(
+        f"secular equation: {len(pending)} of {k + 1} roots did not converge "
+        f"in {_SECULAR_MAX_ITER} iterations")
+
+
+def _two_pole_root(c, own, far, gap):
+    """Distance t in (0, gap) from the own pole to the root of c - own/t - far/(t - gap)."""
+    # c t^2 - (c gap + own + far) t + own gap = 0, each root in its stable form
+    beta = c * gap + own + far
+    root = np.sqrt(np.maximum(beta * beta - 4.0 * c * own * gap, 0.0))
+    stable = beta >= 0
+    numerator = np.where(stable, 2.0 * own * gap, beta - root)
+    denominator = np.where(stable, beta + root, 2.0 * c)
+    return np.divide(numerator, denominator, out=np.zeros_like(c), where=denominator != 0)
+
+
+def _pole_sum(poles, g2, origin, offset):
+    """Sums over all poles but each root's own, in row chunks.
+
+    For roots x_n = w_origin(n) + offset_n, returns sum g_k^2 / (x_n - w_k),
+    sum g_k^2 / (x_n - w_k)^2 and sum |g_k^2 / (x_n - w_k)| with k != origin(n).
+    """
+    sums = np.empty(len(offset))
+    slopes = np.empty(len(offset))
+    magnitude = np.empty(len(offset))
+    for rows in _chunks(len(offset), len(poles)):
+        distance = _distances(poles, poles[origin[rows]], offset[rows])
+        own = (np.arange(distance.shape[0]), origin[rows])
+        distance[own] = 1.0
+        inverse = np.reciprocal(distance, out=distance)
+        inverse[own] = 0.0
+        terms = g2 * inverse
+        sums[rows] = terms.sum(axis=1)
+        slopes[rows] = np.einsum("ij,ij->i", terms, inverse)
+        magnitude[rows] = np.abs(terms, out=terms).sum(axis=1)
+    return sums, slopes, magnitude
 
 
 def embed_discrete(model: OracleModel, amplitudes) -> np.ndarray:

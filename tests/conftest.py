@@ -1,7 +1,8 @@
 """Shared models, grids and oracle decompositions.
 
-The dense eigendecompositions dominate the suite's runtime, so every test
-module reuses the session-scoped oracles built here.
+The two-level oracles go through a dense O(M^3) eigendecomposition and are
+the costliest fixtures; the single-level ones take the O(M^2) secular path and
+cost little.  Every test module reuses the session-scoped oracles built here.
 """
 
 import numpy as np

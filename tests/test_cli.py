@@ -231,6 +231,25 @@ def test_malformed_level_inputs_fail_with_one_line(tmp_path, capsys, command, ex
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("extra", [
+    {"grid": {"m": 200.9}},
+    {"grid": {"m": True}},
+    {"grid": {"m": "200"}},
+    {"times": {**_TIMES, "samples": 3.7}},
+    {"times": {**_TIMES, "samples": True}},
+    {"times": {**_TIMES, "samples": "3"}},
+], ids=["fractional-m", "bool-m", "string-m", "fractional-samples", "bool-samples",
+        "string-samples"])
+def test_non_integer_counts_fail_with_one_line(tmp_path, capsys, extra):
+    write_model(tmp_path)
+    config = write_config(tmp_path, initial={"diagonal": [0.5, 0.5]}, **{"times": _TIMES, **extra})
+    assert main(["evolve", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err and "integer" in err
+    assert not (tmp_path / "out" / "evolve.csv").exists()
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # importing scipy.optimize costs more than the rest of the package import
     code = ("import sys, pointersim; from pointersim import cli; "

@@ -13,7 +13,10 @@ from pointersim import (
 )
 from pointersim.errors import (
     DiscontinuousAtSingularity,
+    InvalidGrid,
+    InvalidState,
     NonFiniteValue,
+    SimulationError,
     SingularityOutsideSupport,
     TooFewNodes,
 )
@@ -40,8 +43,27 @@ def test_too_few_nodes_rejected():
 
 
 def test_unknown_scheme_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidGrid):
         build_grid(10.0, 100, scheme="trapezoid")
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((0.0, 100), {}),
+    ((float("inf"), 100), {}),
+    # uniform nodes 0.5, ..., 15.5: the last node is pushed down onto the
+    # one shifted up before it
+    ((16.0, 16), {"avoid": [14.5, 15.5]}),
+], ids=["zero-cutoff", "infinite-cutoff", "colliding-shifts"])
+def test_malformed_grid_is_an_invalid_grid(args, kwargs):
+    with pytest.raises(InvalidGrid):
+        build_grid(*args, **kwargs)
+
+
+def test_invalid_input_errors_are_simulation_and_value_errors():
+    # callers catching the package's base error see them, and so do callers
+    # that still catch ValueError
+    for error in (InvalidGrid, InvalidState):
+        assert issubclass(error, SimulationError) and issubclass(error, ValueError)
 
 
 def test_node_collision_is_shifted_and_logged(caplog):
@@ -187,5 +209,10 @@ def test_atomic_measure_bookkeeping():
 
 
 def test_atomic_measure_rejects_duplicate_locations():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidState, match="distinct"):
         AtomicMeasure(locations=[1.0, 1.0], weights=[0.5, 0.5])
+
+
+def test_atomic_measure_rejects_mismatched_shapes():
+    with pytest.raises(InvalidState, match="shapes"):
+        AtomicMeasure(locations=[1.0, 2.0], weights=[0.5])

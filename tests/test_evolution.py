@@ -3,6 +3,7 @@ import pytest
 
 from pointersim import (
     AtomicMeasure,
+    GeneralizedState,
     build_grid,
     continuous_state,
     decompose_initial,
@@ -14,7 +15,7 @@ from pointersim import (
     recompose,
     zero_state,
 )
-from pointersim.errors import NegativeTime, TraceViolation
+from pointersim.errors import InvalidState, NegativeTime, TraceViolation
 from .conftest import make_constant_model, normalized_density, random_valid_state
 
 
@@ -26,6 +27,52 @@ def grid():
 @pytest.fixture(scope="module")
 def spectrum(grid):
     return liouville_spectrum(make_constant_model([1.0, 2.0], 0.1), grid)
+
+
+# -- state invariants ----------------------------------------------------------
+
+@pytest.mark.parametrize("overrides", [
+    lambda m: {"rho_omega_regular": np.zeros(m + 1)},
+    lambda m: {"rho_d": np.zeros((2, 3))},
+    lambda m: {"rho_iomega": np.zeros((2, m + 1))},
+], ids=["continuum-size", "non-square-discrete", "mixed-shape"])
+def test_malformed_sectors_are_invalid_states(grid, overrides):
+    m = grid.size
+    sectors = dict(grid=grid, rho_omega_regular=np.zeros(m), rho_omega_atoms=AtomicMeasure.empty(),
+                   rho_d=np.zeros((2, 2)), rho_iomega=np.zeros((2, m)), rho_omegai=np.zeros((2, m)))
+    with pytest.raises(InvalidState):
+        GeneralizedState(**(sectors | overrides(m)))
+
+
+def _break_density(state):
+    state.rho_omega_regular[0] = -1.0
+
+
+def _break_atoms(state):
+    state.rho_omega_atoms = AtomicMeasure(locations=[5.0], weights=[-0.1])
+
+
+def _break_hermiticity(state):
+    state.rho_d[0, 1] = 0.1
+
+
+def _break_occupation(state):
+    state.rho_d = np.diag([-0.5, 1.5]).astype(complex)
+
+
+def _break_pairing(state):
+    state.rho_iomega[0, 0] = 0.1
+
+
+@pytest.mark.parametrize("breaks", [_break_density, _break_atoms, _break_hermiticity,
+                                    _break_occupation, _break_pairing],
+                         ids=["negative-density", "negative-atom", "non-hermitian",
+                              "negative-occupation", "unpaired-mixed"])
+def test_broken_invariants_are_invalid_states(grid, breaks):
+    state = discrete_state(grid, np.diag([0.5, 0.5]))
+    breaks(state)
+    with pytest.raises(InvalidState):
+        state.validate()
 
 
 # -- decomposition -------------------------------------------------------------

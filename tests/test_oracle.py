@@ -40,23 +40,86 @@ def test_eigenvector_orthonormality(oracle_unit):
     assert oracle_unit.orthonormality_defect() < 1e-10
 
 
-def test_discretize_decomposes_the_discretized_hamiltonian():
-    # the eigensolve overwrites its input, so the Hamiltonian is rebuilt here
-    # from its definition: levels, then nodes, coupled through V * sqrt(w)
-    spec = validate(ModelSpec(levels=[1.0, 2.5], omega_max=10.0,
-                              coupling=CouplingProfile.gaussian_window([0.3, 0.2], [1.0, 2.0])))
-    grid = build_grid(10.0, 40)
-    model = discretize(spec, grid)
+def _hamiltonian(spec, grid):
+    # discretize keeps no Hamiltonian (the dense path overwrites it), so it is
+    # rebuilt here from its definition: levels, then nodes, coupled through
+    # V * sqrt(w)
     h = np.diag(np.concatenate([spec.levels, grid.nodes]))
     for i in range(spec.n_levels):
         row = coupling_at(spec, grid.nodes, i) * np.sqrt(grid.weights)
         h[i, spec.n_levels:] = row
         h[spec.n_levels:, i] = row
+    return h
+
+
+@pytest.mark.parametrize("levels, amplitudes, widths",
+                         [([1.0], [0.3], [1.0]), ([1.0, 2.5], [0.3, 0.2], [1.0, 2.0])],
+                         ids=["one-level", "two-level"])
+def test_discretize_decomposes_the_discretized_hamiltonian(levels, amplitudes, widths):
+    spec = validate(ModelSpec(levels=levels, omega_max=10.0,
+                              coupling=CouplingProfile.gaussian_window(amplitudes, widths)))
+    grid = build_grid(10.0, 40)
+    model = discretize(spec, grid)
     q = model.eigenvectors
-    assert np.max(np.abs(q @ np.diag(model.eigenvalues) @ q.T - h)) < 1e-12
+    assert np.max(np.abs(q @ np.diag(model.eigenvalues) @ q.T - _hamiltonian(spec, grid))) < 1e-12
 
 
-def test_nan_eigenvector_fails_the_orthonormality_gate(monkeypatch, unit_model):
+_ARROWHEAD_CASES = {
+    "constant-uniform": (ModelSpec(levels=[1.0], omega_max=10.0,
+                                   coupling=CouplingProfile.constant(0.05)),
+                         800, "uniform-midpoint"),
+    "gauss-legendre": (ModelSpec(levels=[1.0], omega_max=10.0,
+                                 coupling=CouplingProfile.constant(0.05)),
+                       1600, "gauss-legendre-composite"),
+    "level-near-zero": (ModelSpec(levels=[0.003], omega_max=10.0,
+                                  coupling=CouplingProfile.constant(0.05)),
+                        800, "uniform-midpoint"),
+    "strong-coupling": (ModelSpec(levels=[1.0], omega_max=10.0,
+                                  coupling=CouplingProfile.constant(0.5)),
+                        800, "uniform-midpoint"),
+    # the squared tail couplings underflow to zero: those nodes have no pole
+    "gaussian-tails": (ModelSpec(levels=[1.0], omega_max=10.0,
+                                 coupling=CouplingProfile.gaussian_window(0.1, 0.3)),
+                       800, "uniform-midpoint"),
+    "zero-scale": (ModelSpec(levels=[1.0], omega_max=10.0,
+                             coupling=CouplingProfile.constant(0.1), coupling_scale=0.0),
+                   800, "uniform-midpoint"),
+    "tabulated-zeros": (ModelSpec(levels=[3.0], omega_max=10.0,
+                                  coupling=CouplingProfile.tabulated(
+                                      [0.0, 2.0, 4.0, 6.0, 8.0, 10.0],
+                                      [0.0, 0.1, 0.0, -0.1, 0.0, 0.0])),
+                        800, "uniform-midpoint"),
+}
+
+
+@pytest.mark.parametrize("case", list(_ARROWHEAD_CASES))
+def test_single_level_discretize_matches_dense_eigh(case):
+    spec, m, scheme = _ARROWHEAD_CASES[case]
+    spec = validate(spec)
+    grid = build_grid(spec.omega_max, m, scheme, avoid=spec.levels)
+    model = discretize(spec, grid)
+    energies, vectors = np.linalg.eigh(_hamiltonian(spec, grid))
+    assert np.max(np.abs(model.eigenvalues - energies)) < 1e-12
+    assert np.max(np.abs(model.eigenvectors[0] ** 2 - vectors[0] ** 2)) < 1e-12
+    assert model.orthonormality_defect() <= 1e-10
+
+
+def test_single_level_discretize_never_calls_the_dense_eigensolver(monkeypatch, unit_model):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigh called for a single level")
+
+    monkeypatch.setattr(pointersim.oracle, "eigh", refuse)
+    model = discretize(unit_model, build_grid(10.0, 64))
+    assert model.size == 65
+
+
+def test_secular_iteration_cap_is_an_eigensolver_failure(monkeypatch, unit_model):
+    monkeypatch.setattr(pointersim.oracle, "_SECULAR_MAX_ITER", 1)
+    with pytest.raises(EigensolverFailure, match="did not converge"):
+        discretize(unit_model, build_grid(10.0, 64))
+
+
+def test_nan_eigenvector_fails_the_orthonormality_gate(monkeypatch, two_level_model):
     eigh = pointersim.oracle.eigh
 
     def poisoned(*args, **kwargs):
@@ -66,14 +129,28 @@ def test_nan_eigenvector_fails_the_orthonormality_gate(monkeypatch, unit_model):
 
     monkeypatch.setattr(pointersim.oracle, "eigh", poisoned)
     with pytest.raises(EigensolverFailure, match="orthonormality"):
+        discretize(two_level_model, build_grid(10.0, 64))
+
+
+def test_nan_arrowhead_eigenvector_fails_the_orthonormality_gate(monkeypatch, unit_model):
+    arrowhead_eigh = pointersim.oracle._arrowhead_eigh
+
+    def poisoned(*args, **kwargs):
+        eigenvalues, eigenvectors = arrowhead_eigh(*args, **kwargs)
+        eigenvectors[3, 5] = np.nan
+        return eigenvalues, eigenvectors
+
+    monkeypatch.setattr(pointersim.oracle, "_arrowhead_eigh", poisoned)
+    with pytest.raises(EigensolverFailure, match="orthonormality"):
         discretize(unit_model, build_grid(10.0, 64))
 
 
-def test_non_finite_hamiltonian_is_an_eigensolver_failure(monkeypatch, unit_model):
+def test_non_finite_hamiltonian_is_an_eigensolver_failure(monkeypatch, unit_model, two_level_model):
     monkeypatch.setattr(pointersim.oracle, "coupling_at",
                         lambda spec, omega, i: np.full_like(omega, np.nan))
-    with pytest.raises(EigensolverFailure):
-        discretize(unit_model, build_grid(10.0, 64))
+    for spec in (unit_model, two_level_model):
+        with pytest.raises(EigensolverFailure):
+            discretize(spec, build_grid(10.0, 64))
 
 
 def test_recurrence_time_estimate(oracle_unit):
