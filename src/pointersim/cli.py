@@ -160,7 +160,6 @@ def _fmt(value) -> str:
 def _write_csv(path: Path, command: str, cfg: RunConfig, grid, columns, rows):
     # the recurrence horizon is a grid property; quoting it in every artifact
     # marks the window inside which oracle cross-checks are meaningful
-    recurrence = grid.recurrence_time
     lines = [
         f"# pointersim {command}",
         f"# config_hash: {config_hash(command, cfg)}",
@@ -168,8 +167,8 @@ def _write_csv(path: Path, command: str, cfg: RunConfig, grid, columns, rows):
         f"# grid_scheme: {cfg.grid_scheme}",
         f"# coupling_scale: {_fmt(cfg.model.coupling_scale)}",
         f"# seed: {cfg.seed}",
-        f"# recurrence_time: {_fmt(recurrence)}",
-        f"# valid_t_max: {_fmt(0.5 * recurrence)}",
+        f"# recurrence_time: {_fmt(grid.recurrence_time)}",
+        f"# valid_t_max: {_fmt(grid.valid_t_max)}",
     ]
     lines.append(",".join(columns))
     lines += [",".join(_fmt(v) for v in row) for row in rows]
@@ -274,7 +273,6 @@ def run_compare(cfg: RunConfig):
     grid = _model_grid(cfg)
     spec = liouville_spectrum(cfg.model, grid)
     oracle = discretize(cfg.model, grid)
-    horizon = 0.5 * oracle.recurrence_time
 
     n = spec.n_levels
     rng = np.random.default_rng(cfg.seed)
@@ -287,7 +285,7 @@ def run_compare(cfg: RunConfig):
         warnings.simplefilter("ignore", RecurrenceWindowExceeded)
         for t in cfg.times.values():
             t = float(t)
-            valid = int(t < horizon)
+            valid = int(t < grid.valid_t_max)
             for i in range(n):
                 predicted = float(np.exp(-spec.gamma[i] * t))
                 measured = survival_probability(oracle, i, t)

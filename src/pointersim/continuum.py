@@ -31,6 +31,14 @@ GRID_SCHEMES = ("uniform-midpoint", "gauss-legendre-composite")
 
 _MIN_NODES = 16
 _GL_ORDER = 4
+_LOOKUP_TOL = 1e-9
+
+
+def read_only(values, dtype) -> np.ndarray:
+    """A read-only view of ``values`` as ``dtype``; no copy when the dtype matches."""
+    view = np.asarray(values, dtype).view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +65,11 @@ class ContinuumGrid:
         spacing = (self.nodes[-1] - self.nodes[0]) / (self.size - 1)
         return 2.0 * np.pi / spacing
 
+    @property
+    def valid_t_max(self) -> float:
+        """Half the recurrence time: the horizon of faithful finite-grid decay."""
+        return 0.5 * self.recurrence_time
+
     def spacing_near(self, omega: float) -> float:
         """Local node spacing around a point, for probe distances."""
         k = int(np.searchsorted(self.nodes, omega))
@@ -66,7 +79,7 @@ class ContinuumGrid:
 
 @dataclass(frozen=True, eq=False)
 class AtomicMeasure:
-    """Point masses on the energy axis, used for Dirac-delta components."""
+    """Point masses on the energy axis (Dirac-delta components); read-only arrays."""
 
     locations: np.ndarray
     weights: np.ndarray
@@ -74,8 +87,8 @@ class AtomicMeasure:
     _MERGE_TOL = 1e-12
 
     def __post_init__(self):
-        object.__setattr__(self, "locations", np.atleast_1d(np.asarray(self.locations, float)))
-        object.__setattr__(self, "weights", np.atleast_1d(np.asarray(self.weights, float)))
+        object.__setattr__(self, "locations", read_only(np.atleast_1d(self.locations), float))
+        object.__setattr__(self, "weights", read_only(np.atleast_1d(self.weights), float))
         if self.locations.shape != self.weights.shape:
             raise InvalidState("locations and weights must have matching shapes")
         if len(self.locations) > 1 and np.any(np.diff(np.sort(self.locations)) <= self._MERGE_TOL):
@@ -88,9 +101,9 @@ class AtomicMeasure:
     def total(self) -> float:
         return float(np.sum(self.weights))
 
-    def weight_at(self, location: float, tol: float = 1e-9) -> float:
+    def weight_at(self, location: float) -> float:
         """Weight of the atom at ``location`` (0.0 when absent)."""
-        hit = np.abs(self.locations - location) <= tol
+        hit = np.abs(self.locations - location) <= _LOOKUP_TOL
         return float(np.sum(self.weights[hit]))
 
     def adding(self, location: float, weight: float) -> "AtomicMeasure":
@@ -99,7 +112,7 @@ class AtomicMeasure:
         if np.any(hit):
             weights = self.weights.copy()
             weights[hit] += weight
-            return AtomicMeasure(self.locations.copy(), weights)
+            return AtomicMeasure(self.locations, weights)
         locations = np.append(self.locations, location)
         weights = np.append(self.weights, weight)
         order = np.argsort(locations)

@@ -16,6 +16,12 @@ an atom of weight rho_d[i, i] at each level energy, because the dual of the
 dressed (i, i) vector is (i i| minus a point evaluation there.  ``evolve``
 then multiplies each sector by exp(i * lambda * t); the continuum diagonal has
 lambda identically zero, so the trace it carries is conserved exactly.
+
+States are values: a ``GeneralizedState`` never changes after construction.
+Its sectors are read-only views, and each state-to-state transform returns a
+``dataclasses.replace`` of its input that shares every sector it leaves
+unchanged.  The constructor does not copy; ``discrete_state`` and
+``continuous_state`` copy the caller's array once.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .continuum import AtomicMeasure, ContinuumGrid
+from .continuum import AtomicMeasure, ContinuumGrid, read_only
 from .errors import InvalidState, NegativeTime, TraceViolation
 from .spectrum import LiouvilleSpectrum
 
@@ -34,10 +40,13 @@ _HERM_TOL = 1e-10
 BASIS_FREE = "free"
 BASIS_EIGEN = "eigen"
 
+_SECTOR_DTYPES = (("rho_omega_regular", float), ("rho_d", complex), ("rho_iomega", complex),
+                  ("rho_omegai", complex), ("rho_omegaomega", complex))
 
-@dataclass(eq=False)
+
+@dataclass(frozen=True, eq=False)
 class GeneralizedState:
-    """Sector components of a generalized state on a fixed grid."""
+    """Sector components of a generalized state on a fixed grid; immutable."""
 
     grid: ContinuumGrid
     rho_omega_regular: np.ndarray
@@ -49,10 +58,10 @@ class GeneralizedState:
     basis: str = BASIS_FREE
 
     def __post_init__(self):
-        self.rho_omega_regular = np.asarray(self.rho_omega_regular, float)
-        self.rho_d = np.asarray(self.rho_d, complex)
-        self.rho_iomega = np.asarray(self.rho_iomega, complex)
-        self.rho_omegai = np.asarray(self.rho_omegai, complex)
+        for name, dtype in _SECTOR_DTYPES:
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, read_only(value, dtype))
         if self.rho_omega_regular.shape != self.grid.nodes.shape:
             raise InvalidState("rho_omega_regular must match the grid size")
         n = self.rho_d.shape[0]
@@ -83,7 +92,7 @@ class GeneralizedState:
             defect = max(defect, float(np.max(np.abs(self.rho_omegaomega - self.rho_omegaomega.conj().T))))
         return defect
 
-    def validate(self, tol: float = _TRACE_TOL) -> "GeneralizedState":
+    def validate(self) -> "GeneralizedState":
         """Check the physical-state invariants (free basis) and return self."""
         if np.any(self.rho_omega_regular < -1e-12):
             raise InvalidState("continuum diagonal density must be >= 0")
@@ -96,21 +105,9 @@ class GeneralizedState:
         if np.max(np.abs(self.rho_iomega - self.rho_omegai.conj()), initial=0.0) > _HERM_TOL:
             raise InvalidState("mixed sectors must be conjugates of each other")
         tr = self.trace()
-        if abs(tr - 1.0) > tol:
-            raise TraceViolation(f"state trace is {tr!r}, expected 1 within {tol}")
+        if abs(tr - 1.0) > _TRACE_TOL:
+            raise TraceViolation(f"state trace is {tr!r}, expected 1 within {_TRACE_TOL}")
         return self
-
-    def copy(self) -> "GeneralizedState":
-        return replace(
-            self,
-            rho_omega_regular=self.rho_omega_regular.copy(),
-            rho_omega_atoms=AtomicMeasure(self.rho_omega_atoms.locations.copy(),
-                                          self.rho_omega_atoms.weights.copy()),
-            rho_d=self.rho_d.copy(),
-            rho_iomega=self.rho_iomega.copy(),
-            rho_omegai=self.rho_omegai.copy(),
-            rho_omegaomega=None if self.rho_omegaomega is None else self.rho_omegaomega.copy(),
-        )
 
 
 def zero_state(grid: ContinuumGrid, n_levels: int) -> GeneralizedState:
@@ -127,33 +124,26 @@ def zero_state(grid: ContinuumGrid, n_levels: int) -> GeneralizedState:
 
 
 def discrete_state(grid: ContinuumGrid, rho_d) -> GeneralizedState:
-    """State with only the discrete block occupied."""
-    rho_d = np.asarray(rho_d, complex)
-    state = zero_state(grid, rho_d.shape[0])
-    state.rho_d = rho_d.copy()
-    return state
+    """State with only the discrete block occupied (a private copy of rho_d)."""
+    rho_d = np.array(rho_d, complex)
+    return replace(zero_state(grid, rho_d.shape[0]), rho_d=rho_d)
 
 
 def continuous_state(grid: ContinuumGrid, density, n_levels: int = 1) -> GeneralizedState:
-    """State with only the regular continuum diagonal occupied."""
-    state = zero_state(grid, n_levels)
-    state.rho_omega_regular = np.asarray(density, float).copy()
-    return state
+    """State with only the regular continuum diagonal occupied (a private copy)."""
+    return replace(zero_state(grid, n_levels), rho_omega_regular=np.array(density, float))
 
 
 def _shift_level_atoms(state: GeneralizedState, spectrum: LiouvilleSpectrum,
                        sign: float, basis: str) -> GeneralizedState:
-    """Copy of ``state`` in ``basis`` with sign * rho_d[i, i] added to the
+    """``state`` in ``basis`` with sign * rho_d[i, i] added to the
     continuum-diagonal atom at each level energy."""
-    out = state.copy()
-    atoms = out.rho_omega_atoms
+    atoms = state.rho_omega_atoms
     for i in range(spectrum.n_levels):
         weight = float(np.real(state.rho_d[i, i]))
         if weight != 0.0:
             atoms = atoms.adding(float(spectrum.levels[i]), sign * weight)
-    out.rho_omega_atoms = atoms
-    out.basis = basis
-    return out
+    return replace(state, rho_omega_atoms=atoms, basis=basis)
 
 
 def decompose_initial(state: GeneralizedState, spectrum: LiouvilleSpectrum) -> GeneralizedState:
@@ -165,7 +155,7 @@ def decompose_initial(state: GeneralizedState, spectrum: LiouvilleSpectrum) -> G
     does not have unit trace.
     """
     if state.basis != BASIS_FREE:
-        raise ValueError("decompose_initial expects a free-basis state")
+        raise InvalidState("decompose_initial expects a free-basis state")
     state.validate()
     return _shift_level_atoms(state, spectrum, 1.0, BASIS_EIGEN)
 
@@ -173,33 +163,35 @@ def decompose_initial(state: GeneralizedState, spectrum: LiouvilleSpectrum) -> G
 def recompose(state: GeneralizedState, spectrum: LiouvilleSpectrum) -> GeneralizedState:
     """Inverse of ``decompose_initial``: back to physical free-basis components."""
     if state.basis != BASIS_EIGEN:
-        raise ValueError("recompose expects an eigen-basis state")
+        raise InvalidState("recompose expects an eigen-basis state")
     return _shift_level_atoms(state, spectrum, -1.0, BASIS_FREE)
 
 
 def evolve(state: GeneralizedState, spectrum: LiouvilleSpectrum, t: float) -> GeneralizedState:
     """Multiply every sector coefficient by its exp(i * lambda * t).
 
-    The continuum diagonal (rate zero) is left untouched, so the trace is
-    conserved identically for all t.
+    The continuum diagonal (rate zero) and its atoms are shared with the
+    input, so the trace is conserved identically for all t.
     """
     if t < 0:
         raise NegativeTime(f"evolution time must be >= 0, got {t}")
     if state.basis != BASIS_EIGEN:
-        raise ValueError("evolve expects eigen-basis coefficients; call decompose_initial first")
-    out = state.copy()
-    out.rho_d = state.rho_d * np.exp(1j * spectrum.lambda_d * t)
-
+        raise InvalidState("evolve expects eigen-basis coefficients; call decompose_initial first")
     nodes = state.grid.nodes
-    for i in range(spectrum.n_levels):
-        out.rho_omegai[i, :] = state.rho_omegai[i, :] * np.exp(
-            1j * spectrum.lambda_continuum_discrete(nodes, i) * t)
-        out.rho_iomega[i, :] = state.rho_iomega[i, :] * np.exp(
-            1j * spectrum.lambda_discrete_continuum(i, nodes) * t)
-    if state.rho_omegaomega is not None:
+    levels = np.arange(spectrum.n_levels)[:, None]
+    rho_omegaomega = state.rho_omegaomega
+    if rho_omegaomega is not None:
         phase = np.exp(1j * nodes * t)
-        out.rho_omegaomega = state.rho_omegaomega * np.outer(phase, phase.conj())
-    return out
+        rho_omegaomega = rho_omegaomega * np.outer(phase, phase.conj())
+    return replace(
+        state,
+        rho_d=state.rho_d * np.exp(1j * spectrum.lambda_d * t),
+        rho_omegai=state.rho_omegai * np.exp(
+            1j * spectrum.lambda_continuum_discrete(nodes, levels) * t),
+        rho_iomega=state.rho_iomega * np.exp(
+            1j * spectrum.lambda_discrete_continuum(levels, nodes) * t),
+        rho_omegaomega=rho_omegaomega,
+    )
 
 
 def diagonal_evolution(state: GeneralizedState, spectrum: LiouvilleSpectrum, t: float):
@@ -212,14 +204,14 @@ def diagonal_evolution(state: GeneralizedState, spectrum: LiouvilleSpectrum, t: 
     if t < 0:
         raise NegativeTime(f"evolution time must be >= 0, got {t}")
     if state.basis != BASIS_FREE:
-        raise ValueError("diagonal_evolution expects the free-basis initial state")
+        raise InvalidState("diagonal_evolution expects the free-basis initial state")
     off_diag = state.rho_d - np.diag(np.diag(state.rho_d))
     if (np.max(np.abs(off_diag), initial=0.0) > 1e-12
             or np.max(np.abs(state.rho_iomega), initial=0.0) > 1e-12
             or np.max(np.abs(state.rho_omegai), initial=0.0) > 1e-12
             or np.max(np.abs(state.rho_omega_regular), initial=0.0) > 1e-12
             or state.rho_omega_atoms.total() > 1e-12):
-        raise ValueError("diagonal_evolution needs a purely discrete diagonal state")
+        raise InvalidState("diagonal_evolution needs a purely discrete diagonal state")
     p0 = np.real(np.diag(state.rho_d))
     decay = np.exp(-spectrum.gamma * t)
     return p0 * decay, p0 * (1.0 - decay)
@@ -246,14 +238,10 @@ def equilibrium(state: GeneralizedState, spectrum: LiouvilleSpectrum) -> Equilib
     """
     if state.basis == BASIS_FREE:
         state = decompose_initial(state, spectrum)
-    eq = EquilibriumState(
-        grid=state.grid,
-        continuous=state.rho_omega_regular.copy(),
-        atoms=AtomicMeasure(state.rho_omega_atoms.locations.copy(),
-                            state.rho_omega_atoms.weights.copy()),
-    )
+    eq = EquilibriumState(grid=state.grid, continuous=state.rho_omega_regular,
+                          atoms=state.rho_omega_atoms)
     if np.any(eq.continuous < -1e-12) or np.any(eq.atoms.weights < -1e-12):
-        raise ValueError("equilibrium components must be >= 0")
+        raise InvalidState("equilibrium components must be >= 0")
     if abs(eq.total_mass() - 1.0) > _TRACE_TOL:
         raise TraceViolation(f"equilibrium mass is {eq.total_mass()!r}, expected 1")
     return eq

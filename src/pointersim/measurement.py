@@ -23,16 +23,12 @@ _HERM_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSetup:
-    """Complex amplitudes of the premeasured superposition, plus optional
-    per-level CSCO labels."""
+    """Complex amplitudes of the premeasured superposition."""
 
     amplitudes: np.ndarray
-    labels: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", np.atleast_1d(np.asarray(self.amplitudes, complex)))
-        if self.labels is not None and len(self.labels) != len(self.amplitudes):
-            raise ValueError("labels must match the number of amplitudes")
 
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
@@ -107,8 +103,8 @@ class ClassicalProfile:
     """Classical rendering of an equilibrium state.
 
     Atoms are (energy, weight, label) triples concentrated on the conserved
-    quantities; the continuous part is a labelled density on the grid.  The
-    labels are carried as metadata only.
+    quantities; the continuous part is a density on the grid.  The labels are
+    carried as metadata only.
     """
 
     grid: ContinuumGrid
@@ -116,7 +112,6 @@ class ClassicalProfile:
     atom_weights: np.ndarray
     atom_labels: tuple
     continuous: np.ndarray
-    continuous_label: object = 0
 
     def atoms(self):
         return list(zip(self.atom_locations.tolist(), self.atom_weights.tolist(), self.atom_labels))
@@ -129,7 +124,7 @@ def classical_profile(eq: EquilibriumState, labels=None) -> ClassicalProfile:
     """Re-express an equilibrium state as weighted classical atoms + density.
 
     ``labels`` attaches one CSCO label per atom (default 0).  This is a
-    representation change only; weights and density are untouched.
+    representation change only; it shares the weight and density arrays.
     """
     n_atoms = len(eq.atoms.locations)
     if labels is None:
@@ -142,8 +137,8 @@ def classical_profile(eq: EquilibriumState, labels=None) -> ClassicalProfile:
         raise ValueError("classical profile components must be >= 0")
     return ClassicalProfile(
         grid=eq.grid,
-        atom_locations=eq.atoms.locations.copy(),
-        atom_weights=eq.atoms.weights.copy(),
+        atom_locations=eq.atoms.locations,
+        atom_weights=eq.atoms.weights,
         atom_labels=labels,
-        continuous=eq.continuous.copy(),
+        continuous=eq.continuous,
     )

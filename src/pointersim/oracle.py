@@ -14,7 +14,7 @@ with two or more levels H is assembled and handed to a dense O((N + M)^3)
 eigenvalues, eigenvectors as columns) and pass the same orthonormality gate.
 
 A finite grid is quasi-periodic: beyond roughly half the recurrence time
-(``ContinuumGrid.recurrence_time``), the nodes rephase and the dynamics stops
+(``ContinuumGrid.valid_t_max``), the nodes rephase and the dynamics stops
 mimicking irreversible decay.  Evolution past that horizon triggers a warning
 and the corresponding runs must not be tagged valid.
 """
@@ -25,13 +25,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .continuum import ContinuumGrid
 from .errors import EigensolverFailure, RecurrenceWindowExceeded
 from .model import ModelSpec, coupling_at
 
 _ORTHO_TOL = 1e-10
+# survival samples per exponential fit, and the resonance fit's half-width
+# in interquartile ranges of the level's spectral measure
+_FIT_SAMPLES = 40
+_WINDOW_IQR = 20.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +49,10 @@ class OracleModel:
     grid: ContinuumGrid
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    recurrence_time: float
+
+    @property
+    def recurrence_time(self) -> float:
+        return self.grid.recurrence_time
 
     @property
     def n_levels(self) -> int:
@@ -79,13 +85,7 @@ def discretize(spec: ModelSpec, grid: ContinuumGrid) -> OracleModel:
     else:
         eigenvalues, eigenvectors = _dense_eigh(spec.levels, grid.nodes, couplings)
 
-    model = OracleModel(
-        spec=spec,
-        grid=grid,
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        recurrence_time=grid.recurrence_time,
-    )
+    model = OracleModel(spec=spec, grid=grid, eigenvalues=eigenvalues, eigenvectors=eigenvectors)
     defect = model.orthonormality_defect()
     # written so that a NaN defect fails the gate too
     if not defect <= _ORTHO_TOL:
@@ -95,6 +95,9 @@ def discretize(spec: ModelSpec, grid: ContinuumGrid) -> OracleModel:
 
 def _dense_eigh(levels, nodes, couplings):
     """Eigenpairs of the full Hamiltonian: levels, then nodes, coupled by rows."""
+    # imported here, so that importing the package loads no scipy
+    from scipy.linalg import eigh
+
     n, m = len(levels), len(nodes)
     h = np.zeros((n + m, n + m))
     h[np.arange(n), np.arange(n)] = levels
@@ -291,7 +294,7 @@ def embed_discrete(model: OracleModel, amplitudes) -> np.ndarray:
 
 
 def _check_window(model: OracleModel, t: float):
-    if t >= 0.5 * model.recurrence_time:
+    if t >= model.grid.valid_t_max:
         warnings.warn(
             f"t = {t:g} is beyond half the recurrence time {model.recurrence_time:g}; "
             "the discretized dynamics is no longer a faithful decay",
@@ -384,7 +387,7 @@ def _spectral_quartiles(model: OracleModel, i: int):
 
 
 def fitted_decay_rate(model: OracleModel, i: int, t_min: float | None = None,
-                      t_max: float | None = None, samples: int = 40) -> float:
+                      t_max: float | None = None) -> float:
     """Survival decay rate of level i fitted on the exponential window.
 
     The window defaults to [0.1 / G, 2 / G] with G estimated from the
@@ -398,17 +401,17 @@ def fitted_decay_rate(model: OracleModel, i: int, t_min: float | None = None,
             raise ValueError("level does not decay; no exponential window exists")
         t_min = 0.1 / iqr if t_min is None else t_min
         t_max = 2.0 / iqr if t_max is None else t_max
-    times = np.linspace(t_min, t_max, samples)
+    times = np.linspace(t_min, t_max, _FIT_SAMPLES)
     values = [survival_probability(model, i, t) for t in times]
     return fit_exponential_rate(times, values)
 
 
-def resonance_center(model: OracleModel, i: int, window_iqr: float = 20.0) -> float:
+def resonance_center(model: OracleModel, i: int) -> float:
     """Position of the level-i resonance line in the exact spectrum.
 
     Near a Lorentzian line the inverse spectral weight density is a parabola
     with its vertex at the line centre.  It is fitted with a density-weighted
-    quadratic over the eigenvalues within ``window_iqr`` interquartile ranges
+    quadratic over the eigenvalues within ``_WINDOW_IQR`` interquartile ranges
     of the level's weighted median.  When fewer than three of them carry
     weight (a decoupled level) there is no line to fit, and the eigenvalue
     carrying the level's largest weight is returned.
@@ -416,7 +419,7 @@ def resonance_center(model: OracleModel, i: int, window_iqr: float = 20.0) -> fl
     mass = model.eigenvectors[i, :] ** 2
     center0, iqr = _spectral_quartiles(model, i)
     energies = model.eigenvalues
-    mask = (np.abs(energies - center0) < window_iqr * iqr) & (mass > 0)
+    mask = (np.abs(energies - center0) < _WINDOW_IQR * iqr) & (mass > 0)
     if np.count_nonzero(mask) < 3:
         return float(energies[np.argmax(mass)])
     density = mass[mask] / np.gradient(energies)[mask]

@@ -58,12 +58,12 @@ class LiouvilleSpectrum:
     def n_levels(self) -> int:
         return self.spec.n_levels
 
-    def lambda_continuum_discrete(self, u, i: int):
-        """Eigenvalue of the (u, i) sector: u - Omega_i, real."""
+    def lambda_continuum_discrete(self, u, i):
+        """Eigenvalue of the (u, i) sector: u - Omega_i, real (i may be an index array)."""
         return np.asarray(u, float) - self.levels[i] + 0.0j
 
-    def lambda_discrete_continuum(self, i: int, u):
-        """Eigenvalue of the (i, u') sector, damped at gamma_i / 2."""
+    def lambda_discrete_continuum(self, i, u):
+        """Eigenvalue of the (i, u') sector, damped at gamma_i / 2 (i may be an index array)."""
         re = self.levels[i] - np.asarray(u, float) - self.shift[i]
         return re + 0.5j * self.gamma[i]
 

@@ -11,12 +11,12 @@ import pytest
 from pointersim import (
     AtomicMeasure,
     CouplingProfile,
+    GeneralizedState,
     ModelSpec,
     build_grid,
     discretize,
     liouville_spectrum,
     validate,
-    zero_state,
 )
 
 
@@ -41,16 +41,20 @@ def random_valid_state(grid, spectrum, rng, with_cc=False):
     raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho_d = raw @ raw.conj().T
     rho_d /= np.trace(rho_d).real / 0.4          # discrete sector carries mass 0.4
-    state = zero_state(grid, n)
-    state.rho_d = rho_d
-    state.rho_omega_regular = normalized_density(grid, mass=0.5)
-    state.rho_omega_atoms = AtomicMeasure(locations=[6.5], weights=[0.1])
-    state.rho_omegai = 0.01 * (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)))
-    state.rho_iomega = state.rho_omegai.conj()
+    rho_omegai = 0.01 * (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)))
+    rho_omegaomega = None
     if with_cc:
         cc = 0.01 * (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
-        state.rho_omegaomega = cc + cc.conj().T
-    return state.validate()
+        rho_omegaomega = cc + cc.conj().T
+    return GeneralizedState(
+        grid=grid,
+        rho_omega_regular=normalized_density(grid, mass=0.5),
+        rho_omega_atoms=AtomicMeasure(locations=[6.5], weights=[0.1]),
+        rho_d=rho_d,
+        rho_iomega=rho_omegai.conj(),
+        rho_omegai=rho_omegai,
+        rho_omegaomega=rho_omegaomega,
+    ).validate()
 
 
 @pytest.fixture(scope="session")

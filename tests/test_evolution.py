@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -44,24 +46,30 @@ def test_malformed_sectors_are_invalid_states(grid, overrides):
         GeneralizedState(**(sectors | overrides(m)))
 
 
+def _with_entry(array, index, value):
+    changed = np.array(array)
+    changed[index] = value
+    return changed
+
+
 def _break_density(state):
-    state.rho_omega_regular[0] = -1.0
+    return replace(state, rho_omega_regular=_with_entry(state.rho_omega_regular, 0, -1.0))
 
 
 def _break_atoms(state):
-    state.rho_omega_atoms = AtomicMeasure(locations=[5.0], weights=[-0.1])
+    return replace(state, rho_omega_atoms=AtomicMeasure(locations=[5.0], weights=[-0.1]))
 
 
 def _break_hermiticity(state):
-    state.rho_d[0, 1] = 0.1
+    return replace(state, rho_d=_with_entry(state.rho_d, (0, 1), 0.1))
 
 
 def _break_occupation(state):
-    state.rho_d = np.diag([-0.5, 1.5]).astype(complex)
+    return replace(state, rho_d=np.diag([-0.5, 1.5]).astype(complex))
 
 
 def _break_pairing(state):
-    state.rho_iomega[0, 0] = 0.1
+    return replace(state, rho_iomega=_with_entry(state.rho_iomega, (0, 0), 0.1))
 
 
 @pytest.mark.parametrize("breaks", [_break_density, _break_atoms, _break_hermiticity,
@@ -69,10 +77,97 @@ def _break_pairing(state):
                          ids=["negative-density", "negative-atom", "non-hermitian",
                               "negative-occupation", "unpaired-mixed"])
 def test_broken_invariants_are_invalid_states(grid, breaks):
-    state = discrete_state(grid, np.diag([0.5, 0.5]))
-    breaks(state)
+    state = breaks(discrete_state(grid, np.diag([0.5, 0.5])))
     with pytest.raises(InvalidState):
         state.validate()
+
+
+def _eigen_state(grid, spectrum):
+    return decompose_initial(discrete_state(grid, np.diag([1.0, 0.0])), spectrum)
+
+
+def _negative_eigen_continuum(grid):
+    density = _with_entry(normalized_density(grid), 0, -1e-6)
+    density /= np.dot(grid.weights, density)
+    return replace(zero_state(grid, 2), rho_omega_regular=density, basis="eigen")
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda g, s: decompose_initial(_eigen_state(g, s), s), "decompose_initial expects"),
+    (lambda g, s: recompose(discrete_state(g, np.diag([1.0, 0.0])), s), "recompose expects"),
+    (lambda g, s: evolve(discrete_state(g, np.diag([1.0, 0.0])), s, 1.0), "evolve expects"),
+    (lambda g, s: diagonal_evolution(_eigen_state(g, s), s, 1.0), "diagonal_evolution expects"),
+    (lambda g, s: diagonal_evolution(discrete_state(g, np.full((2, 2), 0.5)), s, 1.0),
+     "purely discrete diagonal"),
+    (lambda g, s: equilibrium(_negative_eigen_continuum(g), s), "equilibrium components"),
+], ids=["decompose-basis", "recompose-basis", "evolve-basis", "diagonal-basis",
+        "diagonal-purity", "equilibrium-sign"])
+def test_evolution_input_errors_are_invalid_states(grid, spectrum, call, match):
+    with pytest.raises(InvalidState, match=match):
+        call(grid, spectrum)
+
+
+# -- ownership: states are values ----------------------------------------------
+
+_SECTORS = ("rho_omega_regular", "rho_d", "rho_iomega", "rho_omegai", "rho_omegaomega")
+
+
+def _sector_arrays(state):
+    arrays = [getattr(state, name) for name in _SECTORS if getattr(state, name) is not None]
+    return arrays + [state.rho_omega_atoms.locations, state.rho_omega_atoms.weights]
+
+
+_TRANSFORMS = {
+    "decompose_initial": decompose_initial,
+    "recompose": lambda state, spectrum: recompose(decompose_initial(state, spectrum), spectrum),
+    "evolve": lambda state, spectrum: evolve(decompose_initial(state, spectrum), spectrum, 3.0),
+    "equilibrium": equilibrium,
+}
+
+
+@pytest.mark.parametrize("transform", _TRANSFORMS.values(), ids=_TRANSFORMS.keys())
+def test_transforms_leave_their_input_unchanged(grid, spectrum, transform):
+    state = random_valid_state(grid, spectrum, np.random.default_rng(3), with_cc=True)
+    before = [np.array(a) for a in _sector_arrays(state)]
+    transform(state, spectrum)
+    assert all(np.array_equal(a, b) for a, b in zip(_sector_arrays(state), before, strict=True))
+
+
+@pytest.mark.parametrize("build", [
+    lambda g, s, state: state,
+    lambda g, s, state: discrete_state(g, np.diag([1.0, 0.0])),
+    lambda g, s, state: continuous_state(g, normalized_density(g), n_levels=2),
+    lambda g, s, state: decompose_initial(state, s),
+    lambda g, s, state: recompose(decompose_initial(state, s), s),
+    lambda g, s, state: evolve(decompose_initial(state, s), s, 3.0),
+], ids=["constructor", "discrete_state", "continuous_state", "decompose_initial", "recompose",
+        "evolve"])
+def test_returned_states_are_read_only(grid, spectrum, build):
+    state = build(grid, spectrum, random_valid_state(grid, spectrum, np.random.default_rng(5),
+                                                     with_cc=True))
+    for array in _sector_arrays(state):
+        if array.size:
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        state.rho_d = np.eye(2)
+
+
+def test_state_builders_copy_the_callers_array(grid):
+    rho_d = np.diag([1.0, 0.0]).astype(complex)
+    density = normalized_density(grid)
+    discrete, continuous = discrete_state(grid, rho_d), continuous_state(grid, density)
+    rho_d[0, 0] = 0.0
+    density[:] = 0.0
+    assert discrete.rho_d[0, 0] == 1.0
+    assert continuous.trace() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_evolve_shares_the_invariant_sectors(grid, spectrum):
+    eigen = decompose_initial(random_valid_state(grid, spectrum, np.random.default_rng(9)), spectrum)
+    evolved = evolve(eigen, spectrum, 3.0)
+    assert np.shares_memory(evolved.rho_omega_regular, eigen.rho_omega_regular)
+    assert evolved.rho_omega_atoms is eigen.rho_omega_atoms
 
 
 # -- decomposition -------------------------------------------------------------
@@ -118,8 +213,8 @@ def test_recompose_inverts_decompose(grid, spectrum):
 
 
 def test_round_trip_merges_onto_an_atom_at_a_level_energy(grid, spectrum):
-    state = discrete_state(grid, np.diag([0.3, 0.5]))
-    state.rho_omega_atoms = AtomicMeasure(locations=[1.0, 6.5], weights=[0.15, 0.05])
+    state = replace(discrete_state(grid, np.diag([0.3, 0.5])),
+                    rho_omega_atoms=AtomicMeasure(locations=[1.0, 6.5], weights=[0.15, 0.05]))
     eigen = decompose_initial(state.validate(), spectrum)
     assert eigen.rho_omega_atoms.locations.tolist() == [1.0, 2.0, 6.5]
     assert eigen.rho_omega_atoms.weight_at(1.0) == pytest.approx(0.45, abs=1e-15)
@@ -138,6 +233,20 @@ def test_evolve_at_zero_time_is_identity(grid, spectrum):
     assert np.array_equal(evolved.rho_d, eigen.rho_d)
     assert np.array_equal(evolved.rho_iomega, eigen.rho_iomega)
     assert np.array_equal(evolved.rho_omega_regular, eigen.rho_omega_regular)
+
+
+def test_evolve_matches_the_per_level_phases(grid, spectrum):
+    # the mixed sectors are exponentiated as one block; row by row is the reference
+    eigen = decompose_initial(random_valid_state(grid, spectrum, np.random.default_rng(13)), spectrum)
+    for t in (0.7, 120.0):
+        evolved = evolve(eigen, spectrum, t)
+        for i in range(spectrum.n_levels):
+            omegai = eigen.rho_omegai[i] * np.exp(
+                1j * spectrum.lambda_continuum_discrete(grid.nodes, i) * t)
+            iomega = eigen.rho_iomega[i] * np.exp(
+                1j * spectrum.lambda_discrete_continuum(i, grid.nodes) * t)
+            assert np.array_equal(evolved.rho_omegai[i], omegai)
+            assert np.array_equal(evolved.rho_iomega[i], iomega)
 
 
 def test_continuum_diagonal_sector_is_invariant(grid, spectrum):
@@ -247,9 +356,8 @@ def test_equilibrium_of_pure_discrete_state(grid, spectrum):
 
 
 def test_equilibrium_of_mixed_state(grid, spectrum):
-    state = zero_state(grid, 2)
-    state.rho_d = np.diag([0.5, 0.2]).astype(complex)
-    state.rho_omega_regular = normalized_density(grid, mass=0.3)
+    state = replace(zero_state(grid, 2), rho_d=np.diag([0.5, 0.2]),
+                    rho_omega_regular=normalized_density(grid, mass=0.3))
     eq = equilibrium(state.validate(), spectrum)
     assert eq.atoms.weight_at(1.0) == pytest.approx(0.5)
     assert eq.atoms.weight_at(2.0) == pytest.approx(0.2)

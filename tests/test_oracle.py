@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import pointersim.oracle
 from pointersim import (
@@ -108,7 +109,7 @@ def test_single_level_discretize_never_calls_the_dense_eigensolver(monkeypatch, 
     def refuse(*args, **kwargs):
         raise AssertionError("dense eigh called for a single level")
 
-    monkeypatch.setattr(pointersim.oracle, "eigh", refuse)
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
     model = discretize(unit_model, build_grid(10.0, 64))
     assert model.size == 65
 
@@ -120,14 +121,14 @@ def test_secular_iteration_cap_is_an_eigensolver_failure(monkeypatch, unit_model
 
 
 def test_nan_eigenvector_fails_the_orthonormality_gate(monkeypatch, two_level_model):
-    eigh = pointersim.oracle.eigh
+    eigh = scipy.linalg.eigh
 
     def poisoned(*args, **kwargs):
         eigenvalues, eigenvectors = eigh(*args, **kwargs)
         eigenvectors[3, 5] = np.nan
         return eigenvalues, eigenvectors
 
-    monkeypatch.setattr(pointersim.oracle, "eigh", poisoned)
+    monkeypatch.setattr(scipy.linalg, "eigh", poisoned)
     with pytest.raises(EigensolverFailure, match="orthonormality"):
         discretize(two_level_model, build_grid(10.0, 64))
 
