@@ -68,10 +68,14 @@ class NegativeTime(SimulationError):
 class EigensolverFailure(SimulationError):
     """Eigendecomposition of the discretized Hamiltonian failed.
 
-    Raised for non-finite Hamiltonian entries, a failed dense ``eigh``, a
-    secular-equation root that does not converge, and eigenvectors that fail
+    Raised for non-finite Hamiltonian entries, a secular-equation root that
+    does not converge in any level's fold step, and eigenvectors that fail
     the orthonormality gate.
     """
+
+
+class FitFailure(SimulationError, ValueError):
+    """A fit against the exact dynamics has no valid input or window."""
 
 
 class RecurrenceWindowExceeded(UserWarning):

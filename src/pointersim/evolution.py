@@ -134,6 +134,14 @@ def continuous_state(grid: ContinuumGrid, density, n_levels: int = 1) -> General
     return replace(zero_state(grid, n_levels), rho_omega_regular=np.array(density, float))
 
 
+def _check_input(state: GeneralizedState, spectrum: LiouvilleSpectrum, basis: str, message: str):
+    """Refuse a state not in ``basis`` or with another level count than ``spectrum``."""
+    if state.basis != basis:
+        raise InvalidState(message)
+    if state.n_levels != spectrum.n_levels:
+        raise InvalidState(f"state has {state.n_levels} levels, spectrum has {spectrum.n_levels}")
+
+
 def _shift_level_atoms(state: GeneralizedState, spectrum: LiouvilleSpectrum,
                        sign: float, basis: str) -> GeneralizedState:
     """``state`` in ``basis`` with sign * rho_d[i, i] added to the
@@ -154,16 +162,14 @@ def decompose_initial(state: GeneralizedState, spectrum: LiouvilleSpectrum) -> G
     already diagonal at this order.  Raises ``TraceViolation`` when the input
     does not have unit trace.
     """
-    if state.basis != BASIS_FREE:
-        raise InvalidState("decompose_initial expects a free-basis state")
+    _check_input(state, spectrum, BASIS_FREE, "decompose_initial expects a free-basis state")
     state.validate()
     return _shift_level_atoms(state, spectrum, 1.0, BASIS_EIGEN)
 
 
 def recompose(state: GeneralizedState, spectrum: LiouvilleSpectrum) -> GeneralizedState:
     """Inverse of ``decompose_initial``: back to physical free-basis components."""
-    if state.basis != BASIS_EIGEN:
-        raise InvalidState("recompose expects an eigen-basis state")
+    _check_input(state, spectrum, BASIS_EIGEN, "recompose expects an eigen-basis state")
     return _shift_level_atoms(state, spectrum, -1.0, BASIS_FREE)
 
 
@@ -175,8 +181,8 @@ def evolve(state: GeneralizedState, spectrum: LiouvilleSpectrum, t: float) -> Ge
     """
     if t < 0:
         raise NegativeTime(f"evolution time must be >= 0, got {t}")
-    if state.basis != BASIS_EIGEN:
-        raise InvalidState("evolve expects eigen-basis coefficients; call decompose_initial first")
+    _check_input(state, spectrum, BASIS_EIGEN,
+                 "evolve expects eigen-basis coefficients; call decompose_initial first")
     nodes = state.grid.nodes
     levels = np.arange(spectrum.n_levels)[:, None]
     rho_omegaomega = state.rho_omegaomega
@@ -203,8 +209,7 @@ def diagonal_evolution(state: GeneralizedState, spectrum: LiouvilleSpectrum, t: 
     """
     if t < 0:
         raise NegativeTime(f"evolution time must be >= 0, got {t}")
-    if state.basis != BASIS_FREE:
-        raise InvalidState("diagonal_evolution expects the free-basis initial state")
+    _check_input(state, spectrum, BASIS_FREE, "diagonal_evolution expects the free-basis initial state")
     off_diag = state.rho_d - np.diag(np.diag(state.rho_d))
     if (np.max(np.abs(off_diag), initial=0.0) > 1e-12
             or np.max(np.abs(state.rho_iomega), initial=0.0) > 1e-12

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuum import ContinuumGrid
-from .errors import NonHermitianBlock, NotNormalized
+from .errors import InvalidState, NonHermitianBlock, NotNormalized
 from .evolution import EquilibriumState, GeneralizedState, discrete_state, equilibrium
 from .spectrum import LiouvilleSpectrum
 
@@ -127,14 +127,11 @@ def classical_profile(eq: EquilibriumState, labels=None) -> ClassicalProfile:
     representation change only; it shares the weight and density arrays.
     """
     n_atoms = len(eq.atoms.locations)
-    if labels is None:
-        labels = tuple(0 for _ in range(n_atoms))
-    else:
-        labels = tuple(labels)
-        if len(labels) != n_atoms:
-            raise ValueError(f"expected {n_atoms} labels, got {len(labels)}")
+    labels = (0,) * n_atoms if labels is None else tuple(labels)
+    if len(labels) != n_atoms:
+        raise InvalidState(f"expected {n_atoms} labels, got {len(labels)}")
     if np.any(eq.atoms.weights < 0) or np.any(eq.continuous < 0):
-        raise ValueError("classical profile components must be >= 0")
+        raise InvalidState("classical profile components must be >= 0")
     return ClassicalProfile(
         grid=eq.grid,
         atom_locations=eq.atoms.locations,

@@ -7,11 +7,13 @@ squared couplings converges to the continuum integral of V^2.  Everything
 downstream is spectral decomposition; no perturbative input enters anywhere,
 which is what makes this module a legitimate independent check.
 
-With one level the Hamiltonian is an arrowhead matrix, and its eigenpairs come
-from the roots of a secular equation in O(M^2) time without assembling H;
-with two or more levels H is assembled and handed to a dense O((N + M)^3)
-``scipy.linalg.eigh``.  Both paths return the same ``OracleModel`` (ascending
-eigenvalues, eigenvectors as columns) and pass the same orthonormality gate.
+H is never assembled.  The levels couple to the nodes but not to each other,
+so H is diagonalized one level at a time (Bunch, Nielsen & Sorensen 1978):
+against the eigenbasis found so far, each level is an arrowhead matrix,
+solved through its secular equation in O(M^2), and each level after the
+first adds one O((N + M)^3) matrix product.  The returned ``OracleModel``
+(ascending eigenvalues, eigenvectors as columns) must pass an
+orthonormality gate.
 
 A finite grid is quasi-periodic: beyond roughly half the recurrence time
 (``ContinuumGrid.valid_t_max``), the nodes rephase and the dynamics stops
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuum import ContinuumGrid
-from .errors import EigensolverFailure, RecurrenceWindowExceeded
+from .errors import EigensolverFailure, FitFailure, InvalidState, RecurrenceWindowExceeded
 from .model import ModelSpec, coupling_at
 
 _ORTHO_TOL = 1e-10
@@ -41,8 +43,8 @@ _WINDOW_IQR = 20.0
 class OracleModel:
     """Eigendecomposition of the discretized Hamiltonian.
 
-    The Hamiltonian itself is not kept: the dense path diagonalizes it in
-    place and the single-level path never assembles it.
+    The Hamiltonian itself is not kept: the level-by-level solve never
+    assembles it.
     """
 
     spec: ModelSpec
@@ -71,21 +73,27 @@ class OracleModel:
 
 
 def discretize(spec: ModelSpec, grid: ContinuumGrid) -> OracleModel:
-    """Assemble and diagonalize the discretized Hamiltonian.
+    """Diagonalize the discretized Hamiltonian, folding in one level at a time.
 
-    One level makes H an arrowhead matrix, solved through its secular
-    equation in O(M^2); more levels go through a dense eigensolve.  Both
-    paths pass the same orthonormality gate.
+    Level s couples to the eigenvectors found so far through their node rows,
+    so in their basis it is an arrowhead whose poles are the current
+    eigenvalues (the bare nodes, for level 0).
     """
     sqrt_w = np.sqrt(grid.weights)
     couplings = np.array([coupling_at(spec, grid.nodes, i) * sqrt_w
                           for i in range(spec.n_levels)])
-    if spec.n_levels == 1:
-        eigenvalues, eigenvectors = _arrowhead_eigh(spec.levels[0], grid.nodes, couplings[0])
-    else:
-        eigenvalues, eigenvectors = _dense_eigh(spec.levels, grid.nodes, couplings)
+    eigenvalues, q = _arrowhead_eigh(spec.levels[0], grid.nodes, couplings[0])
+    for s in range(1, spec.n_levels):
+        # q's rows are levels 0..s-1, then the nodes
+        eigenvalues, step = _arrowhead_eigh(spec.levels[s], eigenvalues, q[s:].T @ couplings[s])
+        rotated = np.empty((len(eigenvalues), len(eigenvalues)))
+        np.matmul(q[:s], step[1:], out=rotated[:s])
+        rotated[s] = step[0]
+        np.matmul(q[s:], step[1:], out=rotated[s + 1:])
+        q = rotated
+        del step  # so that at most three such matrices are ever alive at once
 
-    model = OracleModel(spec=spec, grid=grid, eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    model = OracleModel(spec=spec, grid=grid, eigenvalues=eigenvalues, eigenvectors=q)
     defect = model.orthonormality_defect()
     # written so that a NaN defect fails the gate too
     if not defect <= _ORTHO_TOL:
@@ -93,44 +101,25 @@ def discretize(spec: ModelSpec, grid: ContinuumGrid) -> OracleModel:
     return model
 
 
-def _dense_eigh(levels, nodes, couplings):
-    """Eigenpairs of the full Hamiltonian: levels, then nodes, coupled by rows."""
-    # imported here, so that importing the package loads no scipy
-    from scipy.linalg import eigh
-
-    n, m = len(levels), len(nodes)
-    h = np.zeros((n + m, n + m))
-    h[np.arange(n), np.arange(n)] = levels
-    h[np.arange(n, n + m), np.arange(n, n + m)] = nodes
-    h[:n, n:] = couplings
-    h[n:, :n] = couplings.T
-    try:
-        # h is symmetric, so h.T is a Fortran-ordered view of the same buffer
-        # and LAPACK's dsyevd overwrites it instead of working on a copy;
-        # non-finite entries surface as a ValueError from the finiteness check
-        return eigh(h.T, overwrite_a=True, driver="evd")
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise EigensolverFailure(f"eigh failed on a {n + m} x {n + m} Hamiltonian: {exc}") from exc
-
-
-# -- one level: the arrowhead secular equation --------------------------------
+# -- one fold step: the arrowhead secular equation ----------------------------
 #
-# With one level at e coupled by g_k to nodes w_k, H = [[e, g^T], [g, diag(w)]]
+# With one level at e coupled by g_k to poles w_k (the grid's nodes, or the
+# eigenvalues of the previous fold step), H = [[e, g^T], [g, diag(w)]]
 # and, once couplings too small to matter are deflated to the exact pairs
 # (w_k, e_k), every other eigenvalue is a root of the secular equation
 #
 #     f(x) = x - e - sum_k g_k^2 / (x - w_k),
 #
-# which increases between its poles: one root lies below the first node, one
-# in each gap and one above the last node (Gu & Eisenstat 1995; Stor,
-# Slapnicar & Barlow 2015).  The grid's nodes are strictly increasing, so the
-# poles are sorted and distinct.  Dropping a coupling below eps * |H| moves
-# H by rounding noise, but a kept one must be a genuine pole: an underflowing
-# g_k^2 would leave its gap without a sign change.  A root is kept as an
-# offset d from its nearer pole p, so x - w_k = (w_p - w_k) + d stays accurate
-# to full relative precision however close x is to w_p, and d solves
-# F(d) = d * f(w_p + d), which has no pole at d = 0.  The eigenvector of root
-# x is (1, g_k / (x - w_k)) normalized.
+# which increases between its poles: one root lies below the first pole, one
+# in each gap and one above the last pole (Gu & Eisenstat 1995; Stor,
+# Slapnicar & Barlow 2015).  The poles come sorted: strictly increasing nodes,
+# or a previous step's ascending eigenvalues.  Dropping a coupling below
+# eps * |H| moves H by rounding noise, but a kept one must be a genuine pole:
+# an underflowing g_k^2 would leave its gap without a sign change.  A root is
+# kept as an offset d from its nearer pole p, so x - w_k = (w_p - w_k) + d
+# stays accurate to full relative precision however close x is to w_p, and d
+# solves F(d) = d * f(w_p + d), which has no pole at d = 0.  The eigenvector
+# of root x is (1, g_k / (x - w_k)) normalized.
 
 _EPS = np.finfo(float).eps
 _SECULAR_MAX_ITER = 64
@@ -199,7 +188,9 @@ def _secular_roots(level: float, poles: np.ndarray, g2: np.ndarray):
     hi = np.empty(k + 1)
     origin[0], lo[0], hi[0] = 0, min(level, poles[0]) - radius - poles[0], 0.0
     origin[k], lo[k], hi[k] = k - 1, 0.0, max(level, poles[-1]) + radius - poles[-1]
-    offset = 0.5 * (lo + hi)
+    # each root starts from its bracket's midpoint or a better guess inside it
+    offset = np.empty(k + 1)
+    offset[0], offset[k] = 0.5 * lo[0], 0.5 * hi[k]
     if k > 1:
         # roots 1..k-1 lie between poles n-1 and n; the sign of f at the
         # gap's midpoint says which half holds the root, hence its pole
@@ -218,7 +209,7 @@ def _secular_roots(level: float, poles: np.ndarray, g2: np.ndarray):
                          _two_pole_root(c, g2[left], g2[left + 1], 2 * half),
                          -_two_pole_root(-c, g2[left + 1], g2[left], 2 * half))
         inside = (guess > lo[1:k]) & (guess < hi[1:k])
-        offset[1:k] = np.where(inside, guess, offset[1:k])
+        offset[1:k] = np.where(inside, guess, 0.5 * (lo[1:k] + hi[1:k]))
 
     base = poles[origin] - level
     pending = np.arange(k + 1)
@@ -287,7 +278,7 @@ def embed_discrete(model: OracleModel, amplitudes) -> np.ndarray:
     if amplitudes.shape == (model.size,):
         return amplitudes
     if amplitudes.shape != (model.n_levels,):
-        raise ValueError(f"expected {model.n_levels} level amplitudes or a full vector")
+        raise InvalidState(f"expected {model.n_levels} level amplitudes or a full vector")
     psi = np.zeros(model.size, complex)
     psi[: model.n_levels] = amplitudes
     return psi
@@ -371,7 +362,7 @@ def fit_exponential_rate(times, values) -> float:
     times = np.asarray(times, float)
     values = np.asarray(values, float)
     if np.any(values <= 0):
-        raise ValueError("exponential fit needs strictly positive values")
+        raise FitFailure("exponential fit needs strictly positive values")
     design = np.column_stack([times, np.ones_like(times)])
     slope, _ = np.linalg.lstsq(design, np.log(values), rcond=None)[0]
     return float(-slope)
@@ -398,7 +389,7 @@ def fitted_decay_rate(model: OracleModel, i: int, t_min: float | None = None,
     if t_min is None or t_max is None:
         _, iqr = _spectral_quartiles(model, i)
         if iqr <= 0:
-            raise ValueError("level does not decay; no exponential window exists")
+            raise FitFailure(f"level {i} does not decay; no exponential window exists")
         t_min = 0.1 / iqr if t_min is None else t_min
         t_max = 2.0 / iqr if t_max is None else t_max
     times = np.linspace(t_min, t_max, _FIT_SAMPLES)

@@ -1,13 +1,20 @@
 """Shared models, grids and oracle decompositions.
 
-The two-level oracles go through a dense O(M^3) eigendecomposition and are
-the costliest fixtures; the single-level ones take the O(M^2) secular path and
-cost little.  Every test module reuses the session-scoped oracles built here.
+The oracles fold in one level at a time, each an O(M^2) secular solve, and
+each level after the first adds one O((N + M)^3) matrix product; the two-level
+ones at M=2000 are the costliest fixtures.  Every test module reuses the
+session-scoped oracles built here.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pointersim
 from pointersim import (
     AtomicMeasure,
     CouplingProfile,
@@ -32,6 +39,18 @@ def make_constant_model(levels, amplitude, omega_max=10.0, scale=1.0):
 def normalized_density(grid, mass=1.0):
     density = np.exp(-((grid.nodes - 4.0) ** 2))
     return density * (mass / np.dot(grid.weights, density))
+
+
+def scipy_modules_loaded_by(code):
+    """Sorted names of the scipy modules loaded after ``code`` runs in a fresh
+    interpreter that imports this package's sources."""
+    src = str(Path(pointersim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, check=True)
+    return result.stdout.strip()
 
 
 def random_valid_state(grid, spectrum, rng, with_cc=False):

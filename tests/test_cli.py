@@ -1,14 +1,10 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import pointersim
 from pointersim.cli import main
+from .conftest import scipy_modules_loaded_by
 
 
 def write_model(tmp_path, levels=(1.0, 2.0), amplitude=0.05, scale=1.0):
@@ -251,13 +247,6 @@ def test_non_integer_counts_fail_with_one_line(tmp_path, capsys, extra):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # importing scipy costs more than the rest of the package import; only the
-    # oracle's dense eigensolver loads it, on first use
-    code = ("import sys, pointersim; from pointersim import cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    src = str(Path(pointersim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, env=env, check=True)
-    assert result.stdout.strip() == "[]"
+    # importing scipy costs more than the rest of the package import, and the
+    # package never needs it
+    assert scipy_modules_loaded_by("import pointersim; from pointersim import cli") == "[]"

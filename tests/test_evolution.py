@@ -107,6 +107,19 @@ def test_evolution_input_errors_are_invalid_states(grid, spectrum, call, match):
         call(grid, spectrum)
 
 
+@pytest.mark.parametrize("call", [
+    lambda g, s, one: decompose_initial(discrete_state(g, np.diag([0.3, 0.7])), one),
+    lambda g, s, one: evolve(_eigen_state(g, s), one, 1.0),
+    lambda g, s, one: recompose(_eigen_state(g, s), one),
+    lambda g, s, one: diagonal_evolution(discrete_state(g, np.diag([0.3, 0.7])), one, 1.0),
+], ids=["decompose_initial", "evolve", "recompose", "diagonal_evolution"])
+def test_level_count_mismatch_is_an_invalid_state(grid, spectrum, call):
+    # a one-level spectrum would hand level 0's rate to level 1 as well
+    one_level = liouville_spectrum(make_constant_model([1.0], 0.1), grid)
+    with pytest.raises(InvalidState, match="state has 2 levels, spectrum has 1"):
+        call(grid, spectrum, one_level)
+
+
 # -- ownership: states are values ----------------------------------------------
 
 _SECTORS = ("rho_omega_regular", "rho_d", "rho_iomega", "rho_omegai", "rho_omegaomega")

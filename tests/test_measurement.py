@@ -11,7 +11,8 @@ from pointersim import (
     premeasure,
     readout,
 )
-from pointersim.errors import NonHermitianBlock, NotNormalized
+from pointersim.errors import InvalidState, NonHermitianBlock, NotNormalized
+from pointersim.evolution import EquilibriumState
 from .conftest import make_constant_model
 
 
@@ -144,5 +145,12 @@ def test_classical_profile_matches_equilibrium(grid, spectrum):
 
 def test_classical_profile_label_count_checked(grid, spectrum):
     eq = equilibrium(premeasure(MeasurementSetup([0.6, 0.8j]), grid), spectrum)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidState, match="expected 2 labels, got 1"):
         classical_profile(eq, labels=("only-one",))
+
+
+def test_classical_profile_rejects_negative_components(grid, spectrum):
+    eq = equilibrium(premeasure(MeasurementSetup([0.6, 0.8j]), grid), spectrum)
+    negative = EquilibriumState(grid=grid, continuous=-np.ones(grid.size), atoms=eq.atoms)
+    with pytest.raises(InvalidState, match="components must be >= 0"):
+        classical_profile(negative)

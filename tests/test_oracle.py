@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 import pointersim.oracle
 from pointersim import (
@@ -20,9 +19,9 @@ from pointersim import (
     survival_probability,
     validate,
 )
-from pointersim.errors import EigensolverFailure, RecurrenceWindowExceeded
+from pointersim.errors import EigensolverFailure, FitFailure, InvalidState, RecurrenceWindowExceeded
 from pointersim.model import coupling_at
-from .conftest import make_constant_model
+from .conftest import make_constant_model, scipy_modules_loaded_by
 
 
 @pytest.fixture(scope="module")
@@ -42,9 +41,8 @@ def test_eigenvector_orthonormality(oracle_unit):
 
 
 def _hamiltonian(spec, grid):
-    # discretize keeps no Hamiltonian (the dense path overwrites it), so it is
-    # rebuilt here from its definition: levels, then nodes, coupled through
-    # V * sqrt(w)
+    # discretize never assembles the Hamiltonian, so it is rebuilt here from
+    # its definition: levels, then nodes, coupled through V * sqrt(w)
     h = np.diag(np.concatenate([spec.levels, grid.nodes]))
     for i in range(spec.n_levels):
         row = coupling_at(spec, grid.nodes, i) * np.sqrt(grid.weights)
@@ -65,23 +63,23 @@ def test_discretize_decomposes_the_discretized_hamiltonian(levels, amplitudes, w
     assert np.max(np.abs(q @ np.diag(model.eigenvalues) @ q.T - _hamiltonian(spec, grid))) < 1e-12
 
 
-_ARROWHEAD_CASES = {
-    "constant-uniform": (ModelSpec(levels=[1.0], omega_max=10.0,
-                                   coupling=CouplingProfile.constant(0.05)),
-                         800, "uniform-midpoint"),
-    "gauss-legendre": (ModelSpec(levels=[1.0], omega_max=10.0,
-                                 coupling=CouplingProfile.constant(0.05)),
-                       1600, "gauss-legendre-composite"),
-    "level-near-zero": (ModelSpec(levels=[0.003], omega_max=10.0,
-                                  coupling=CouplingProfile.constant(0.05)),
-                        800, "uniform-midpoint"),
-    "strong-coupling": (ModelSpec(levels=[1.0], omega_max=10.0,
-                                  coupling=CouplingProfile.constant(0.5)),
-                        800, "uniform-midpoint"),
+def _constant(levels, amplitude):
+    return ModelSpec(levels=levels, omega_max=10.0, coupling=CouplingProfile.constant(amplitude))
+
+
+_CROSS_CHECK_CASES = {
+    "constant-uniform": (_constant([1.0], 0.05), 800, "uniform-midpoint"),
+    "gauss-legendre": (_constant([1.0], 0.05), 1600, "gauss-legendre-composite"),
+    "level-near-zero": (_constant([0.003], 0.05), 800, "uniform-midpoint"),
+    "strong-coupling": (_constant([1.0], 0.5), 800, "uniform-midpoint"),
     # the squared tail couplings underflow to zero: those nodes have no pole
     "gaussian-tails": (ModelSpec(levels=[1.0], omega_max=10.0,
                                  coupling=CouplingProfile.gaussian_window(0.1, 0.3)),
                        800, "uniform-midpoint"),
+    # the root in the gap around the level sits exactly on the gap's midpoint
+    "gaussian-symmetric": (ModelSpec(levels=[1.0], omega_max=10.0,
+                                     coupling=CouplingProfile.gaussian_window(0.1, 0.1)),
+                           800, "uniform-midpoint"),
     "zero-scale": (ModelSpec(levels=[1.0], omega_max=10.0,
                              coupling=CouplingProfile.constant(0.1), coupling_scale=0.0),
                    800, "uniform-midpoint"),
@@ -90,28 +88,63 @@ _ARROWHEAD_CASES = {
                                       [0.0, 2.0, 4.0, 6.0, 8.0, 10.0],
                                       [0.0, 0.1, 0.0, -0.1, 0.0, 0.0])),
                         800, "uniform-midpoint"),
+    "two-level-constant": (_constant([1.0, 2.0], 0.05), 800, "uniform-midpoint"),
+    "two-level-gauss-legendre": (_constant([1.0, 2.0], 0.05), 1600, "gauss-legendre-composite"),
+    "two-level-strong-coupling": (_constant([1.0, 2.0], 0.5), 800, "uniform-midpoint"),
+    "close-levels": (_constant([1.0, 1.01], 0.05), 800, "uniform-midpoint"),
+    "two-level-gaussian-symmetric": (ModelSpec(levels=[1.0, 2.0], omega_max=10.0,
+                                               coupling=CouplingProfile.gaussian_window(0.1, 0.1)),
+                                     800, "uniform-midpoint"),
+    "three-level-constant": (_constant([1.0, 2.0, 3.0], 0.05), 800, "uniform-midpoint"),
+    # each level has its own zeros: nodes deflated for one level couple to the other
+    "two-level-tabulated-zeros": (ModelSpec(levels=[3.0, 5.0], omega_max=10.0,
+                                            coupling=CouplingProfile.tabulated(
+                                                [0.0, 2.0, 4.0, 6.0, 8.0, 10.0],
+                                                [[0.0, 0.0], [0.1, 0.0], [0.0, 0.08],
+                                                 [-0.1, 0.0], [0.0, 0.05], [0.0, 0.0]])),
+                                  800, "uniform-midpoint"),
 }
 
 
-@pytest.mark.parametrize("case", list(_ARROWHEAD_CASES))
-def test_single_level_discretize_matches_dense_eigh(case):
-    spec, m, scheme = _ARROWHEAD_CASES[case]
+class _PoisonedNumpy:
+    """numpy whose ``empty`` fills with NaN (or the smallest integer), so that
+    reading an entry nobody wrote fails every time, not only when the heap
+    happens to hold garbage."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        dtype = np.dtype(dtype)
+        return np.full(shape, np.nan if dtype.kind == "f" else np.iinfo(dtype).min, dtype)
+
+
+@pytest.mark.parametrize("case", list(_CROSS_CHECK_CASES))
+def test_discretize_matches_dense_eigh(monkeypatch, case):
+    spec, m, scheme = _CROSS_CHECK_CASES[case]
     spec = validate(spec)
     grid = build_grid(spec.omega_max, m, scheme, avoid=spec.levels)
+    monkeypatch.setattr(pointersim.oracle, "np", _PoisonedNumpy())
     model = discretize(spec, grid)
     energies, vectors = np.linalg.eigh(_hamiltonian(spec, grid))
     assert np.max(np.abs(model.eigenvalues - energies)) < 1e-12
-    assert np.max(np.abs(model.eigenvectors[0] ** 2 - vectors[0] ** 2)) < 1e-12
+    # products of level rows are free of each eigenvector's sign, and those
+    # of two rows carry the relative phase that coherences read
+    q, n = model.eigenvectors, spec.n_levels
+    for i in range(n):
+        for j in range(i, n):
+            assert np.max(np.abs(q[i] * q[j] - vectors[i] * vectors[j])) < 1e-12
     assert model.orthonormality_defect() <= 1e-10
 
 
-def test_single_level_discretize_never_calls_the_dense_eigensolver(monkeypatch, unit_model):
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense eigh called for a single level")
-
-    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
-    model = discretize(unit_model, build_grid(10.0, 64))
-    assert model.size == 65
+def test_discretize_loads_no_scipy():
+    # the two-level solve runs every fold step; none of them may reach scipy
+    code = ("from pointersim import CouplingProfile, ModelSpec, build_grid, discretize, validate\n"
+            "spec = validate(ModelSpec(levels=[1.0, 2.0], omega_max=10.0,\n"
+            "                          coupling=CouplingProfile.constant(0.05)))\n"
+            "assert discretize(spec, build_grid(10.0, 64)).size == 66")
+    assert scipy_modules_loaded_by(code) == "[]"
 
 
 def test_secular_iteration_cap_is_an_eigensolver_failure(monkeypatch, unit_model):
@@ -120,30 +153,31 @@ def test_secular_iteration_cap_is_an_eigensolver_failure(monkeypatch, unit_model
         discretize(unit_model, build_grid(10.0, 64))
 
 
-def test_nan_eigenvector_fails_the_orthonormality_gate(monkeypatch, two_level_model):
-    eigh = scipy.linalg.eigh
-
-    def poisoned(*args, **kwargs):
-        eigenvalues, eigenvectors = eigh(*args, **kwargs)
-        eigenvectors[3, 5] = np.nan
-        return eigenvalues, eigenvectors
-
-    monkeypatch.setattr(scipy.linalg, "eigh", poisoned)
-    with pytest.raises(EigensolverFailure, match="orthonormality"):
-        discretize(two_level_model, build_grid(10.0, 64))
-
-
-def test_nan_arrowhead_eigenvector_fails_the_orthonormality_gate(monkeypatch, unit_model):
+def _poison_last_fold_step(monkeypatch, spec):
+    # the poison lands in the last fold step: the only one for one level, the
+    # level-1 step for two
     arrowhead_eigh = pointersim.oracle._arrowhead_eigh
+    calls = []
 
     def poisoned(*args, **kwargs):
         eigenvalues, eigenvectors = arrowhead_eigh(*args, **kwargs)
-        eigenvectors[3, 5] = np.nan
+        calls.append(args)
+        if len(calls) == spec.n_levels:
+            eigenvectors[3, 5] = np.nan
         return eigenvalues, eigenvectors
 
     monkeypatch.setattr(pointersim.oracle, "_arrowhead_eigh", poisoned)
     with pytest.raises(EigensolverFailure, match="orthonormality"):
-        discretize(unit_model, build_grid(10.0, 64))
+        discretize(spec, build_grid(10.0, 64))
+    assert len(calls) == spec.n_levels
+
+
+def test_nan_eigenvector_fails_the_orthonormality_gate(monkeypatch, two_level_model):
+    _poison_last_fold_step(monkeypatch, two_level_model)
+
+
+def test_nan_arrowhead_eigenvector_fails_the_orthonormality_gate(monkeypatch, unit_model):
+    _poison_last_fold_step(monkeypatch, unit_model)
 
 
 def test_non_finite_hamiltonian_is_an_eigensolver_failure(monkeypatch, unit_model, two_level_model):
@@ -325,12 +359,21 @@ def test_embed_discrete_shapes(oracle_two):
     full = embed_discrete(oracle_two, [0.6, 0.8j])
     assert full.shape == (oracle_two.size,)
     assert np.all(full[2:] == 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidState, match="expected 2 level amplitudes or a full vector"):
         embed_discrete(oracle_two, [1.0, 0.0, 0.0])
 
 
 def test_fit_exponential_rate_recovers_exact_exponential():
     times = np.linspace(1.0, 50.0, 20)
     assert fit_exponential_rate(times, np.exp(-0.03 * times)) == pytest.approx(0.03, rel=1e-10)
-    with pytest.raises(ValueError):
+    with pytest.raises(FitFailure, match="strictly positive"):
         fit_exponential_rate(times, np.zeros_like(times))
+
+
+def test_fit_window_of_a_level_without_spread_is_a_fit_failure():
+    # a decoupled level below every node holds the lowest eigenvalue alone, so
+    # its spectral measure has no interquartile range to set a window from
+    spec = make_constant_model([0.01, 2.0], 0.1, scale=0.0)
+    model = discretize(spec, build_grid(10.0, 64))
+    with pytest.raises(FitFailure, match="level 0 does not decay"):
+        fitted_decay_rate(model, 0)
