@@ -84,6 +84,8 @@ def _parse_times(data) -> TimeGrid:
         raise ConfigParse(f"malformed 'times' block: {exc}") from exc
     if not 0 <= grid.t_start < grid.t_end:
         raise ConfigParse("times must satisfy t_end > t_start >= 0")
+    if not np.isfinite(grid.t_end):
+        raise ConfigParse(f"times.t_end must be finite, got {grid.t_end!r}")
     if grid.spacing not in ("linear", "log"):
         raise ConfigParse(f"unknown times.spacing '{grid.spacing}'")
     if grid.spacing == "log" and grid.t_start <= 0:
@@ -245,7 +247,7 @@ def _evolved(cfg: RunConfig, spec, state0):
 
 def _level_atoms(state, spec) -> list:
     """Pointer-atom weight at each level energy."""
-    return [state.rho_omega_atoms.weight_at(float(level)) for level in spec.levels]
+    return state.rho_omega_atoms.weights_at(spec.levels).tolist()
 
 
 def run_evolve(cfg: RunConfig):

@@ -101,22 +101,33 @@ class AtomicMeasure:
     def total(self) -> float:
         return float(np.sum(self.weights))
 
+    def weights_at(self, locations) -> np.ndarray:
+        """Weight of the atom at each of ``locations`` (0.0 where none sits)."""
+        hit = np.abs(self.locations - np.asarray(locations, float)[:, None]) <= _LOOKUP_TOL
+        return np.where(hit, self.weights, 0.0).sum(axis=1)
+
     def weight_at(self, location: float) -> float:
         """Weight of the atom at ``location`` (0.0 when absent)."""
-        hit = np.abs(self.locations - location) <= _LOOKUP_TOL
-        return float(np.sum(self.weights[hit]))
+        return float(self.weights_at([location])[0])
+
+    def merging(self, locations, weights) -> "AtomicMeasure":
+        """New measure, in ascending location order, with each of ``weights``
+        merged onto the atom at its location, or added as a new atom where
+        none sits.  Weights bound for one atom are added in the order given."""
+        locations = np.asarray(locations, float)
+        weights = np.asarray(weights, float)
+        hit = np.abs(self.locations[:, None] - locations) <= self._MERGE_TOL
+        merged = self.weights.copy()
+        atom, new_index = np.nonzero(hit)
+        np.add.at(merged, atom, weights[new_index])
+        fresh = ~np.any(hit, axis=0)
+        locations = np.concatenate([self.locations, locations[fresh]])
+        order = np.argsort(locations)
+        return AtomicMeasure(locations[order], np.concatenate([merged, weights[fresh]])[order])
 
     def adding(self, location: float, weight: float) -> "AtomicMeasure":
         """New measure with ``weight`` merged onto the atom at ``location``."""
-        hit = np.abs(self.locations - location) <= self._MERGE_TOL
-        if np.any(hit):
-            weights = self.weights.copy()
-            weights[hit] += weight
-            return AtomicMeasure(self.locations, weights)
-        locations = np.append(self.locations, location)
-        weights = np.append(self.weights, weight)
-        order = np.argsort(locations)
-        return AtomicMeasure(locations[order], weights[order])
+        return self.merging([location], [weight])
 
 
 def build_grid(omega_max: float, m: int, scheme: str = "uniform-midpoint",

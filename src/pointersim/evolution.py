@@ -4,9 +4,9 @@ A state is a functional over the observable slots
 
     (i j|   discrete block          rho_d
     (w|     continuum diagonal      rho_omega_regular + rho_omega_atoms
-    (i w|   level-continuum         rho_iomega
-    (w i|   continuum-level         rho_omegai
-    (w w'|  continuum off-diagonal  rho_omegaomega (optional, transient only)
+    (i w|   level-continuum         rho_iomega      (optional)
+    (w i|   continuum-level         rho_omegai      (optional)
+    (w w'|  continuum off-diagonal  rho_omegaomega  (optional, transient only)
 
 and lives in one of two bases.  ``basis == "free"`` means the components are
 physical occupations of the uncoupled observable basis.  ``decompose_initial``
@@ -16,6 +16,13 @@ an atom of weight rho_d[i, i] at each level energy, because the dual of the
 dressed (i, i) vector is (i i| minus a point evaluation there.  ``evolve``
 then multiplies each sector by exp(i * lambda * t); the continuum diagonal has
 lambda identically zero, so the trace it carries is conserved exactly.
+
+An optional sector that is ``None`` is identically zero, and every transform
+keeps it ``None``: a zero coefficient stays zero under exp(i * lambda * t), so
+evolving an absent sector costs nothing.  The two mixed sectors are present or
+absent together.  ``zero_state``, ``discrete_state`` and ``continuous_state``
+leave all three optional sectors absent, so the premeasured states of
+``measurement`` carry no level-continuum arrays at all.
 
 States are values: a ``GeneralizedState`` never changes after construction.
 Its sectors are read-only views, and each state-to-state transform returns a
@@ -52,8 +59,8 @@ class GeneralizedState:
     rho_omega_regular: np.ndarray
     rho_omega_atoms: AtomicMeasure
     rho_d: np.ndarray
-    rho_iomega: np.ndarray
-    rho_omegai: np.ndarray
+    rho_iomega: np.ndarray | None = None
+    rho_omegai: np.ndarray | None = None
     rho_omegaomega: np.ndarray | None = None
     basis: str = BASIS_FREE
 
@@ -67,7 +74,10 @@ class GeneralizedState:
         n = self.rho_d.shape[0]
         if self.rho_d.shape != (n, n):
             raise InvalidState("rho_d must be square")
-        if self.rho_iomega.shape != (n, self.grid.size) or self.rho_omegai.shape != (n, self.grid.size):
+        if (self.rho_iomega is None) != (self.rho_omegai is None):
+            raise InvalidState("mixed sectors must be present or absent together")
+        if self.rho_iomega is not None and not (
+                self.rho_iomega.shape == self.rho_omegai.shape == (n, self.grid.size)):
             raise InvalidState("mixed sectors must have shape (n_levels, grid size)")
 
     @property
@@ -102,7 +112,8 @@ class GeneralizedState:
             raise InvalidState("rho_d (and rho_omegaomega) must be Hermitian")
         if np.any(np.real(np.diag(self.rho_d)) < -1e-12):
             raise InvalidState("discrete occupations must be >= 0")
-        if np.max(np.abs(self.rho_iomega - self.rho_omegai.conj()), initial=0.0) > _HERM_TOL:
+        if self.rho_iomega is not None and np.max(
+                np.abs(self.rho_iomega - self.rho_omegai.conj()), initial=0.0) > _HERM_TOL:
             raise InvalidState("mixed sectors must be conjugates of each other")
         tr = self.trace()
         if abs(tr - 1.0) > _TRACE_TOL:
@@ -111,15 +122,13 @@ class GeneralizedState:
 
 
 def zero_state(grid: ContinuumGrid, n_levels: int) -> GeneralizedState:
-    """All-zero state container (not a valid physical state by itself)."""
-    m = grid.size
+    """All-zero state container (not a valid physical state by itself); its
+    optional sectors are absent."""
     return GeneralizedState(
         grid=grid,
-        rho_omega_regular=np.zeros(m),
+        rho_omega_regular=np.zeros(grid.size),
         rho_omega_atoms=AtomicMeasure.empty(),
         rho_d=np.zeros((n_levels, n_levels), complex),
-        rho_iomega=np.zeros((n_levels, m), complex),
-        rho_omegai=np.zeros((n_levels, m), complex),
     )
 
 
@@ -146,11 +155,9 @@ def _shift_level_atoms(state: GeneralizedState, spectrum: LiouvilleSpectrum,
                        sign: float, basis: str) -> GeneralizedState:
     """``state`` in ``basis`` with sign * rho_d[i, i] added to the
     continuum-diagonal atom at each level energy."""
-    atoms = state.rho_omega_atoms
-    for i in range(spectrum.n_levels):
-        weight = float(np.real(state.rho_d[i, i]))
-        if weight != 0.0:
-            atoms = atoms.adding(float(spectrum.levels[i]), sign * weight)
+    weights = np.real(np.diag(state.rho_d))
+    occupied = weights != 0.0
+    atoms = state.rho_omega_atoms.merging(spectrum.levels[occupied], sign * weights[occupied])
     return replace(state, rho_omega_atoms=atoms, basis=basis)
 
 
@@ -174,28 +181,31 @@ def recompose(state: GeneralizedState, spectrum: LiouvilleSpectrum) -> Generaliz
 
 
 def evolve(state: GeneralizedState, spectrum: LiouvilleSpectrum, t: float) -> GeneralizedState:
-    """Multiply every sector coefficient by its exp(i * lambda * t).
+    """Multiply every present sector coefficient by its exp(i * lambda * t).
 
     The continuum diagonal (rate zero) and its atoms are shared with the
-    input, so the trace is conserved identically for all t.
+    input, so the trace is conserved identically for all t.  Absent sectors
+    stay absent.
     """
     if t < 0:
         raise NegativeTime(f"evolution time must be >= 0, got {t}")
     _check_input(state, spectrum, BASIS_EIGEN,
                  "evolve expects eigen-basis coefficients; call decompose_initial first")
     nodes = state.grid.nodes
-    levels = np.arange(spectrum.n_levels)[:, None]
+    rho_iomega, rho_omegai = state.rho_iomega, state.rho_omegai
     rho_omegaomega = state.rho_omegaomega
+    if rho_iomega is not None:
+        levels = np.arange(spectrum.n_levels)[:, None]
+        rho_omegai = rho_omegai * np.exp(1j * spectrum.lambda_continuum_discrete(nodes, levels) * t)
+        rho_iomega = rho_iomega * np.exp(1j * spectrum.lambda_discrete_continuum(levels, nodes) * t)
     if rho_omegaomega is not None:
         phase = np.exp(1j * nodes * t)
         rho_omegaomega = rho_omegaomega * np.outer(phase, phase.conj())
     return replace(
         state,
         rho_d=state.rho_d * np.exp(1j * spectrum.lambda_d * t),
-        rho_omegai=state.rho_omegai * np.exp(
-            1j * spectrum.lambda_continuum_discrete(nodes, levels) * t),
-        rho_iomega=state.rho_iomega * np.exp(
-            1j * spectrum.lambda_discrete_continuum(levels, nodes) * t),
+        rho_omegai=rho_omegai,
+        rho_iomega=rho_iomega,
         rho_omegaomega=rho_omegaomega,
     )
 
@@ -211,10 +221,9 @@ def diagonal_evolution(state: GeneralizedState, spectrum: LiouvilleSpectrum, t: 
         raise NegativeTime(f"evolution time must be >= 0, got {t}")
     _check_input(state, spectrum, BASIS_FREE, "diagonal_evolution expects the free-basis initial state")
     off_diag = state.rho_d - np.diag(np.diag(state.rho_d))
-    if (np.max(np.abs(off_diag), initial=0.0) > 1e-12
-            or np.max(np.abs(state.rho_iomega), initial=0.0) > 1e-12
-            or np.max(np.abs(state.rho_omegai), initial=0.0) > 1e-12
-            or np.max(np.abs(state.rho_omega_regular), initial=0.0) > 1e-12
+    mixed = () if state.rho_iomega is None else (state.rho_iomega, state.rho_omegai)
+    if (any(np.max(np.abs(sector), initial=0.0) > 1e-12
+            for sector in (off_diag, *mixed, state.rho_omega_regular))
             or state.rho_omega_atoms.total() > 1e-12):
         raise InvalidState("diagonal_evolution needs a purely discrete diagonal state")
     p0 = np.real(np.diag(state.rho_d))

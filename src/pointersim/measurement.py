@@ -50,7 +50,7 @@ def readout(setup: MeasurementSetup, spectrum: LiouvilleSpectrum):
     """
     state = premeasure(setup, spectrum.grid)
     eq = equilibrium(state, spectrum)
-    return [(float(level), eq.atoms.weight_at(float(level))) for level in spectrum.levels]
+    return list(zip(spectrum.levels.tolist(), eq.atoms.weights_at(spectrum.levels).tolist()))
 
 
 def _ordered_eigenpairs(block: np.ndarray):

@@ -246,6 +246,25 @@ def test_non_integer_counts_fail_with_one_line(tmp_path, capsys, extra):
     assert not (tmp_path / "out" / "evolve.csv").exists()
 
 
+@pytest.mark.parametrize("command, t_end", [
+    ("evolve", "Infinity"),
+    ("evolve", "1e400"),
+    ("compare", "Infinity"),
+    ("measure", "Infinity"),
+], ids=["evolve-infinity", "evolve-overflow", "compare-infinity", "measure-infinity"])
+def test_non_finite_times_fail_with_one_line(tmp_path, capsys, command, t_end):
+    write_model(tmp_path)
+    config = write_config(tmp_path, times={**_TIMES, "t_end": "T_END"},
+                          initial={"diagonal": [0.5, 0.5]}, amplitudes=[[0.6, 0.0], [0.0, 0.8]])
+    # raw JSON text: 1e400 overflows to inf only when the config is parsed
+    config.write_text(config.read_text().replace('"T_END"', t_end))
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err and "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # importing scipy costs more than the rest of the package import, and the
     # package never needs it

@@ -1,11 +1,14 @@
+import functools
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pointersim import (
     AtomicMeasure,
     GeneralizedState,
+    MeasurementSetup,
     build_grid,
     continuous_state,
     decompose_initial,
@@ -14,6 +17,7 @@ from pointersim import (
     equilibrium,
     evolve,
     liouville_spectrum,
+    premeasure,
     recompose,
     zero_state,
 )
@@ -33,16 +37,19 @@ def spectrum(grid):
 
 # -- state invariants ----------------------------------------------------------
 
-@pytest.mark.parametrize("overrides", [
-    lambda m: {"rho_omega_regular": np.zeros(m + 1)},
-    lambda m: {"rho_d": np.zeros((2, 3))},
-    lambda m: {"rho_iomega": np.zeros((2, m + 1))},
-], ids=["continuum-size", "non-square-discrete", "mixed-shape"])
-def test_malformed_sectors_are_invalid_states(grid, overrides):
+@pytest.mark.parametrize("overrides, match", [
+    (lambda m: {"rho_omega_regular": np.zeros(m + 1)}, "grid size"),
+    (lambda m: {"rho_d": np.zeros((2, 3))}, "square"),
+    (lambda m: {"rho_iomega": np.zeros((2, m + 1))}, "mixed sectors must have shape"),
+    (lambda m: {"rho_iomega": None}, "present or absent together"),
+    (lambda m: {"rho_omegai": None}, "present or absent together"),
+], ids=["continuum-size", "non-square-discrete", "mixed-shape", "only-omegai-present",
+        "only-iomega-present"])
+def test_malformed_sectors_are_invalid_states(grid, overrides, match):
     m = grid.size
     sectors = dict(grid=grid, rho_omega_regular=np.zeros(m), rho_omega_atoms=AtomicMeasure.empty(),
                    rho_d=np.zeros((2, 2)), rho_iomega=np.zeros((2, m)), rho_omegai=np.zeros((2, m)))
-    with pytest.raises(InvalidState):
+    with pytest.raises(InvalidState, match=match):
         GeneralizedState(**(sectors | overrides(m)))
 
 
@@ -69,16 +76,22 @@ def _break_occupation(state):
 
 
 def _break_pairing(state):
-    return replace(state, rho_iomega=_with_entry(state.rho_iomega, (0, 0), 0.1))
+    # a discrete state has no mixed sectors; give it zero ones, then unpair them
+    zeros = np.zeros((state.n_levels, state.grid.size), complex)
+    return replace(state, rho_iomega=_with_entry(zeros, (0, 0), 0.1), rho_omegai=zeros)
 
 
-@pytest.mark.parametrize("breaks", [_break_density, _break_atoms, _break_hermiticity,
-                                    _break_occupation, _break_pairing],
-                         ids=["negative-density", "negative-atom", "non-hermitian",
-                              "negative-occupation", "unpaired-mixed"])
-def test_broken_invariants_are_invalid_states(grid, breaks):
+@pytest.mark.parametrize("breaks, match", [
+    (_break_density, "density must be >= 0"),
+    (_break_atoms, "atom weights"),
+    (_break_hermiticity, "Hermitian"),
+    (_break_occupation, "occupations"),
+    (_break_pairing, "mixed sectors must be conjugates"),
+], ids=["negative-density", "negative-atom", "non-hermitian", "negative-occupation",
+        "unpaired-mixed"])
+def test_broken_invariants_are_invalid_states(grid, breaks, match):
     state = breaks(discrete_state(grid, np.diag([0.5, 0.5])))
-    with pytest.raises(InvalidState):
+    with pytest.raises(InvalidState, match=match):
         state.validate()
 
 
@@ -183,6 +196,31 @@ def test_evolve_shares_the_invariant_sectors(grid, spectrum):
     assert evolved.rho_omega_atoms is eigen.rho_omega_atoms
 
 
+# -- absent sectors ------------------------------------------------------------
+
+def test_discrete_states_carry_no_mixed_sectors(grid, spectrum):
+    premeasured = premeasure(MeasurementSetup(amplitudes=[0.6, 0.8j]), grid)
+    for state in (discrete_state(grid, np.diag([0.3, 0.7])), premeasured):
+        eigen = decompose_initial(state, spectrum)
+        evolved = evolve(eigen, spectrum, 3.0)
+        for stage in (state, eigen, evolved, recompose(evolved, spectrum)):
+            assert stage.rho_iomega is None and stage.rho_omegai is None
+
+
+def test_absent_mixed_sectors_evolve_like_zero_ones(grid, spectrum):
+    absent = discrete_state(grid, np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]]))
+    zeros = np.zeros((2, grid.size), complex)
+    explicit = replace(absent, rho_iomega=zeros, rho_omegai=zeros)
+    eigen_absent, eigen_explicit = (decompose_initial(s, spectrum) for s in (absent, explicit))
+    for t in (0.0, 0.7, 40.0, 300.0):
+        a = recompose(evolve(eigen_absent, spectrum, t), spectrum)
+        e = recompose(evolve(eigen_explicit, spectrum, t), spectrum)
+        assert a.rho_d.tobytes() == e.rho_d.tobytes()
+        assert a.rho_omega_atoms.locations.tobytes() == e.rho_omega_atoms.locations.tobytes()
+        assert a.rho_omega_atoms.weights.tobytes() == e.rho_omega_atoms.weights.tobytes()
+        assert not np.any(e.rho_iomega) and not np.any(e.rho_omegai)
+
+
 # -- decomposition -------------------------------------------------------------
 
 def test_decompose_pure_discrete_level(grid, spectrum):
@@ -235,6 +273,63 @@ def test_round_trip_merges_onto_an_atom_at_a_level_energy(grid, spectrum):
     assert back.rho_omega_atoms.locations.tolist() == [1.0, 2.0, 6.5]
     assert back.rho_omega_atoms.weights == pytest.approx([0.15, 0.0, 0.05], abs=1e-15)
     assert back.trace() == pytest.approx(1.0, abs=1e-12)
+
+
+# The sequential fold and the per-location scan that the vectorized
+# ``AtomicMeasure.merging`` and ``weights_at`` replaced, kept as references.
+
+def _fold_reference(atoms, levels, rho_d, sign):
+    locations, weights = np.array(atoms.locations), np.array(atoms.weights)
+    for i, level in enumerate(levels):
+        weight = float(np.real(rho_d[i, i]))
+        if weight == 0.0:
+            continue
+        hit = np.abs(locations - level) <= 1e-12
+        if np.any(hit):
+            weights = weights.copy()
+            weights[hit] += sign * weight
+        else:
+            locations = np.append(locations, level)
+            weights = np.append(weights, sign * weight)
+            order = np.argsort(locations)
+            locations, weights = locations[order], weights[order]
+    return locations, weights
+
+
+def _lookup_reference(atoms, probes):
+    return np.array([float(np.sum(atoms.weights[np.abs(atoms.locations - p) <= 1e-9]))
+                     for p in probes])
+
+
+_SIX_AMPLITUDES = [1.0, 1j] @ np.random.default_rng(17).normal(size=(2, 6))
+
+
+@pytest.mark.parametrize("levels, rho_d, prior", [
+    ([1.0, 2.0], np.diag([0.3, 0.7]), ([], [])),
+    ([1.0, 2.0], np.diag([0.3, 0.5]), ([1.0, 6.5], [0.15, 0.05])),
+    ([1.0, 2.0, 3.0], np.diag([0.4, 0.0, 0.6]), ([], [])),
+    ([1.0, 2.0], np.diag([0.3, 0.5]), ([6.5], [0.2])),
+    ([1.0], np.eye(1), ([], [])),
+    ([1.0, 2.0, 3.0, 4.5, 6.0, 7.5],
+     np.outer(_SIX_AMPLITUDES.conj(), _SIX_AMPLITUDES) / np.sum(np.abs(_SIX_AMPLITUDES) ** 2),
+     ([], [])),
+], ids=["no-prior-atoms", "atom-at-a-level", "zero-occupation", "far-atom", "one-level",
+        "six-levels"])
+def test_atom_merge_and_lookup_match_the_sequential_references(grid, levels, rho_d, prior):
+    spectrum = liouville_spectrum(make_constant_model(levels, 0.1), grid)
+    state = replace(discrete_state(grid, rho_d), rho_omega_atoms=AtomicMeasure(*prior))
+    eigen = decompose_initial(state, spectrum)
+    locations, weights = _fold_reference(state.rho_omega_atoms, levels, state.rho_d, 1.0)
+    assert eigen.rho_omega_atoms.locations.tobytes() == locations.tobytes()
+    assert eigen.rho_omega_atoms.weights.tobytes() == weights.tobytes()
+    probes = np.concatenate([levels, np.add(levels, 5e-10), [0.5, 6.5, 9.0]])
+    for t in (0.0, 3.0, 40.0):
+        evolved = evolve(eigen, spectrum, t)
+        back = recompose(evolved, spectrum).rho_omega_atoms
+        locations, weights = _fold_reference(evolved.rho_omega_atoms, levels, evolved.rho_d, -1.0)
+        assert back.locations.tobytes() == locations.tobytes()
+        assert back.weights.tobytes() == weights.tobytes()
+        assert back.weights_at(probes).tobytes() == _lookup_reference(back, probes).tobytes()
 
 
 # -- time evolution --------------------------------------------------------------
@@ -401,3 +496,41 @@ def test_equilibrium_components_nonnegative(grid, spectrum):
     eq = equilibrium(random_valid_state(grid, spectrum, rng), spectrum)
     assert np.all(eq.continuous >= 0.0)
     assert np.all(eq.atoms.weights >= 0.0)
+
+
+# -- property: evolved discrete states stay physical -----------------------------
+
+_PROPERTY_LEVELS = (1.0, 2.0, 3.0, 4.5)
+
+
+@functools.cache
+def _property_spectrum(n_levels):
+    model = make_constant_model(_PROPERTY_LEVELS[:n_levels], 0.1)
+    return liouville_spectrum(model, build_grid(10.0, 200))
+
+
+@st.composite
+def _discrete_rho_d(draw):
+    """A unit-trace discrete block: rank one from amplitudes, or diagonal."""
+    n = draw(st.integers(1, len(_PROPERTY_LEVELS)))
+    if draw(st.booleans()):
+        parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n, max_size=2 * n))
+        amplitudes = np.asarray(parts[:n]) + 1j * np.asarray(parts[n:])
+        assume(np.linalg.norm(amplitudes) > 1e-3)
+        amplitudes /= np.linalg.norm(amplitudes)
+        return np.outer(amplitudes.conj(), amplitudes)
+    occupations = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    assume(occupations.sum() > 1e-3)
+    return np.diag(occupations / occupations.sum())
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(rho_d=_discrete_rho_d(), decay_times=st.floats(0.0, 10.0))
+def test_evolved_discrete_states_stay_valid_and_conserve_each_level(rho_d, decay_times):
+    spectrum = _property_spectrum(rho_d.shape[0])
+    t = decay_times / float(np.min(spectrum.gamma))
+    state = decompose_initial(discrete_state(spectrum.grid, rho_d), spectrum)
+    physical = recompose(evolve(state, spectrum, t), spectrum).validate()
+    atoms = physical.rho_omega_atoms.weights_at(spectrum.levels)
+    level_total = np.real(np.diag(physical.rho_d)) + atoms
+    assert np.max(np.abs(level_total - np.real(np.diag(rho_d)))) <= 1e-12
