@@ -42,7 +42,6 @@ from .model import (
     load_model,
     model_from_dict,
     model_to_dict,
-    validate,
 )
 from .oracle import (
     OracleModel,
@@ -114,6 +113,5 @@ __all__ = [
     "resolvent_boundary",
     "resonance_center",
     "survival_probability",
-    "validate",
     "zero_state",
 ]

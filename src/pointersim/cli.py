@@ -87,7 +87,7 @@ def _parse_times(data) -> TimeGrid:
     if not np.isfinite(grid.t_end):
         raise ConfigParse(f"times.t_end must be finite, got {grid.t_end!r}")
     if grid.spacing not in ("linear", "log"):
-        raise ConfigParse(f"unknown times.spacing '{grid.spacing}'")
+        raise ConfigParse(f"unknown times.spacing {grid.spacing!r}")
     if grid.spacing == "log" and grid.t_start <= 0:
         raise ConfigParse("log-spaced times need t_start > 0")
     return grid
@@ -97,7 +97,7 @@ def _parse_grid(data: dict) -> tuple[int, str]:
     m = _json_int(data.get("m", 2000), "grid.m")
     scheme = str(data.get("scheme", "uniform-midpoint"))
     if scheme not in GRID_SCHEMES:
-        raise ConfigParse(f"unknown grid.scheme '{scheme}'; "
+        raise ConfigParse(f"unknown grid.scheme {scheme!r}; "
                           f"expected one of {', '.join(GRID_SCHEMES)}")
     return m, scheme
 
@@ -108,8 +108,8 @@ def load_config(path, grid_m=None, out=None, seed=None) -> RunConfig:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigParse(f"cannot read config {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigParse(f"cannot read config {str(path)!r}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigParse("config root must be a JSON object")
     if not isinstance(data.get("grid", {}), dict):
@@ -124,11 +124,11 @@ def load_config(path, grid_m=None, out=None, seed=None) -> RunConfig:
         data["seed"] = seed
 
     grid_m, grid_scheme = _parse_grid(data.get("grid", {}))
-    model_ref = _require(data, "model")
-    model_path = (path.parent / model_ref).resolve()
-    if not model_path.exists():
-        raise ConfigParse(f"model file does not exist: {model_path}")
-    model = load_model(model_path)
+    paths = {"model": _require(data, "model"), "output_dir": data.get("output_dir", "out")}
+    for key, value in paths.items():
+        if not isinstance(value, str):
+            raise ConfigParse(f"'{key}' must be a path string, got {value!r}")
+    model = load_model(path.parent / paths["model"])
 
     times = _parse_times(data["times"]) if "times" in data else None
     reserved = {"model", "grid", "times", "output_dir", "seed"}
@@ -137,7 +137,7 @@ def load_config(path, grid_m=None, out=None, seed=None) -> RunConfig:
         grid_m=grid_m,
         grid_scheme=grid_scheme,
         times=times,
-        output_dir=Path(data.get("output_dir", "out")),
+        output_dir=Path(paths["output_dir"]),
         seed=_json_int(data.get("seed", 0), "seed"),
         params={k: v for k, v in data.items() if k not in reserved},
         effective=data,
@@ -174,8 +174,11 @@ def _write_csv(path: Path, command: str, cfg: RunConfig, grid, columns, rows):
     ]
     lines.append(",".join(columns))
     lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("\n".join(lines) + "\n")
+    except (OSError, ValueError) as exc:
+        raise ConfigParse(f"cannot write artifact: {exc}") from exc
     return path
 
 

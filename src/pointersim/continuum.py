@@ -31,7 +31,9 @@ GRID_SCHEMES = ("uniform-midpoint", "gauss-legendre-composite")
 
 _MIN_NODES = 16
 _GL_ORDER = 4
-_LOOKUP_TOL = 1e-9
+# atoms closer than this are one atom: the distinctness, merge and lookup
+# tolerance of ``AtomicMeasure``, and the least separation of two levels
+ATOM_TOL = 1e-12
 
 
 def read_only(values, dtype) -> np.ndarray:
@@ -84,14 +86,12 @@ class AtomicMeasure:
     locations: np.ndarray
     weights: np.ndarray
 
-    _MERGE_TOL = 1e-12
-
     def __post_init__(self):
         object.__setattr__(self, "locations", read_only(np.atleast_1d(self.locations), float))
         object.__setattr__(self, "weights", read_only(np.atleast_1d(self.weights), float))
         if self.locations.shape != self.weights.shape:
             raise InvalidState("locations and weights must have matching shapes")
-        if len(self.locations) > 1 and np.any(np.diff(np.sort(self.locations)) <= self._MERGE_TOL):
+        if len(self.locations) > 1 and np.any(np.diff(np.sort(self.locations)) <= ATOM_TOL):
             raise InvalidState("atom locations must be distinct")
 
     @classmethod
@@ -103,7 +103,7 @@ class AtomicMeasure:
 
     def weights_at(self, locations) -> np.ndarray:
         """Weight of the atom at each of ``locations`` (0.0 where none sits)."""
-        hit = np.abs(self.locations - np.asarray(locations, float)[:, None]) <= _LOOKUP_TOL
+        hit = np.abs(self.locations - np.asarray(locations, float)[:, None]) <= ATOM_TOL
         return np.where(hit, self.weights, 0.0).sum(axis=1)
 
     def weight_at(self, location: float) -> float:
@@ -116,7 +116,7 @@ class AtomicMeasure:
         none sits.  Weights bound for one atom are added in the order given."""
         locations = np.asarray(locations, float)
         weights = np.asarray(weights, float)
-        hit = np.abs(self.locations[:, None] - locations) <= self._MERGE_TOL
+        hit = np.abs(self.locations[:, None] - locations) <= ATOM_TOL
         merged = self.weights.copy()
         atom, new_index = np.nonzero(hit)
         np.add.at(merged, atom, weights[new_index])

@@ -16,7 +16,8 @@ class LevelOutsideContinuum(ModelInvalid):
 
 
 class DegenerateLevels(ModelInvalid):
-    """Two discrete levels coincide; the perturbative formulas need them distinct."""
+    """Two discrete levels lie within ``continuum.ATOM_TOL``; the perturbative
+    formulas and the pointer atoms need them distinct."""
 
 
 class NegativeScale(ModelInvalid):

@@ -79,6 +79,8 @@ class GeneralizedState:
         if self.rho_iomega is not None and not (
                 self.rho_iomega.shape == self.rho_omegai.shape == (n, self.grid.size)):
             raise InvalidState("mixed sectors must have shape (n_levels, grid size)")
+        if self.rho_omegaomega is not None and self.rho_omegaomega.shape != (self.grid.size,) * 2:
+            raise InvalidState("rho_omegaomega must have shape (grid size, grid size)")
 
     @property
     def n_levels(self) -> int:

@@ -3,7 +3,8 @@
 The readout layer adds no dynamics of its own: correlating the measured
 system with the apparatus produces a rank-one discrete state, and the
 probabilities attached to the pointer atoms are exactly the equilibrium
-content of that state under the dissipative evolution.
+content of that state under the dissipative evolution.  Its input, a
+``MeasurementSetup``, is normalized by construction.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuum import ContinuumGrid
+from .continuum import ContinuumGrid, read_only
 from .errors import InvalidState, NonHermitianBlock, NotNormalized
 from .evolution import EquilibriumState, GeneralizedState, discrete_state, equilibrium
 from .spectrum import LiouvilleSpectrum
@@ -23,21 +24,23 @@ _HERM_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSetup:
-    """Complex amplitudes of the premeasured superposition."""
+    """Complex amplitudes of the premeasured superposition: a finite 1-d vector
+    (else ``InvalidState``) with sum |a_i|^2 = 1 (else ``NotNormalized``)."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitudes", np.atleast_1d(np.asarray(self.amplitudes, complex)))
-
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
+        a = read_only(np.atleast_1d(np.array(self.amplitudes, complex)), complex)
+        if a.ndim != 1 or not np.all(np.isfinite(a)):
+            raise InvalidState(f"amplitudes must be a finite 1-d vector, got shape {a.shape}")
+        total = float(np.sum(np.abs(a) ** 2))
+        if abs(total - 1.0) > _NORM_TOL:
+            raise NotNormalized(f"sum |a_i|^2 = {total!r}, expected 1")
+        object.__setattr__(self, "amplitudes", a)
 
 
 def premeasure(setup: MeasurementSetup, grid: ContinuumGrid) -> GeneralizedState:
     """Rank-one discrete state rho_d[i, j] = conj(a_i) a_j after correlation."""
-    if abs(setup.norm_squared() - 1.0) > _NORM_TOL:
-        raise NotNormalized(f"sum |a_i|^2 = {setup.norm_squared()!r}, expected 1")
     rho_d = np.outer(np.conj(setup.amplitudes), setup.amplitudes)
     return discrete_state(grid, rho_d)
 

@@ -3,16 +3,20 @@
 Energies, rates and times share one unit system with hbar = 1.  The coupling
 V(omega, i) between level i and the continuum mode at omega is real and plays
 a symmetric role for emission and absorption.
+
+A ``ModelSpec`` is valid by construction: its constructor converts, checks
+and resolves every field, so no unchecked model reaches the physics.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .continuum import ATOM_TOL
 from .errors import (
     DegenerateLevels,
     LevelOutsideContinuum,
@@ -30,11 +34,12 @@ _SUPPORT_TOL = 1e-12
 class CouplingProfile:
     """Real coupling amplitude V(omega, i), defined on all of [0, omega_max].
 
-    ``amplitude``, ``center`` and ``width`` may be scalars (shared by every
-    level) or per-level sequences; ``validate`` broadcasts them.  For the
-    window kinds ``center`` defaults to the level energy itself.  Tabulated
-    profiles are linearly interpolated, with ``table_values`` of shape
-    (n_samples,) or (n_samples, n_levels).
+    A profile records its parameters as given; the ``ModelSpec`` holding it
+    checks and resolves them.  ``amplitude``, ``center`` and ``width`` may be
+    scalars (shared by every level) or per-level sequences, and are broadcast
+    to one value per level.  For the window kinds ``center`` defaults to the
+    level energy itself.  Tabulated profiles are linearly interpolated, with
+    ``table_values`` of shape (n_samples,) or (n_samples, n_levels).
     """
 
     kind: str
@@ -46,42 +51,30 @@ class CouplingProfile:
 
     @classmethod
     def constant(cls, amplitude) -> "CouplingProfile":
-        return cls(kind="constant", amplitude=np.atleast_1d(np.asarray(amplitude, float)))
+        return cls(kind="constant", amplitude=amplitude)
 
     @classmethod
     def gaussian_window(cls, amplitude, width, center=None) -> "CouplingProfile":
-        return cls(
-            kind="gaussian-window",
-            amplitude=np.atleast_1d(np.asarray(amplitude, float)),
-            width=np.atleast_1d(np.asarray(width, float)),
-            center=None if center is None else np.atleast_1d(np.asarray(center, float)),
-        )
+        return cls(kind="gaussian-window", amplitude=amplitude, width=width, center=center)
 
     @classmethod
     def lorentzian_window(cls, amplitude, width, center=None) -> "CouplingProfile":
-        return cls(
-            kind="lorentzian-window",
-            amplitude=np.atleast_1d(np.asarray(amplitude, float)),
-            width=np.atleast_1d(np.asarray(width, float)),
-            center=None if center is None else np.atleast_1d(np.asarray(center, float)),
-        )
+        return cls(kind="lorentzian-window", amplitude=amplitude, width=width, center=center)
 
     @classmethod
     def tabulated(cls, omega, values) -> "CouplingProfile":
-        return cls(
-            kind="tabulated",
-            table_omega=np.asarray(omega, float),
-            table_values=np.asarray(values, float),
-        )
+        return cls(kind="tabulated", table_omega=omega, table_values=values)
 
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """Discrete levels, continuum cutoff and coupling profile.
+    """Discrete levels, continuum cutoff and coupling profile, checked on construction.
 
-    Levels must be pairwise distinct and lie strictly inside (0, omega_max);
-    nondegenerate perturbation theory underlies every downstream formula.
-    ``coupling_scale`` is a dimensionless global multiplier on V.
+    Levels must lie strictly inside (0, omega_max), more than ``ATOM_TOL``
+    apart; nondegenerate perturbation theory underlies every downstream
+    formula.  ``coupling_scale`` is a dimensionless global multiplier on V.
+    The coupling is stored resolved, so a ``dataclasses.replace`` that moves
+    the levels keeps the window centers it had.
 
     The decay physics is local around each level, so the finite cutoff only
     trims tail contributions to the level shifts.  Pick omega_max with a
@@ -95,100 +88,103 @@ class ModelSpec:
     coupling_scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", np.atleast_1d(np.asarray(self.levels, float)))
-        object.__setattr__(self, "omega_max", float(self.omega_max))
-        object.__setattr__(self, "coupling_scale", float(self.coupling_scale))
+        object.__setattr__(self, "levels", np.atleast_1d(_numbers("levels", self.levels, 1)))
+        object.__setattr__(self, "omega_max", float(_numbers("omega_max", self.omega_max, 0)))
+        object.__setattr__(self, "coupling_scale",
+                           float(_numbers("coupling_scale", self.coupling_scale, 0)))
+        if self.omega_max <= 0:
+            raise ModelInvalid(f"omega_max must be positive and finite, got {self.omega_max}")
+        if self.n_levels == 0:
+            raise ModelInvalid("at least one discrete level is required")
+        for omega_i in self.levels:
+            if not (0.0 < omega_i < self.omega_max):
+                raise LevelOutsideContinuum(
+                    f"level {omega_i} is not strictly inside (0, {self.omega_max})"
+                )
+        if np.any(np.diff(np.sort(self.levels)) <= ATOM_TOL):
+            raise DegenerateLevels(f"levels must be pairwise distinct, more than {ATOM_TOL:g} "
+                                   f"apart, got {self.levels.tolist()}")
+        if self.coupling_scale < 0:
+            raise NegativeScale(f"coupling_scale must be >= 0, got {self.coupling_scale}")
+        object.__setattr__(self, "coupling", _resolve_profile(self.coupling, self))
+
+        # the rates and shifts square the scaled coupling: probe it across the
+        # support, including the level positions
+        probe = np.unique(np.concatenate([np.linspace(0.0, self.omega_max, 257), self.levels]))
+        for i in range(self.n_levels):
+            with np.errstate(all="ignore"):
+                v = self.coupling_scale * _profile_values(self.coupling, probe, i)
+                finite = np.all(np.isfinite(v * v))
+            if not finite:
+                raise ModelInvalid(f"coupling for level {i} or its square is non-finite "
+                                   "somewhere on [0, omega_max]")
 
     @property
     def n_levels(self) -> int:
         return len(self.levels)
 
 
-def _broadcast(name: str, value, n: int) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, float))
-    if arr.size == 1:
-        arr = np.repeat(arr, n)
-    if arr.shape != (n,):
-        raise ModelInvalid(f"coupling parameter '{name}' has size {arr.size}, expected 1 or {n}")
+def _numbers(name: str, value, max_ndim: int) -> np.ndarray:
+    """A read-only float copy of ``value`` with at most ``max_ndim`` dimensions."""
+    try:
+        arr = np.array(value, float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelInvalid(f"'{name}' must be numeric: {exc}") from exc
+    if arr.ndim > max_ndim:
+        raise ModelInvalid(f"'{name}' has shape {arr.shape}, expected at most {max_ndim} dimensions")
     if not np.all(np.isfinite(arr)):
-        raise ModelInvalid(f"coupling parameter '{name}' contains non-finite entries")
+        raise ModelInvalid(f"'{name}' contains non-finite entries")
+    arr.flags.writeable = False
     return arr
+
+
+def _per_level(name: str, value, n: int) -> np.ndarray:
+    arr = _numbers(f"coupling.{name}", value, max_ndim=1)
+    if arr.size not in (1, n):
+        raise ModelInvalid(f"coupling parameter '{name}' has size {arr.size}, expected 1 or {n}")
+    return np.broadcast_to(arr, (n,))
 
 
 def _resolve_profile(profile: CouplingProfile, spec: ModelSpec) -> CouplingProfile:
     n = spec.n_levels
     if profile.kind not in COUPLING_KINDS:
-        raise ModelInvalid(f"unknown coupling kind '{profile.kind}'")
+        raise ModelInvalid(f"unknown coupling kind {profile.kind!r}")
 
     if profile.kind == "constant":
         if profile.amplitude is None:
             raise ModelInvalid("constant coupling requires 'amplitude'")
-        return CouplingProfile(kind="constant", amplitude=_broadcast("amplitude", profile.amplitude, n))
+        return CouplingProfile(kind="constant", amplitude=_per_level("amplitude", profile.amplitude, n))
 
     if profile.kind in ("gaussian-window", "lorentzian-window"):
         if profile.amplitude is None or profile.width is None:
             raise ModelInvalid(f"{profile.kind} coupling requires 'amplitude' and 'width'")
         center = spec.levels if profile.center is None else profile.center
-        width = _broadcast("width", profile.width, n)
+        width = _per_level("width", profile.width, n)
         if np.any(width <= 0):
             raise ModelInvalid("window widths must be > 0")
         return CouplingProfile(
             kind=profile.kind,
-            amplitude=_broadcast("amplitude", profile.amplitude, n),
-            center=_broadcast("center", center, n),
+            amplitude=_per_level("amplitude", profile.amplitude, n),
+            center=_per_level("center", center, n),
             width=width,
         )
 
     # tabulated
     if profile.table_omega is None or profile.table_values is None:
         raise ModelInvalid("tabulated coupling requires 'omega' and 'values'")
-    om = np.asarray(profile.table_omega, float)
-    vals = np.asarray(profile.table_values, float)
+    om = _numbers("coupling.omega", profile.table_omega, max_ndim=1)
+    vals = _numbers("coupling.values", profile.table_values, max_ndim=2)
     if om.ndim != 1 or om.size < 2 or np.any(np.diff(om) <= 0):
         raise ModelInvalid("tabulated 'omega' must be a strictly increasing 1-d array")
     if vals.ndim == 1:
-        vals = np.repeat(vals[:, None], n, axis=1)
+        vals = np.broadcast_to(vals[:, None], (vals.size, n))
     if vals.shape != (om.size, n):
         raise ModelInvalid(
             f"tabulated 'values' has shape {vals.shape}, expected ({om.size},) or ({om.size}, {n})"
         )
-    if not np.all(np.isfinite(vals)):
-        raise ModelInvalid("tabulated 'values' contains non-finite entries")
     if om[0] > _SUPPORT_TOL or om[-1] < spec.omega_max - _SUPPORT_TOL:
         raise ModelInvalid("tabulated 'omega' must cover [0, omega_max]")
     return CouplingProfile(kind="tabulated", table_omega=om, table_values=vals)
-
-
-def validate(spec: ModelSpec) -> ModelSpec:
-    """Check every model invariant and return the spec in resolved form.
-
-    Per-level coupling parameters are broadcast, window centers default to
-    the level energies.  Raises ``LevelOutsideContinuum``, ``DegenerateLevels``,
-    ``NegativeScale`` or ``ModelInvalid``.
-    """
-    if not np.isfinite(spec.omega_max) or spec.omega_max <= 0:
-        raise ModelInvalid(f"omega_max must be positive and finite, got {spec.omega_max}")
-    if spec.n_levels == 0:
-        raise ModelInvalid("at least one discrete level is required")
-    if not np.all(np.isfinite(spec.levels)):
-        raise ModelInvalid("levels contain non-finite entries")
-    for omega_i in spec.levels:
-        if not (0.0 < omega_i < spec.omega_max):
-            raise LevelOutsideContinuum(
-                f"level {omega_i} is not strictly inside (0, {spec.omega_max})"
-            )
-    if len(np.unique(spec.levels)) != spec.n_levels:
-        raise DegenerateLevels(f"levels must be pairwise distinct, got {spec.levels.tolist()}")
-    if spec.coupling_scale < 0:
-        raise NegativeScale(f"coupling_scale must be >= 0, got {spec.coupling_scale}")
-
-    resolved = replace(spec, coupling=_resolve_profile(spec.coupling, spec))
-    # probe finiteness across the support, including the level positions
-    probe = np.unique(np.concatenate([np.linspace(0.0, spec.omega_max, 257), spec.levels]))
-    for i in range(spec.n_levels):
-        if not np.all(np.isfinite(_profile_values(resolved.coupling, probe, i))):
-            raise ModelInvalid(f"coupling for level {i} is non-finite somewhere on [0, omega_max]")
-    return resolved
 
 
 def _profile_values(profile: CouplingProfile, omega, i: int):
@@ -219,40 +215,28 @@ def coupling_at(spec: ModelSpec, omega, i: int):
 # Exact field names: levels, omega_max, coupling{kind, ...}, coupling_scale.
 
 def model_from_dict(data: dict) -> ModelSpec:
-    """Build and validate a ModelSpec from its JSON dictionary form."""
+    """Build a ModelSpec from its JSON dictionary form; raises ``ModelInvalid``."""
     try:
         coupling = data["coupling"]
-        kind = coupling["kind"]
-    except (KeyError, TypeError) as exc:
-        raise ModelInvalid(f"model description missing required field: {exc}") from exc
-    profile = CouplingProfile(
-        kind=kind,
-        amplitude=_maybe_array(coupling.get("amplitude")),
-        center=_maybe_array(coupling.get("center")),
-        width=_maybe_array(coupling.get("width")),
-        table_omega=_maybe_array(coupling.get("omega")),
-        table_values=_maybe_array(coupling.get("values")),
-    )
-    try:
-        spec = ModelSpec(
-            levels=np.asarray(data["levels"], float),
-            omega_max=data["omega_max"],
-            coupling=profile,
-            coupling_scale=data.get("coupling_scale", 1.0),
+        profile = CouplingProfile(
+            kind=coupling["kind"],
+            amplitude=coupling.get("amplitude"),
+            center=coupling.get("center"),
+            width=coupling.get("width"),
+            table_omega=coupling.get("omega"),
+            table_values=coupling.get("values"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelInvalid(f"malformed model description: {exc}") from exc
-    return validate(spec)
-
-
-def _maybe_array(value):
-    if value is None:
-        return None
-    return np.atleast_1d(np.asarray(value, float))
+        fields = {"levels": data["levels"], "omega_max": data["omega_max"],
+                  "coupling_scale": data.get("coupling_scale", 1.0)}
+    except KeyError as exc:
+        raise ModelInvalid(f"model description missing required field: {exc}") from exc
+    except TypeError as exc:
+        raise ModelInvalid("model description and its 'coupling' must be JSON objects") from exc
+    return ModelSpec(coupling=profile, **fields)
 
 
 def model_to_dict(spec: ModelSpec) -> dict:
-    """Inverse of ``model_from_dict`` for a resolved spec."""
+    """Inverse of ``model_from_dict``, with the coupling in resolved form."""
     coupling: dict = {"kind": spec.coupling.kind}
     if spec.coupling.amplitude is not None:
         coupling["amplitude"] = spec.coupling.amplitude.tolist()
@@ -273,10 +257,11 @@ def model_to_dict(spec: ModelSpec) -> dict:
 
 
 def load_model(path) -> ModelSpec:
-    """Load and validate a JSON model file."""
+    """Load a JSON model file; raises ``ModelInvalid`` when it cannot be read
+    or describes no valid model."""
     try:
         with open(Path(path)) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelInvalid(f"cannot read model file {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise ModelInvalid(f"cannot read model file {str(path)!r}: {exc}") from exc
     return model_from_dict(data)

@@ -23,17 +23,16 @@ from pointersim import (
     build_grid,
     discretize,
     liouville_spectrum,
-    validate,
 )
 
 
 def make_constant_model(levels, amplitude, omega_max=10.0, scale=1.0):
-    return validate(ModelSpec(
+    return ModelSpec(
         levels=np.asarray(levels, float),
         omega_max=omega_max,
         coupling=CouplingProfile.constant(amplitude),
         coupling_scale=scale,
-    ))
+    )
 
 
 def normalized_density(grid, mass=1.0):

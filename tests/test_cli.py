@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pointersim.cli import main
+from pointersim.continuum import GRID_SCHEMES
+from pointersim.model import COUPLING_KINDS
 from .conftest import scipy_modules_loaded_by
 
 
@@ -265,7 +272,162 @@ def test_non_finite_times_fail_with_one_line(tmp_path, capsys, command, t_end):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("levels", [[1.0]]),
+    ("amplitude", "x"),
+    ("amplitude", {"a": 1}),
+    ("amplitude", 1e200),
+], ids=["nested-levels", "string-amplitude", "object-amplitude", "overflowing-amplitude"])
+def test_malformed_model_fields_fail_with_one_line(tmp_path, capsys, field, value):
+    model = write_model(tmp_path)
+    data = json.loads(model.read_text())
+    if field == "amplitude":
+        data["coupling"]["amplitude"] = value
+    else:
+        data[field] = value
+    model.write_text(json.dumps(data))
+    assert main(["spectrum", "--config", str(write_config(tmp_path))]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("extra", [
+    {"model": 5},
+    {"output_dir": 5},
+], ids=["numeric-model", "numeric-output-dir"])
+def test_non_path_config_fields_fail_with_one_line(tmp_path, capsys, extra):
+    write_model(tmp_path)
+    assert main(["spectrum", "--config", str(write_config(tmp_path, **extra))]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "path string" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["the-file-itself", "below-the-file"])
+def test_output_dir_on_a_regular_file_fails_with_one_line(tmp_path, capsys, below):
+    # a regular file where a directory must go; permission bits would not stop root
+    write_model(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    config = write_config(tmp_path, output_dir=str(blocker / below),
+                          amplitudes=[[0.6, 0.0], [0.0, 0.8]], times=_TIMES)
+    assert main(["measure", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "cannot write" in err
+    assert blocker.read_text() == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json", "model.json"]
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # importing scipy costs more than the rest of the package import, and the
     # package never needs it
     assert scipy_modules_loaded_by("import pointersim; from pointersim import cli") == "[]"
+
+
+# -- fuzz: model and config dicts, one field at a time gone wrong --------------
+#
+# Every field is drawn valid, or, for up to two fields per example, as a JSON
+# value of another type or shape.  Magnitudes stay modest (zero, or between
+# 1e-3 and 1e3 in size; grid.m <= 512): the numeric edges are their own
+# concern.  So that no example writes or reads outside its own directory, no
+# drawn string holds a "/" and output_dir draws no string at all.
+
+_MAGNITUDES = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(st.characters(exclude_characters="/"), max_size=6),
+    st.lists(st.lists(_MAGNITUDES, max_size=2), min_size=1, max_size=2),
+    st.dictionaries(st.text(max_size=3), _MAGNITUDES, max_size=2),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+)
+
+
+def _per_level(n, values=_MAGNITUDES):
+    return st.one_of(values, st.lists(values, min_size=n, max_size=n))
+
+
+def _amplitude_pairs(n):
+    pairs = st.lists(st.tuples(_MAGNITUDES, _MAGNITUDES).map(list), min_size=n, max_size=n)
+    normalized = pairs.filter(lambda a: np.linalg.norm(a) > 0).map(
+        lambda a: (np.asarray(a) / np.linalg.norm(a)).tolist())
+    return st.one_of(normalized, pairs)
+
+
+@st.composite
+def _model_and_config(draw):
+    """(model dict, config dict) with up to two fields broken; the valid
+    output_dir "OUT" stands for a directory the test provides."""
+    n = draw(st.integers(1, 3))
+    omega_max = draw(st.floats(1.0, 1e3))
+    table = np.linspace(0.0, omega_max, draw(st.integers(2, 5))).tolist()
+    valid = {
+        "levels": st.lists(st.floats(1e-3, 0.999), min_size=n, max_size=n, unique=True).map(
+            lambda fractions: [omega_max * f for f in fractions]),
+        "omega_max": st.just(omega_max),
+        "coupling_scale": st.floats(0.0, 1e3),
+        "kind": st.sampled_from(COUPLING_KINDS),
+        "amplitude": _per_level(n),
+        "width": _per_level(n, st.floats(1e-3, 1e3)),
+        "center": st.one_of(st.none(), _per_level(n)),
+        "omega": st.just(table),
+        "values": st.one_of(
+            st.lists(_MAGNITUDES, min_size=len(table), max_size=len(table)),
+            st.lists(st.lists(_MAGNITUDES, min_size=n, max_size=n),
+                     min_size=len(table), max_size=len(table))),
+        "model": st.just("model.json"),
+        "grid": st.just(None),
+        "m": st.integers(16, 512),
+        "scheme": st.sampled_from(GRID_SCHEMES),
+        "times": st.booleans(),
+        "t_start": st.floats(1e-3, 10.0),
+        "t_end": st.floats(10.0, 1e3),
+        "samples": st.integers(2, 64),
+        "spacing": st.sampled_from(["linear", "log"]),
+        "output_dir": st.just("OUT"),
+        "seed": st.integers(0, 1000),
+        "initial": st.fixed_dictionaries({"amplitudes": _amplitude_pairs(n)}),
+        "amplitudes": _amplitude_pairs(n),
+    }
+    broken = draw(st.sets(st.sampled_from(sorted(valid)), max_size=2))
+    junk = {"output_dir": _JUNK.filter(lambda v: not isinstance(v, str))}
+    value = {field: draw(junk.get(field, _JUNK) if field in broken else strategy)
+             for field, strategy in valid.items()}
+
+    coupling = {"kind": value["kind"]}
+    for field in ("amplitude", "width", "center", "omega", "values"):
+        if field in broken or value[field] is not None:
+            coupling[field] = value[field]
+    model = {"levels": value["levels"], "omega_max": value["omega_max"],
+             "coupling": coupling, "coupling_scale": value["coupling_scale"]}
+    config = {"model": value["model"], "seed": value["seed"], "initial": value["initial"],
+              "amplitudes": value["amplitudes"], "output_dir": value["output_dir"]}
+    config["grid"] = value["grid"] if "grid" in broken else {"m": value["m"],
+                                                              "scheme": value["scheme"]}
+    if "times" in broken:
+        config["times"] = value["times"]
+    elif value["times"]:
+        config["times"] = {"t_start": value["t_start"], "t_end": value["t_end"],
+                           "samples": value["samples"], "spacing": value["spacing"]}
+    return model, config
+
+
+@pytest.mark.parametrize("command", ["spectrum", "measure"])
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(case=_model_and_config())
+def test_any_model_or_config_exits_0_or_1_with_one_line(command, case):
+    model, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if config["output_dir"] == "OUT":
+            config["output_dir"] = str(tmp / "out")
+        (tmp / "model.json").write_text(json.dumps(model))
+        (tmp / "config.json").write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", str(tmp / "config.json")])
+    assert code in (0, 1)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"pointersim {command}: error: ")

@@ -43,8 +43,9 @@ def spectrum(grid):
     (lambda m: {"rho_iomega": np.zeros((2, m + 1))}, "mixed sectors must have shape"),
     (lambda m: {"rho_iomega": None}, "present or absent together"),
     (lambda m: {"rho_omegai": None}, "present or absent together"),
+    (lambda m: {"rho_omegaomega": np.zeros((3, 3))}, "rho_omegaomega must have shape"),
 ], ids=["continuum-size", "non-square-discrete", "mixed-shape", "only-omegai-present",
-        "only-iomega-present"])
+        "only-iomega-present", "continuum-block-size"])
 def test_malformed_sectors_are_invalid_states(grid, overrides, match):
     m = grid.size
     sectors = dict(grid=grid, rho_omega_regular=np.zeros(m), rho_omega_atoms=AtomicMeasure.empty(),
@@ -297,7 +298,7 @@ def _fold_reference(atoms, levels, rho_d, sign):
 
 
 def _lookup_reference(atoms, probes):
-    return np.array([float(np.sum(atoms.weights[np.abs(atoms.locations - p) <= 1e-9]))
+    return np.array([float(np.sum(atoms.weights[np.abs(atoms.locations - p) <= 1e-12]))
                      for p in probes])
 
 
@@ -322,7 +323,8 @@ def test_atom_merge_and_lookup_match_the_sequential_references(grid, levels, rho
     locations, weights = _fold_reference(state.rho_omega_atoms, levels, state.rho_d, 1.0)
     assert eigen.rho_omega_atoms.locations.tobytes() == locations.tobytes()
     assert eigen.rho_omega_atoms.weights.tobytes() == weights.tobytes()
-    probes = np.concatenate([levels, np.add(levels, 5e-10), [0.5, 6.5, 9.0]])
+    probes = np.concatenate([levels, np.add(levels, 5e-13), np.add(levels, 5e-10),
+                             [0.5, 6.5, 9.0]])
     for t in (0.0, 3.0, 40.0):
         evolved = evolve(eigen, spectrum, t)
         back = recompose(evolved, spectrum).rho_omega_atoms

@@ -46,9 +46,25 @@ def test_premeasure_is_pure(grid):
     assert state.trace() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_premeasure_rejects_unnormalized(grid):
+def test_premeasure_rejects_unnormalized():
+    # the setup refuses itself, before premeasure can see it
     with pytest.raises(NotNormalized):
-        premeasure(MeasurementSetup([1.0, 1.0]), grid)
+        MeasurementSetup([1.0, 1.0])
+
+
+@pytest.mark.parametrize("amplitudes", [[[0.6], [0.8]], [0.6, np.nan]],
+                         ids=["column", "non-finite"])
+def test_setup_refuses_anything_but_a_finite_vector(amplitudes):
+    with pytest.raises(InvalidState):
+        MeasurementSetup(amplitudes)
+
+
+def test_readout_separates_levels_just_above_the_atom_tolerance():
+    # 1e-10 apart: two atoms, and each level's lookup finds only its own
+    model = make_constant_model([1.0, 1.0 + 1e-10], 0.05)
+    spectrum = liouville_spectrum(model, build_grid(10.0, 400, avoid=model.levels))
+    pointer = readout(MeasurementSetup([0.6, 0.8]), spectrum)
+    assert [p for _, p in pointer] == pytest.approx([0.36, 0.64], abs=1e-12)
 
 
 def test_readout_single_outcome(spectrum):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from pointersim import (
     coupling_at,
     load_model,
     model_from_dict,
+    build_grid,
+    liouville_spectrum,
     model_to_dict,
-    validate,
 )
 from pointersim.errors import (
     DegenerateLevels,
@@ -62,38 +64,38 @@ def test_zero_scale_gives_zero_coupling():
 
 
 def test_gaussian_window_peaks_at_level():
-    spec = validate(ModelSpec(
+    spec = ModelSpec(
         levels=[2.0], omega_max=10.0,
         coupling=CouplingProfile.gaussian_window(amplitude=0.3, width=0.5),
-    ))
+    )
     assert coupling_at(spec, 2.0, 0) == pytest.approx(0.3, abs=0.0)
     assert coupling_at(spec, 2.5, 0) == pytest.approx(0.3 * np.exp(-0.5))
 
 
 def test_lorentzian_window_peaks_at_center():
-    spec = validate(ModelSpec(
+    spec = ModelSpec(
         levels=[2.0], omega_max=10.0,
         coupling=CouplingProfile.lorentzian_window(amplitude=0.2, width=1.0, center=3.0),
-    ))
+    )
     assert coupling_at(spec, 3.0, 0) == pytest.approx(0.2)
     assert coupling_at(spec, 4.0, 0) == pytest.approx(0.1)
 
 
 def test_tabulated_profile_interpolates():
-    spec = validate(ModelSpec(
+    spec = ModelSpec(
         levels=[1.0], omega_max=10.0,
         coupling=CouplingProfile.tabulated(omega=[0.0, 5.0, 10.0], values=[0.0, 0.5, 0.0]),
-    ))
+    )
     assert coupling_at(spec, 2.5, 0) == pytest.approx(0.25)
     assert coupling_at(spec, 5.0, 0) == pytest.approx(0.5)
 
 
 def test_tabulated_profile_must_cover_support():
     with pytest.raises(ModelInvalid):
-        validate(ModelSpec(
+        ModelSpec(
             levels=[1.0], omega_max=10.0,
             coupling=CouplingProfile.tabulated(omega=[0.0, 5.0], values=[0.1, 0.1]),
-        ))
+        )
 
 
 def test_coupling_rescaling_is_exact():
@@ -105,10 +107,10 @@ def test_coupling_rescaling_is_exact():
 
 
 def test_coupling_is_deterministic():
-    spec = validate(ModelSpec(
+    spec = ModelSpec(
         levels=[1.0, 2.0], omega_max=10.0,
         coupling=CouplingProfile.gaussian_window(amplitude=[0.1, 0.2], width=0.3),
-    ))
+    )
     assert coupling_at(spec, 1.234, 1) == coupling_at(spec, 1.234, 1)
 
 
@@ -163,3 +165,63 @@ def test_unknown_coupling_kind_rejected():
             "levels": [1.0], "omega_max": 10.0,
             "coupling": {"kind": "polka-dot", "amplitude": 0.1},
         })
+
+
+# -- valid by construction -----------------------------------------------------
+
+def test_window_centers_resolve_on_construction():
+    spec = ModelSpec(levels=[1.0, 2.0], omega_max=10.0,
+                     coupling=CouplingProfile.gaussian_window(0.05, 1.0))
+    assert spec.coupling.center.tolist() == [1.0, 2.0]
+    spectrum = liouville_spectrum(spec, build_grid(10.0, 400, avoid=spec.levels))
+    assert spectrum.gamma == pytest.approx([2 * np.pi * 0.05 ** 2] * 2, rel=1e-14)
+
+
+def test_one_element_amplitude_is_broadcast_to_every_level():
+    spec = ModelSpec(levels=[1.0, 2.0], omega_max=10.0, coupling=CouplingProfile.constant([0.05]))
+    assert spec.coupling.amplitude.tolist() == [0.05, 0.05]
+    assert coupling_at(spec, 3.0, 1) == 0.05
+
+
+def test_replace_checks_the_new_model():
+    spec = make_constant_model([1.0, 2.0], 0.05)
+    with pytest.raises(DegenerateLevels):
+        replace(spec, levels=[1.0, 1.0])
+
+
+def test_levels_closer_than_the_atom_tolerance_are_degenerate():
+    with pytest.raises(DegenerateLevels):
+        make_constant_model([1.0, 1.0 + 1e-13], 0.05)
+
+
+def test_fields_are_read_only_copies():
+    levels = np.array([1.0, 2.0])
+    spec = make_constant_model(levels, 0.05)
+    levels[0] = 3.0
+    assert spec.levels.tolist() == [1.0, 2.0]
+    with pytest.raises(ValueError):
+        spec.levels[0] = 3.0
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("levels", [[1.0]], "levels"),
+    ("levels", "x", "levels"),
+    ("omega_max", {"a": 1}, "omega_max"),
+    ("coupling_scale", float("nan"), "coupling_scale"),
+    ("amplitude", "x", "amplitude"),
+    ("amplitude", {"a": 1}, "amplitude"),
+    ("amplitude", [[0.05]], "amplitude"),
+    ("amplitude", [0.05, 0.05, 0.05], "amplitude"),
+    ("amplitude", 1e200, "non-finite"),
+], ids=["nested-levels", "string-levels", "object-omega-max", "nan-scale", "string-amplitude",
+        "object-amplitude", "nested-amplitude", "long-amplitude", "square-overflows"])
+def test_malformed_fields_are_model_invalid(recwarn, field, value, match):
+    data = {"levels": [1.0, 2.0], "omega_max": 10.0,
+            "coupling": {"kind": "constant", "amplitude": 0.05}}
+    if field == "amplitude":
+        data["coupling"]["amplitude"] = value
+    else:
+        data[field] = value
+    with pytest.raises(ModelInvalid, match=match):
+        model_from_dict(data)
+    assert not recwarn.list

@@ -17,7 +17,6 @@ from pointersim import (
     pointer_weights,
     resonance_center,
     survival_probability,
-    validate,
 )
 from pointersim.errors import EigensolverFailure, FitFailure, InvalidState, RecurrenceWindowExceeded
 from pointersim.model import coupling_at
@@ -55,8 +54,8 @@ def _hamiltonian(spec, grid):
                          [([1.0], [0.3], [1.0]), ([1.0, 2.5], [0.3, 0.2], [1.0, 2.0])],
                          ids=["one-level", "two-level"])
 def test_discretize_decomposes_the_discretized_hamiltonian(levels, amplitudes, widths):
-    spec = validate(ModelSpec(levels=levels, omega_max=10.0,
-                              coupling=CouplingProfile.gaussian_window(amplitudes, widths)))
+    spec = ModelSpec(levels=levels, omega_max=10.0,
+                     coupling=CouplingProfile.gaussian_window(amplitudes, widths))
     grid = build_grid(10.0, 40)
     model = discretize(spec, grid)
     q = model.eigenvectors
@@ -123,7 +122,6 @@ class _PoisonedNumpy:
 @pytest.mark.parametrize("case", list(_CROSS_CHECK_CASES))
 def test_discretize_matches_dense_eigh(monkeypatch, case):
     spec, m, scheme = _CROSS_CHECK_CASES[case]
-    spec = validate(spec)
     grid = build_grid(spec.omega_max, m, scheme, avoid=spec.levels)
     monkeypatch.setattr(pointersim.oracle, "np", _PoisonedNumpy())
     model = discretize(spec, grid)
@@ -140,9 +138,9 @@ def test_discretize_matches_dense_eigh(monkeypatch, case):
 
 def test_discretize_loads_no_scipy():
     # the two-level solve runs every fold step; none of them may reach scipy
-    code = ("from pointersim import CouplingProfile, ModelSpec, build_grid, discretize, validate\n"
-            "spec = validate(ModelSpec(levels=[1.0, 2.0], omega_max=10.0,\n"
-            "                          coupling=CouplingProfile.constant(0.05)))\n"
+    code = ("from pointersim import CouplingProfile, ModelSpec, build_grid, discretize\n"
+            "spec = ModelSpec(levels=[1.0, 2.0], omega_max=10.0,\n"
+            "                 coupling=CouplingProfile.constant(0.05))\n"
             "assert discretize(spec, build_grid(10.0, 64)).size == 66")
     assert scipy_modules_loaded_by(code) == "[]"
 

@@ -1,0 +1,11 @@
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_quick_start_runs():
+    # the README's one python block is the library quick start; run it as written
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert len(blocks) == 1, "README.md must hold exactly one python block"
+    exec(compile(blocks[0], str(README), "exec"), {})
