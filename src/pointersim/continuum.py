@@ -152,20 +152,23 @@ def build_grid(omega_max: float, m: int, scheme: str = "uniform-midpoint",
     if omega_max <= 0 or not np.isfinite(omega_max):
         raise InvalidGrid(f"omega_max must be positive and finite, got {omega_max}")
 
-    if scheme == "uniform-midpoint":
-        h = omega_max / m
-        nodes = (np.arange(m) + 0.5) * h
-        weights = np.full(m, h)
-    elif scheme == "gauss-legendre-composite":
-        panels = m // _GL_ORDER
-        x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
-        edges = np.linspace(0.0, omega_max, panels + 1)
-        half = np.diff(edges) / 2
-        mid = (edges[:-1] + edges[1:]) / 2
-        nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        weights = (half[:, None] * w[None, :]).ravel()
-    else:
-        raise InvalidGrid(f"unknown grid scheme '{scheme}'")
+    try:
+        if scheme == "uniform-midpoint":
+            h = omega_max / m
+            nodes = (np.arange(m) + 0.5) * h
+            weights = np.full(m, h)
+        elif scheme == "gauss-legendre-composite":
+            panels = m // _GL_ORDER
+            x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
+            edges = np.linspace(0.0, omega_max, panels + 1)
+            half = np.diff(edges) / 2
+            mid = (edges[:-1] + edges[1:]) / 2
+            nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+            weights = (half[:, None] * w[None, :]).ravel()
+        else:
+            raise InvalidGrid(f"unknown grid scheme '{scheme}'")
+    except MemoryError as exc:
+        raise InvalidGrid(f"grid.m = {m} nodes do not fit in memory") from exc
 
     for target in np.atleast_1d(np.asarray(avoid, float)):
         hit = np.flatnonzero(np.isclose(nodes, target, rtol=0.0, atol=1e-12))
@@ -202,8 +205,11 @@ def _check_continuity(f, singularity: float, grid: ContinuumGrid, f_at: float):
 
     For continuous f the probes approach the derivative; a pole-like growth
     (factor ~4 per factor-4 shrink of the probe distance) signals a jump.
+    The probes start half a node spacing away, or half the distance to the
+    nearer end of the support if that is closer, so they stay inside it.
     """
-    d0 = grid.spacing_near(singularity) / 2
+    edge = min(singularity, grid.omega_max - singularity)
+    d0 = min(grid.spacing_near(singularity), edge) / 2
     scale = max(abs(f_at), 1e-12)
     for side in (1.0, -1.0):
         residuals = []

@@ -1,18 +1,22 @@
 """Brute-force ground truth: exact unitary dynamics of the discretized system.
 
 The continuum is replaced by its quadrature nodes, giving a real symmetric
-(N + M) x (N + M) Hamiltonian with the levels first, then the nodes.  The
+(N + M) x (N + M) Hamiltonian H with the levels first, then the nodes.  The
 level-node coupling carries a sqrt(weight) factor so the discrete sum of
 squared couplings converges to the continuum integral of V^2.  Everything
 downstream is spectral decomposition; no perturbative input enters anywhere,
 which is what makes this module a legitimate independent check.
 
-H is never assembled.  The levels couple to the nodes but not to each other,
-so H is diagonalized one level at a time (Bunch, Nielsen & Sorensen 1978):
-against the eigenbasis found so far, each level is an arrowhead matrix,
-solved through its secular equation in O(M^2), and each level after the
-first adds one O((N + M)^3) matrix product.  The returned ``OracleModel``
-(ascending eigenvalues, eigenvectors as columns) must pass an
+Neither H nor its eigenvector matrix Q is ever stored.  The levels couple to
+the nodes but not to each other, so H is diagonalized one level at a time
+(Bunch, Nielsen & Sorensen 1978): against the eigenbasis found so far, each
+level is an arrowhead matrix whose eigenvalues solve a secular equation in
+O(M^2) and whose eigenvectors have a closed form (``_FoldStep``).  Q is the
+product of those N closed forms, so every product with Q or Q^T is a chain of
+N chunked Cauchy passes, O(N M^2) time and O(M) memory per column.  The
+returned ``OracleModel`` holds the ascending eigenvalues, the N level rows
+Q[:N, :] (all that survival probabilities, level coherences and spectral
+measures read) and each step's O(M) fold data, and must pass an
 orthonormality gate.
 
 A finite grid is quasi-periodic: beyond roughly half the recurrence time
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -41,16 +46,18 @@ _WINDOW_IQR = 20.0
 
 @dataclass(frozen=True, eq=False)
 class OracleModel:
-    """Eigendecomposition of the discretized Hamiltonian.
+    """Eigendecomposition H = Q diag(eigenvalues) Q^T of the discretized Hamiltonian.
 
-    The Hamiltonian itself is not kept: the level-by-level solve never
-    assembles it.
+    Neither H nor Q is kept.  ``eigenvectors`` holds only the N level rows
+    Q[:N, :], shape (N, N + M), one column per eigenvalue; ``apply`` and
+    ``apply_transpose`` reach the node rows through the fold ``steps``.
     """
 
     spec: ModelSpec
     grid: ContinuumGrid
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    steps: tuple[_FoldStep, ...]
 
     @property
     def recurrence_time(self) -> float:
@@ -62,14 +69,91 @@ class OracleModel:
 
     @property
     def size(self) -> int:
+        """N + M, the dimension of H."""
         return len(self.eigenvalues)
 
+    def apply(self, coefficients) -> np.ndarray:
+        """Q @ coefficients: eigenbasis coefficients to (levels, nodes) components.
+
+        Takes a vector or a matrix of columns, real or complex.
+        """
+        return _by_real_columns(self._forward, coefficients)
+
+    def apply_transpose(self, vectors) -> np.ndarray:
+        """Q^T @ vectors: (levels, nodes) components to eigenbasis coefficients."""
+        return _by_real_columns(self._backward, vectors)
+
+    def _forward(self, y: np.ndarray) -> np.ndarray:
+        levels = np.empty((self.n_levels, y.shape[1]))
+        for s in reversed(range(self.n_levels)):
+            y = self.steps[s].forward(y)
+            levels[s] = y[0]
+            y = y[1:]
+        return np.concatenate([levels, y])
+
+    def _backward(self, v: np.ndarray) -> np.ndarray:
+        y = v[self.n_levels:]
+        for s, step in enumerate(self.steps):
+            y = step.transpose(np.concatenate([v[s:s + 1], y]))
+        return y
+
     def orthonormality_defect(self) -> float:
-        """max |Q^T Q - I|; NaN when the eigenvectors are not finite."""
-        q = self.eigenvectors
-        gram = q.T @ q
-        gram.flat[:: self.size + 1] -= 1.0
-        return float(np.max(np.abs(gram, out=gram)))
+        """A bound on max |Q^T Q - I|, checked against the level rows and a probe.
+
+        The largest of three parts, NaN when any input is not finite:
+
+        - the fold steps' Gram bounds b_s (``_FoldStep.gram_bound``)
+          composed: Q_s = P diag(1, Q_{s-1}) S_s for a row permutation P, so
+          in the spectral norm, which bounds every entry,
+          ||Q_s^T Q_s - I|| <= b_s + (1 + b_s) ||Q_{s-1}^T Q_{s-1} - I||;
+        - max |L L^T - I_N| over the stored level rows L;
+        - for the fixed probe x_j = cos(j): max |Q^T (Q x) - x| and the
+          eigen-equation residual max |H (Q x) - Q (E x)| / max |E|.
+        """
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            bound = 0.0
+            for step in self.steps:
+                own = step.gram_bound()
+                bound = own + (1.0 + own) * bound
+            rows = self.eigenvectors
+            level_gram = rows @ rows.T - np.eye(self.n_levels)
+            probe = np.cos(np.arange(self.size))
+            states = self.apply(np.column_stack([probe, self.eigenvalues * probe]))
+            round_trip = self.apply_transpose(states[:, 0]) - probe
+            residual = _hamiltonian_times(self.spec, self.grid, states[:, 0]) - states[:, 1]
+            scale = np.max(np.abs(self.eigenvalues))
+            return float(np.max([bound, np.max(np.abs(level_gram)),
+                                 np.max(np.abs(round_trip)), np.max(np.abs(residual)) / scale]))
+
+
+def _by_real_columns(linear, x) -> np.ndarray:
+    """Apply a real linear map to the columns of x, a real or complex vector or matrix.
+
+    Real and imaginary parts ride as separate real columns, so the map's
+    matrix or passes are read once and never upcast to complex.
+    """
+    x = np.asarray(x)
+    columns = x.reshape(len(x), -1)
+    if np.iscomplexobj(x):
+        out = np.ascontiguousarray(linear(np.ascontiguousarray(columns, complex).view(float)))
+        out = out.view(complex)
+    else:
+        out = linear(np.asarray(columns, float))
+    return out.reshape(out.shape[:1] + x.shape[1:])
+
+
+def _couplings(spec: ModelSpec, grid: ContinuumGrid) -> np.ndarray:
+    """Level-node couplings V(w_k, i) sqrt(weight_k), one row per level."""
+    sqrt_w = np.sqrt(grid.weights)
+    return np.array([coupling_at(spec, grid.nodes, i) * sqrt_w for i in range(spec.n_levels)])
+
+
+def _hamiltonian_times(spec: ModelSpec, grid: ContinuumGrid, psi: np.ndarray) -> np.ndarray:
+    """H @ psi for the (levels, nodes) vector psi, in O(N M) without H."""
+    n = spec.n_levels
+    g = _couplings(spec, grid)
+    return np.concatenate([spec.levels * psi[:n] + g @ psi[n:],
+                           grid.nodes * psi[n:] + g.T @ psi[:n]])
 
 
 def discretize(spec: ModelSpec, grid: ContinuumGrid) -> OracleModel:
@@ -77,23 +161,30 @@ def discretize(spec: ModelSpec, grid: ContinuumGrid) -> OracleModel:
 
     Level s couples to the eigenvectors found so far through their node rows,
     so in their basis it is an arrowhead whose poles are the current
-    eigenvalues (the bare nodes, for level 0).
+    eigenvalues (the bare nodes, for level 0) and whose border is Q^T applied
+    to its coupling row.
     """
-    sqrt_w = np.sqrt(grid.weights)
-    couplings = np.array([coupling_at(spec, grid.nodes, i) * sqrt_w
-                          for i in range(spec.n_levels)])
-    eigenvalues, q = _arrowhead_eigh(spec.levels[0], grid.nodes, couplings[0])
-    for s in range(1, spec.n_levels):
-        # q's rows are levels 0..s-1, then the nodes
-        eigenvalues, step = _arrowhead_eigh(spec.levels[s], eigenvalues, q[s:].T @ couplings[s])
-        rotated = np.empty((len(eigenvalues), len(eigenvalues)))
-        np.matmul(q[:s], step[1:], out=rotated[:s])
-        rotated[s] = step[0]
-        np.matmul(q[s:], step[1:], out=rotated[s + 1:])
-        q = rotated
-        del step  # so that at most three such matrices are ever alive at once
+    n = spec.n_levels
+    eigenvalues = grid.nodes
+    # one column per level in the current eigenbasis: the level rows of the
+    # levels folded in so far, then the couplings of those still to come
+    columns = _couplings(spec, grid).T
+    steps = []
+    for s in range(n):
+        step, eigenvalues = _fold(spec.levels[s], eigenvalues, columns[:, s])
+        others = np.arange(n) != s
+        moved = np.empty((len(eigenvalues), n))
+        moved[:, s] = step.level_row()
+        if n > 1:
+            # the levels do not couple to each other: no other column has a
+            # level-s component
+            moved[:, others] = step.transpose(
+                np.concatenate([np.zeros((1, n - 1)), columns[:, others]]))
+        columns = moved
+        steps.append(step)
 
-    model = OracleModel(spec=spec, grid=grid, eigenvalues=eigenvalues, eigenvectors=q)
+    model = OracleModel(spec=spec, grid=grid, eigenvalues=eigenvalues,
+                        eigenvectors=np.ascontiguousarray(columns.T), steps=tuple(steps))
     defect = model.orthonormality_defect()
     # written so that a NaN defect fails the gate too
     if not defect <= _ORTHO_TOL:
@@ -119,68 +210,163 @@ def discretize(spec: ModelSpec, grid: ContinuumGrid) -> OracleModel:
 # kept as an offset d from its nearer pole p, so x - w_k = (w_p - w_k) + d
 # stays accurate to full relative precision however close x is to w_p, and d
 # solves F(d) = d * f(w_p + d), which has no pole at d = 0.  The eigenvector
-# of root x is (1, g_k / (x - w_k)) normalized.
+# of root x_n is c_n (1, g_k / (x_n - w_k)), with c_n the norm that makes it
+# a unit vector, so a product with the step's eigenvectors is a Cauchy matrix
+# product that never needs them stored.
 
 _EPS = np.finfo(float).eps
 _SECULAR_MAX_ITER = 64
 # roots are handled in row chunks of about 64k matrix elements (512 kB), so
-# no M x M temporary exists while solving
+# no M x M temporary exists while solving or applying a step
 _CHUNK_ELEMENTS = 1 << 16
 
 
-def _arrowhead_eigh(level: float, nodes: np.ndarray, coupling: np.ndarray):
-    """Ascending eigenvalues and eigenvectors (columns) of the arrowhead H."""
-    if not (np.isfinite(level) and np.all(np.isfinite(nodes)) and np.all(np.isfinite(coupling))):
+@dataclass(frozen=True, eq=False)
+class _FoldStep:
+    """One level folded into the previous eigenbasis: its arrowhead in closed form.
+
+    The step's eigenvector matrix S has rows (level, previous basis) and
+    columns in ascending eigenvalue order.  Root x_n = anchor_n + offset_n
+    owns the column c_n (1, g_k / (x_n - w_k)) on the active poles; every
+    deflated pole keeps its unit vector.  Position j of the ascending order
+    holds entry ``order[j]`` of (roots, deflated poles).
+    """
+
+    level: float
+    active: np.ndarray    # bool over the previous basis: poles in the secular equation
+    poles: np.ndarray     # the active poles w_k, ascending
+    coupling: np.ndarray  # their couplings g_k
+    anchor: np.ndarray    # each root's nearer pole
+    offset: np.ndarray
+    norms: np.ndarray     # c_n
+    order: np.ndarray
+
+    def _inverse_distances(self, rows: slice, out: np.ndarray) -> np.ndarray:
+        """1 / (x_n - w_k) for roots n in ``rows`` (rows) and every active pole k."""
+        _distances(self.poles, self.anchor[rows], self.offset[rows], out)
+        return np.reciprocal(out, out=out)
+
+    def level_row(self) -> np.ndarray:
+        """S[0, :]: the folded level's component of every eigenvector."""
+        row = np.zeros(len(self.order))
+        row[: len(self.anchor)] = self.norms
+        return row[self.order]
+
+    def forward(self, y: np.ndarray) -> np.ndarray:
+        """S @ y for columns y: rows (level, previous basis)."""
+        k = len(self.anchor)
+        unsorted = np.empty_like(y)
+        unsorted[self.order] = y
+        weighted = self.norms[:, None] * unsorted[:k]
+        coupled = np.zeros((len(self.poles), y.shape[1]))
+        for rows, block in _chunks(k, len(self.poles)):
+            coupled += self._inverse_distances(rows, block).T @ weighted[rows]
+        out = np.empty((1 + len(self.active), y.shape[1]))
+        out[0] = weighted.sum(axis=0)
+        rest = out[1:]
+        rest[self.active] = self.coupling[:, None] * coupled
+        rest[~self.active] = unsorted[k:]
+        return out
+
+    def transpose(self, z: np.ndarray) -> np.ndarray:
+        """S^T @ z for columns z with rows (level, previous basis)."""
+        k = len(self.anchor)
+        rest = z[1:]
+        coupled = self.coupling[:, None] * rest[self.active]
+        unsorted = np.empty((len(self.order), z.shape[1]))
+        for rows, block in _chunks(k, len(self.poles)):
+            np.matmul(self._inverse_distances(rows, block), coupled, out=unsorted[rows])
+        unsorted[:k] += z[0]
+        unsorted[:k] *= self.norms[:, None]
+        unsorted[k:] = rest[~self.active]
+        return unsorted[self.order]
+
+    def gram_bound(self) -> float:
+        """An upper bound on every entry and on the spectral norm of S^T S - I.
+
+        It is the largest row sum of an entrywise bound on |S^T S - I|,
+        which bounds the spectral norm too, S^T S being symmetric.  By
+        partial fractions, two roots' columns have the inner product
+        c_n c_m (f(x_n) - f(x_m)) / (x_n - x_m) exactly, so with each root's
+        secular residual f recomputed here from the stored roots the pair is
+        bounded by c_n c_m (|f(x_n)| + |f(x_m)|) / |x_n - x_m|.  A root's
+        own entry is c_n^2 (1 + sum_k g_k^2 / (x_n - w_k)^2) - 1, and a
+        deflated pole's unit vector is orthogonal to every other column.
+        """
+        k = len(self.anchor)
+        g2 = self.coupling * self.coupling
+        residual = np.empty(k)
+        own = np.empty(k)
+        for rows, block, terms in _chunks(k, len(self.poles), scratch=2):
+            inverse = self._inverse_distances(rows, block)
+            np.multiply(g2, inverse, out=terms)
+            residual[rows] = ((self.anchor[rows] - self.level) + self.offset[rows]
+                              - terms.sum(axis=1))
+            own[rows] = self.norms[rows] ** 2 * (1.0 + np.einsum("ij,ij->i", terms, inverse)) - 1.0
+        residual = np.abs(residual)
+        weights = np.column_stack([self.norms, self.norms * residual])
+        sums = np.empty((k, 2))
+        for rows, gap, shift in _chunks(k, k, scratch=2):
+            np.subtract.outer(self.anchor[rows], self.anchor, out=gap)
+            gap += np.subtract.outer(self.offset[rows], self.offset, out=shift)
+            diagonal = (np.arange(gap.shape[0]), np.arange(k)[rows])
+            gap[diagonal] = 1.0
+            inverse = np.reciprocal(np.abs(gap, out=gap), out=gap)
+            inverse[diagonal] = 0.0
+            sums[rows] = inverse @ weights
+        return float(np.max(self.norms * (residual * sums[:, 0] + sums[:, 1]) + np.abs(own)))
+
+
+def _fold(level: float, poles: np.ndarray, coupling: np.ndarray):
+    """Fold one level coupled by ``coupling`` to ``poles``: the step and its ascending eigenvalues."""
+    if not (np.isfinite(level) and np.all(np.isfinite(poles)) and np.all(np.isfinite(coupling))):
         raise EigensolverFailure("the Hamiltonian has non-finite entries")
-    scale = max(abs(level), float(np.max(np.abs(nodes))), float(np.linalg.norm(coupling)))
-    negligible = np.abs(coupling) <= _EPS * scale
-    active, deflated = np.flatnonzero(~negligible), np.flatnonzero(negligible)
-    poles, g = nodes[active], coupling[active]
-    anchor, offset = _secular_roots(level, poles, g * g)
-
-    # Q^T with rows (roots, deflated nodes) and columns (level, active nodes,
-    # deflated nodes): the roots' vectors fill the leading block and every
-    # deflated node keeps its unit vector
-    k = len(poles)
-    qt = np.zeros((len(nodes) + 1, len(nodes) + 1))
-    for rows in _chunks(k + 1, k):
-        vectors = qt[rows, : k + 1]
-        np.divide(g, _distances(poles, anchor[rows], offset[rows]), out=vectors[:, 1:])
-        vectors[:, 0] = 1.0
-        vectors /= np.sqrt(np.einsum("ij,ij->i", vectors, vectors))[:, None]
-    np.fill_diagonal(qt[k + 1:, k + 1:], 1.0)
-    eigenvalues = np.concatenate([anchor + offset, nodes[deflated]])
-    if len(deflated):
-        # back to ascending eigenvalues and to the level-then-nodes components
-        order = np.argsort(eigenvalues, kind="stable")
-        components = np.argsort(np.concatenate([[0], 1 + active, 1 + deflated]))
-        qt = qt[np.ix_(order, components)]
-        eigenvalues = eigenvalues[order]
-    return eigenvalues, qt.T
+    scale = max(abs(level), float(np.max(np.abs(poles))), float(np.linalg.norm(coupling)))
+    active = np.abs(coupling) > _EPS * scale
+    kept, g = poles[active], coupling[active]
+    anchor, offset, norms = _secular_roots(level, kept, g * g)
+    eigenvalues = np.concatenate([anchor + offset, poles[~active]])
+    # stable, so without deflation the roots keep their (ascending) order
+    order = np.argsort(eigenvalues, kind="stable")
+    step = _FoldStep(level=float(level), active=active, poles=kept, coupling=g,
+                     anchor=anchor, offset=offset, norms=norms, order=order)
+    return step, eigenvalues[order]
 
 
-def _chunks(count: int, width: int):
-    """Row slices that keep a chunk-by-width temporary near _CHUNK_ELEMENTS."""
+def _chunks(count: int, width: int, scratch: int = 1):
+    """Row slices that keep a chunk-by-width block near _CHUNK_ELEMENTS, each
+    with ``scratch`` blocks of that shape.
+
+    The blocks are views of buffers that every chunk reuses, so a pass
+    allocates (and page-faults) its scratch memory once, not once per chunk.
+    """
     step = max(1, _CHUNK_ELEMENTS // max(width, 1))
-    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+    buffers = np.empty((scratch, min(step, count), width))
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        yield (slice(start, stop), *buffers[:, : stop - start])
 
 
-def _distances(poles, anchor, offset):
-    """x_n - w_k = (anchor_n - w_k) + d_n for roots n (rows) and poles k (columns)."""
-    return (anchor[:, None] - poles[None, :]) + offset[:, None]
+def _distances(poles, anchor, offset, out):
+    """x_n - w_k = (anchor_n - w_k) + d_n into ``out``, for roots n (rows) and poles k (columns)."""
+    np.subtract.outer(anchor, poles, out=out)
+    out += offset[:, None]
+    return out
 
 
 def _secular_roots(level: float, poles: np.ndarray, g2: np.ndarray):
-    """Roots of f, ascending, each as its nearer pole plus an offset.
+    """Roots of f, ascending, each as its nearer pole plus an offset, and the
+    norms c_n of their eigenvectors.
 
     A vectorized safeguarded Newton iteration on F(d) = d * f(w_p + d): every
     root keeps a bracket on which f changes sign, and a Newton step that
-    leaves it is replaced by bisection.  Without poles the one root is the
-    level itself.
+    leaves it is replaced by bisection.  The last iteration's pole sums give
+    each norm, 1 / c_n^2 = 1 + sum_k g_k^2 / (x_n - w_k)^2.  Without poles the
+    one root is the level itself.
     """
     k = len(poles)
     if k == 0:
-        return np.array([level]), np.zeros(1)
+        return np.array([level]), np.zeros(1), np.ones(1)
     # every eigenvalue lies within |g| of the diagonal's range
     radius = float(np.sqrt(np.sum(g2)))
     origin = np.empty(k + 1, dtype=np.intp)
@@ -212,6 +398,7 @@ def _secular_roots(level: float, poles: np.ndarray, g2: np.ndarray):
         offset[1:k] = np.where(inside, guess, 0.5 * (lo[1:k] + hi[1:k]))
 
     base = poles[origin] - level
+    norms = np.empty(k + 1)
     pending = np.arange(k + 1)
     for _ in range(_SECULAR_MAX_ITER):
         d, p, b = offset[pending], origin[pending], base[pending]
@@ -231,9 +418,11 @@ def _secular_roots(level: float, poles: np.ndarray, g2: np.ndarray):
         done = (np.abs(value) <= 4 * _EPS * bound) | (np.abs(step - d) <= 2 * _EPS * np.abs(d))
         offset[pending] = np.where(done, d, step)
         lo[pending], hi[pending] = low, high
+        # a finished root keeps d, so its sums are those of its final offset
+        norms[pending[done]] = 1.0 / np.sqrt(1.0 + slopes[done] + g2[p[done]] / d[done] ** 2)
         pending = pending[~done]
         if not len(pending):
-            return poles[origin], offset
+            return poles[origin], offset, norms
     raise EigensolverFailure(
         f"secular equation: {len(pending)} of {k + 1} roots did not converge "
         f"in {_SECULAR_MAX_ITER} iterations")
@@ -259,13 +448,13 @@ def _pole_sum(poles, g2, origin, offset):
     sums = np.empty(len(offset))
     slopes = np.empty(len(offset))
     magnitude = np.empty(len(offset))
-    for rows in _chunks(len(offset), len(poles)):
-        distance = _distances(poles, poles[origin[rows]], offset[rows])
+    for rows, distance, terms in _chunks(len(offset), len(poles), scratch=2):
+        _distances(poles, poles[origin[rows]], offset[rows], distance)
         own = (np.arange(distance.shape[0]), origin[rows])
         distance[own] = 1.0
         inverse = np.reciprocal(distance, out=distance)
         inverse[own] = 0.0
-        terms = g2 * inverse
+        np.multiply(g2, inverse, out=terms)
         sums[rows] = terms.sum(axis=1)
         slopes[rows] = np.einsum("ij,ij->i", terms, inverse)
         magnitude[rows] = np.abs(terms, out=terms).sum(axis=1)
@@ -294,23 +483,23 @@ def _check_window(model: OracleModel, t: float):
         )
 
 
-def _real_matvec(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """q @ v for a real matrix q and a complex vector v.
+def evolve_pure(model: OracleModel, amplitudes, t: float, levels_only: bool = False) -> np.ndarray:
+    """Exact exp(-i H t) applied through the spectral decomposition.
 
-    The real and imaginary parts of v ride as two real columns, so q is read
-    once and never upcast to a complex copy.
+    Returns the full (levels, nodes) vector, or with ``levels_only`` the N
+    level amplitudes alone.  Level amplitudes in and levels out read only the
+    level rows, O(N (N + M)); a full vector either way costs N Cauchy passes.
     """
-    columns = np.ascontiguousarray(v, complex).view(float).reshape(-1, 2)
-    return (q @ columns).view(complex).ravel()
-
-
-def evolve_pure(model: OracleModel, amplitudes, t: float) -> np.ndarray:
-    """Exact exp(-i H t) applied through the spectral decomposition."""
     _check_window(model, t)
-    psi = embed_discrete(model, amplitudes)
-    q = model.eigenvectors
-    coefficients = _real_matvec(q.T, psi)
-    return _real_matvec(q, np.exp(-1j * model.eigenvalues * t) * coefficients)
+    psi = np.asarray(amplitudes, complex)
+    if psi.shape == (model.n_levels,):
+        coefficients = _by_real_columns(partial(np.matmul, model.eigenvectors.T), psi)
+    else:
+        coefficients = model.apply_transpose(embed_discrete(model, psi))
+    evolved = np.exp(-1j * model.eigenvalues * t) * coefficients
+    if levels_only:
+        return _by_real_columns(partial(np.matmul, model.eigenvectors), evolved)
+    return model.apply(evolved)
 
 
 def survival_probability(model: OracleModel, i: int, t: float) -> float:
@@ -323,7 +512,7 @@ def survival_probability(model: OracleModel, i: int, t: float) -> float:
 
 def coherence(model: OracleModel, i: int, j: int, amplitudes, t: float) -> complex:
     """Density-matrix element rho_ij(t) of the evolved pure state."""
-    psi = evolve_pure(model, amplitudes, t)
+    psi = evolve_pure(model, amplitudes, t, levels_only=max(i, j) < model.n_levels)
     return complex(psi[i] * np.conj(psi[j]))
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuum import AtomicMeasure, ContinuumGrid, principal_value
+from .errors import ModelInvalid
 from .model import ModelSpec, coupling_at
 
 
@@ -73,14 +74,25 @@ class LiouvilleSpectrum:
 
 
 def liouville_spectrum(spec: ModelSpec, grid: ContinuumGrid) -> LiouvilleSpectrum:
-    """Compute rates, shifts and the discrete eigenvalue block."""
+    """Compute rates, shifts and the discrete eigenvalue block.
+
+    Raises ``ModelInvalid`` when a coupling large enough to overflow leaves
+    any rate, shift or eigenvalue non-finite.
+    """
     n = spec.n_levels
-    gamma = np.array([decay_rate(spec, i) for i in range(n)])
-    shift = np.array([level_shift(spec, grid, i) for i in range(n)])
-    # both differences are antisymmetric at the ulp level, the sum of rates
-    # symmetric, so the pairing lambda_d[j, i] == -conj(lambda_d[i, j]) is exact
-    re = (spec.levels[:, None] - spec.levels[None, :]) - (shift[:, None] - shift[None, :])
-    im = (gamma[:, None] + gamma[None, :]) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = np.array([decay_rate(spec, i) for i in range(n)])
+        shift = np.array([level_shift(spec, grid, i) for i in range(n)])
+        # both differences are antisymmetric at the ulp level, the sum of rates
+        # symmetric, so the pairing lambda_d[j, i] == -conj(lambda_d[i, j]) is exact
+        re = (spec.levels[:, None] - spec.levels[None, :]) - (shift[:, None] - shift[None, :])
+        im = (gamma[:, None] + gamma[None, :]) / 2.0
+    finite = np.all(np.isfinite(re) & np.isfinite(im), axis=1)
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        raise ModelInvalid(
+            f"the second-order spectrum of level {i} is not finite (gamma {gamma[i]:g}, "
+            f"delta {shift[i]:g}); the coupling is too large")
     return LiouvilleSpectrum(spec=spec, grid=grid, gamma=gamma, shift=shift,
                              lambda_d=re + 1j * im)
 

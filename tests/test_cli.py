@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from pointersim.cli import main
 from pointersim.continuum import GRID_SCHEMES
 from pointersim.model import COUPLING_KINDS
-from .conftest import scipy_modules_loaded_by
+from .conftest import NumpyWithoutMemory, scipy_modules_loaded_by
 
 
 def write_model(tmp_path, levels=(1.0, 2.0), amplitude=0.05, scale=1.0):
@@ -289,6 +290,35 @@ def test_malformed_model_fields_fail_with_one_line(tmp_path, capsys, field, valu
     assert main(["spectrum", "--config", str(write_config(tmp_path))]) == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_spectrum_fails_with_one_line(tmp_path, capsys):
+    # V^2 = 1e308 is finite, but 2 pi V^2 and the shift overflow
+    write_model(tmp_path, amplitude=1e154)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["spectrum", "--config", str(write_config(tmp_path))]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "not finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_level_next_to_the_cutoff_gets_a_spectrum(tmp_path):
+    # 9.99 lies within half a node spacing (0.05) of omega_max = 10
+    write_model(tmp_path, levels=(1.0, 9.99))
+    assert main(["spectrum", "--config", str(write_config(tmp_path))]) == 0
+    _, _, rows = read_artifact(tmp_path / "out" / "spectrum.csv")
+    assert len(rows) == 4 and all(np.isfinite(float(cell)) for row in rows for cell in row[2:])
+
+
+def test_unallocatable_grid_fails_with_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("pointersim.continuum.np", NumpyWithoutMemory())
+    write_model(tmp_path)
+    config = write_config(tmp_path, grid={"m": 100_000_000_000})
+    assert main(["spectrum", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "grid.m = 100000000000" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -20,6 +20,7 @@ from pointersim.errors import (
     SingularityOutsideSupport,
     TooFewNodes,
 )
+from .conftest import NumpyWithoutMemory
 
 
 def test_midpoint_grid_shape_and_weights():
@@ -35,6 +36,13 @@ def test_gauss_legendre_grid_weights_sum():
     assert np.all(grid.weights > 0)
     assert np.all(np.diff(grid.nodes) > 0)
     assert abs(np.sum(grid.weights) - 10.0) <= 1e-12 * 10.0
+
+
+@pytest.mark.parametrize("scheme", ["uniform-midpoint", "gauss-legendre-composite"])
+def test_unallocatable_grid_is_invalid_grid(monkeypatch, scheme):
+    monkeypatch.setattr("pointersim.continuum.np", NumpyWithoutMemory())
+    with pytest.raises(InvalidGrid, match=r"grid\.m = 100000000000 "):
+        build_grid(10.0, 100_000_000_000, scheme)
 
 
 def test_too_few_nodes_rejected():
@@ -133,6 +141,21 @@ def test_pv_singularity_outside_support_rejected():
     for bad in (0.0, -1.0, 10.0, 11.0):
         with pytest.raises(SingularityOutsideSupport):
             principal_value(lambda w: np.ones_like(np.asarray(w, float)), bad, grid)
+
+
+def test_pv_continuity_probe_stays_inside_the_support():
+    # a singularity closer to an end than half a node spacing: every probe
+    # of the continuity check must still land inside [0, omega_max]
+    grid = build_grid(10.0, 200)
+
+    def inside_only(w):
+        w = np.asarray(w, float)
+        if np.any((w < 0.0) | (w > 10.0)):
+            raise AssertionError(f"integrand evaluated outside the support at {w}")
+        return np.cos(w)
+
+    for singularity in (9.99, 0.01):
+        principal_value(inside_only, singularity, grid)
 
 
 def test_pv_discontinuous_integrand_rejected():

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -58,7 +61,7 @@ def test_discretize_decomposes_the_discretized_hamiltonian(levels, amplitudes, w
                      coupling=CouplingProfile.gaussian_window(amplitudes, widths))
     grid = build_grid(10.0, 40)
     model = discretize(spec, grid)
-    q = model.eigenvectors
+    q = model.apply(np.eye(model.size))
     assert np.max(np.abs(q @ np.diag(model.eigenvalues) @ q.T - _hamiltonian(spec, grid))) < 1e-12
 
 
@@ -102,6 +105,9 @@ _CROSS_CHECK_CASES = {
                                                 [[0.0, 0.0], [0.1, 0.0], [0.0, 0.08],
                                                  [-0.1, 0.0], [0.0, 0.05], [0.0, 0.0]])),
                                   800, "uniform-midpoint"),
+    # the chain of Cauchy passes is six steps deep
+    "six-level-constant": (_constant([1.0, 2.0, 3.0, 4.5, 6.0, 7.5], 0.05), 400,
+                           "uniform-midpoint"),
 }
 
 
@@ -136,6 +142,75 @@ def test_discretize_matches_dense_eigh(monkeypatch, case):
     assert model.orthonormality_defect() <= 1e-10
 
 
+def _materialized_defects(model):
+    """max |Q^T Q - I| and max |Q diag(E) Q^T - H| for Q built column by column
+    through the Cauchy passes."""
+    q = model.apply(np.eye(model.size))
+    gram = np.max(np.abs(q.T @ q - np.eye(model.size)))
+    h = _hamiltonian(model.spec, model.grid)
+    decomposition = np.max(np.abs(q @ np.diag(model.eigenvalues) @ q.T - h))
+    return gram, decomposition
+
+
+def _cross_check_model(case):
+    spec, m, scheme = _CROSS_CHECK_CASES[case]
+    return discretize(spec, build_grid(spec.omega_max, m, scheme, avoid=spec.levels))
+
+
+@pytest.mark.parametrize("case", list(_CROSS_CHECK_CASES))
+def test_materialized_eigenvectors_are_orthonormal_and_decompose_h(case):
+    model = _cross_check_model(case)
+    assert model.eigenvectors.shape == (model.n_levels, model.size)
+    gram, decomposition = _materialized_defects(model)
+    assert gram <= 1e-10
+    assert decomposition <= 1e-12
+    # the gate bounds the materialized Gram defect, up to the rounding of Q^T Q
+    assert gram <= model.orthonormality_defect() + 8 * np.finfo(float).eps
+
+
+def _mutated_last_step(model, mutation):
+    """The model with one entry of its last fold step's data broken."""
+    step = model.steps[-1]
+    # the root where the folded level weighs most, and its own gap between poles
+    n = int(np.argmax(step.norms))
+    assert 0 < n < len(step.poles)
+    if mutation == "nan-norm":
+        changed = {"norms": step.norms.copy()}
+        changed["norms"][n] = np.nan
+    elif mutation == "moved-root":
+        changed = {"offset": step.offset.copy()}
+        changed["offset"][n] += 1e-6 * (step.poles[n] - step.poles[n - 1])
+    else:
+        # the roots depend on g^2 only: they stay those of the unflipped coupling
+        changed = {"coupling": step.coupling.copy()}
+        changed["coupling"][n] = -changed["coupling"][n]
+    return replace(model, steps=model.steps[:-1] + (replace(step, **changed),))
+
+
+@pytest.mark.parametrize("mutation", ["nan-norm", "moved-root", "flipped-coupling"])
+@pytest.mark.parametrize("case", ["constant-uniform", "two-level-constant"])
+def test_broken_fold_data_fails_the_gate_and_the_materialized_check(case, mutation):
+    model = _cross_check_model(case)
+    mutant = _mutated_last_step(model, mutation)
+    # written so that NaN fails each check
+    assert not mutant.orthonormality_defect() <= 1e-10
+    gram, decomposition = _materialized_defects(mutant)
+    assert not (gram <= 1e-10 and decomposition <= 1e-12)
+
+
+def test_discretize_keeps_level_rows_only(unit_model):
+    grid = build_grid(10.0, 3000)
+    tracemalloc.start()
+    try:
+        model = discretize(unit_model, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.eigenvectors.shape == (1, 3001)
+    # the (N + M)^2 eigenvector matrix alone would take 72 MB
+    assert peak < 16 * 2 ** 20
+
+
 def test_discretize_loads_no_scipy():
     # the two-level solve runs every fold step; none of them may reach scipy
     code = ("from pointersim import CouplingProfile, ModelSpec, build_grid, discretize\n"
@@ -154,17 +229,19 @@ def test_secular_iteration_cap_is_an_eigensolver_failure(monkeypatch, unit_model
 def _poison_last_fold_step(monkeypatch, spec):
     # the poison lands in the last fold step: the only one for one level, the
     # level-1 step for two
-    arrowhead_eigh = pointersim.oracle._arrowhead_eigh
+    fold = pointersim.oracle._fold
     calls = []
 
     def poisoned(*args, **kwargs):
-        eigenvalues, eigenvectors = arrowhead_eigh(*args, **kwargs)
+        step, eigenvalues = fold(*args, **kwargs)
         calls.append(args)
         if len(calls) == spec.n_levels:
-            eigenvectors[3, 5] = np.nan
-        return eigenvalues, eigenvectors
+            norms = step.norms.copy()
+            norms[3] = np.nan
+            step = replace(step, norms=norms)
+        return step, eigenvalues
 
-    monkeypatch.setattr(pointersim.oracle, "_arrowhead_eigh", poisoned)
+    monkeypatch.setattr(pointersim.oracle, "_fold", poisoned)
     with pytest.raises(EigensolverFailure, match="orthonormality"):
         discretize(spec, build_grid(10.0, 64))
     assert len(calls) == spec.n_levels
@@ -213,11 +290,24 @@ def test_evolve_pure_matches_complex_spectral_product(oracle_unit, oracle_two):
     psi /= np.linalg.norm(psi)
     cases = [(oracle_unit, psi), (oracle_two, np.array([0.6, 0.8j]))]
     for model, amplitudes in cases:
-        q, energies = model.eigenvectors, model.eigenvalues
+        q, energies = model.apply(np.eye(model.size)), model.eigenvalues
         full = embed_discrete(model, amplitudes)
         for t in (0.0, 0.7, 25.0, 140.0):
             reference = q @ (np.exp(-1j * energies * t) * (q.T @ full))
             assert np.max(np.abs(evolve_pure(model, amplitudes, t) - reference)) < 1e-13
+
+
+def test_levels_only_evolution_matches_the_full_vector(oracle_unit, oracle_two):
+    rng = np.random.default_rng(13)
+    psi = rng.normal(size=oracle_two.size) + 1j * rng.normal(size=oracle_two.size)
+    psi /= np.linalg.norm(psi)
+    cases = [(oracle_unit, np.array([1.0])), (oracle_two, np.array([0.6, 0.8j])), (oracle_two, psi)]
+    for model, amplitudes in cases:
+        for t in (0.0, 0.7, 25.0, 140.0):
+            full = evolve_pure(model, amplitudes, t)
+            levels = evolve_pure(model, amplitudes, t, levels_only=True)
+            assert levels.shape == (model.n_levels,)
+            assert np.max(np.abs(levels - full[: model.n_levels])) <= 1e-14
 
 
 def test_zero_coupling_evolution_is_a_pure_phase(decoupled):
