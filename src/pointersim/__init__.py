@@ -47,7 +47,6 @@ from .oracle import (
     OracleModel,
     coherence,
     discretize,
-    embed_discrete,
     energy_distribution,
     evolve_pure,
     fit_exponential_rate,
@@ -60,7 +59,6 @@ from .spectrum import (
     EigenvectorCorrections,
     LiouvilleSpectrum,
     decay_rate,
-    eigenvector_corrections,
     level_shift,
     liouville_spectrum,
 )
@@ -90,8 +88,6 @@ __all__ = [
     "diagonal_evolution",
     "discrete_state",
     "discretize",
-    "eigenvector_corrections",
-    "embed_discrete",
     "energy_distribution",
     "equilibrium",
     "errors",

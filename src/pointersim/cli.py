@@ -26,8 +26,6 @@ from .model import ModelSpec, load_model
 from .oracle import coherence, discretize, survival_probability
 from .spectrum import liouville_spectrum
 
-COMMANDS = ("spectrum", "evolve", "compare", "measure")
-
 # discrepancies below the comparator's own floating-point resolution are
 # reported as exact zeros in the rel_error column
 _FLOAT_NOISE = 64 * np.finfo(float).eps
@@ -41,9 +39,11 @@ class TimeGrid:
     spacing: str = "log"
 
     def values(self) -> np.ndarray:
-        if self.spacing == "linear":
-            return np.linspace(self.t_start, self.t_end, self.samples)
-        return np.geomspace(self.t_start, self.t_end, self.samples)
+        space = np.linspace if self.spacing == "linear" else np.geomspace
+        try:
+            return space(self.t_start, self.t_end, self.samples)
+        except MemoryError as exc:
+            raise ConfigParse(f"times.samples = {self.samples} times do not fit in memory") from exc
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ class RunConfig:
     times: TimeGrid | None
     output_dir: Path
     seed: int
-    params: dict
     effective: dict
 
 
@@ -131,7 +130,6 @@ def load_config(path, grid_m=None, out=None, seed=None) -> RunConfig:
     model = load_model(path.parent / paths["model"])
 
     times = _parse_times(data["times"]) if "times" in data else None
-    reserved = {"model", "grid", "times", "output_dir", "seed"}
     return RunConfig(
         model=model,
         grid_m=grid_m,
@@ -139,7 +137,6 @@ def load_config(path, grid_m=None, out=None, seed=None) -> RunConfig:
         times=times,
         output_dir=Path(paths["output_dir"]),
         seed=_json_int(data.get("seed", 0), "seed"),
-        params={k: v for k, v in data.items() if k not in reserved},
         effective=data,
     )
 
@@ -203,7 +200,7 @@ def _level_values(raw, field: str, n_levels: int, pairs: bool = False) -> np.nda
 
 
 def _initial_rho_d(cfg: RunConfig) -> np.ndarray:
-    initial = cfg.params.get("initial")
+    initial = cfg.effective.get("initial")
     if initial is None:
         raise ConfigParse("evolve needs an 'initial' block with 'amplitudes' or 'diagonal'")
     if not isinstance(initial, dict):
@@ -308,10 +305,10 @@ def run_compare(cfg: RunConfig):
 
 
 def run_measure(cfg: RunConfig):
-    if "amplitudes" not in cfg.params:
+    if "amplitudes" not in cfg.effective:
         raise ConfigParse("measure needs an 'amplitudes' list of [re, im] pairs")
     setup = MeasurementSetup(amplitudes=_level_values(
-        cfg.params["amplitudes"], "amplitudes", cfg.model.n_levels, pairs=True))
+        cfg.effective["amplitudes"], "amplitudes", cfg.model.n_levels, pairs=True))
     grid = _model_grid(cfg)
     spec = liouville_spectrum(cfg.model, grid)
     pointer = readout(setup, spec)
@@ -350,7 +347,7 @@ def main(argv=None) -> int:
                     "levels coupled to a continuum.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _RUNNERS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="JSON run configuration")
         cmd.add_argument("--out", default=None, help="output directory override")

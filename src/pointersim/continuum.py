@@ -54,7 +54,6 @@ class ContinuumGrid:
 
     nodes: np.ndarray
     weights: np.ndarray
-    scheme: str
     omega_max: float
 
     @property
@@ -106,10 +105,6 @@ class AtomicMeasure:
         hit = np.abs(self.locations - np.asarray(locations, float)[:, None]) <= ATOM_TOL
         return np.where(hit, self.weights, 0.0).sum(axis=1)
 
-    def weight_at(self, location: float) -> float:
-        """Weight of the atom at ``location`` (0.0 when absent)."""
-        return float(self.weights_at([location])[0])
-
     def merging(self, locations, weights) -> "AtomicMeasure":
         """New measure, in ascending location order, with each of ``weights``
         merged onto the atom at its location, or added as a new atom where
@@ -124,10 +119,6 @@ class AtomicMeasure:
         locations = np.concatenate([self.locations, locations[fresh]])
         order = np.argsort(locations)
         return AtomicMeasure(locations[order], np.concatenate([merged, weights[fresh]])[order])
-
-    def adding(self, location: float, weight: float) -> "AtomicMeasure":
-        """New measure with ``weight`` merged onto the atom at ``location``."""
-        return self.merging([location], [weight])
 
 
 def build_grid(omega_max: float, m: int, scheme: str = "uniform-midpoint",
@@ -184,7 +175,7 @@ def build_grid(omega_max: float, m: int, scheme: str = "uniform-midpoint",
 
     if np.any(np.diff(nodes) <= 0):
         raise InvalidGrid("grid nodes are not strictly increasing after collision shifts")
-    return ContinuumGrid(nodes=nodes, weights=weights, scheme=scheme, omega_max=float(omega_max))
+    return ContinuumGrid(nodes=nodes, weights=weights, omega_max=float(omega_max))
 
 
 def _values_on_grid(f, grid: ContinuumGrid) -> np.ndarray:

@@ -61,7 +61,7 @@ class TraceViolation(SimulationError):
 
 
 class NegativeTime(SimulationError):
-    """Evolution times must be >= 0."""
+    """Evolution times must be finite and >= 0."""
 
 
 # -- oracle -----------------------------------------------------------------

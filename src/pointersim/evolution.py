@@ -71,9 +71,9 @@ class GeneralizedState:
                 object.__setattr__(self, name, read_only(value, dtype))
         if self.rho_omega_regular.shape != self.grid.nodes.shape:
             raise InvalidState("rho_omega_regular must match the grid size")
-        n = self.rho_d.shape[0]
-        if self.rho_d.shape != (n, n):
+        if self.rho_d.ndim != 2 or self.rho_d.shape[0] != self.rho_d.shape[1]:
             raise InvalidState("rho_d must be square")
+        n = self.rho_d.shape[0]
         if (self.rho_iomega is None) != (self.rho_omegai is None):
             raise InvalidState("mixed sectors must be present or absent together")
         if self.rho_iomega is not None and not (
@@ -136,8 +136,8 @@ def zero_state(grid: ContinuumGrid, n_levels: int) -> GeneralizedState:
 
 def discrete_state(grid: ContinuumGrid, rho_d) -> GeneralizedState:
     """State with only the discrete block occupied (a private copy of rho_d)."""
-    rho_d = np.array(rho_d, complex)
-    return replace(zero_state(grid, rho_d.shape[0]), rho_d=rho_d)
+    # the state checks the shape of rho_d; indexing it first would fail on a scalar
+    return replace(zero_state(grid, 0), rho_d=np.array(rho_d, complex))
 
 
 def continuous_state(grid: ContinuumGrid, density, n_levels: int = 1) -> GeneralizedState:
@@ -151,6 +151,11 @@ def _check_input(state: GeneralizedState, spectrum: LiouvilleSpectrum, basis: st
         raise InvalidState(message)
     if state.n_levels != spectrum.n_levels:
         raise InvalidState(f"state has {state.n_levels} levels, spectrum has {spectrum.n_levels}")
+
+
+def _check_time(t: float):
+    if not (np.isfinite(t) and t >= 0):
+        raise NegativeTime(f"evolution time must be finite and >= 0, got {t}")
 
 
 def _shift_level_atoms(state: GeneralizedState, spectrum: LiouvilleSpectrum,
@@ -189,8 +194,7 @@ def evolve(state: GeneralizedState, spectrum: LiouvilleSpectrum, t: float) -> Ge
     input, so the trace is conserved identically for all t.  Absent sectors
     stay absent.
     """
-    if t < 0:
-        raise NegativeTime(f"evolution time must be >= 0, got {t}")
+    _check_time(t)
     _check_input(state, spectrum, BASIS_EIGEN,
                  "evolve expects eigen-basis coefficients; call decompose_initial first")
     nodes = state.grid.nodes
@@ -219,8 +223,7 @@ def diagonal_evolution(state: GeneralizedState, spectrum: LiouvilleSpectrum, t: 
     p_i * exp(-gamma_i t) and p_i * (1 - exp(-gamma_i t)), whose sum is the
     initial occupation p_i exactly.
     """
-    if t < 0:
-        raise NegativeTime(f"evolution time must be >= 0, got {t}")
+    _check_time(t)
     _check_input(state, spectrum, BASIS_FREE, "diagonal_evolution expects the free-basis initial state")
     off_diag = state.rho_d - np.diag(np.diag(state.rho_d))
     mixed = () if state.rho_iomega is None else (state.rho_iomega, state.rho_omegai)

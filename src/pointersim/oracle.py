@@ -34,7 +34,8 @@ from functools import partial
 import numpy as np
 
 from .continuum import ContinuumGrid
-from .errors import EigensolverFailure, FitFailure, InvalidState, RecurrenceWindowExceeded
+from .errors import (EigensolverFailure, FitFailure, InvalidState, NegativeTime,
+                     RecurrenceWindowExceeded)
 from .model import ModelSpec, coupling_at
 
 _ORTHO_TOL = 1e-10
@@ -461,19 +462,9 @@ def _pole_sum(poles, g2, origin, offset):
     return sums, slopes, magnitude
 
 
-def embed_discrete(model: OracleModel, amplitudes) -> np.ndarray:
-    """Pad level amplitudes with an empty continuum into a full vector."""
-    amplitudes = np.asarray(amplitudes, complex)
-    if amplitudes.shape == (model.size,):
-        return amplitudes
-    if amplitudes.shape != (model.n_levels,):
-        raise InvalidState(f"expected {model.n_levels} level amplitudes or a full vector")
-    psi = np.zeros(model.size, complex)
-    psi[: model.n_levels] = amplitudes
-    return psi
-
-
 def _check_window(model: OracleModel, t: float):
+    if not (np.isfinite(t) and t >= 0):
+        raise NegativeTime(f"evolution time must be finite and >= 0, got {t}")
     if t >= model.grid.valid_t_max:
         warnings.warn(
             f"t = {t:g} is beyond half the recurrence time {model.recurrence_time:g}; "
@@ -494,8 +485,10 @@ def evolve_pure(model: OracleModel, amplitudes, t: float, levels_only: bool = Fa
     psi = np.asarray(amplitudes, complex)
     if psi.shape == (model.n_levels,):
         coefficients = _by_real_columns(partial(np.matmul, model.eigenvectors.T), psi)
+    elif psi.shape == (model.size,):
+        coefficients = model.apply_transpose(psi)
     else:
-        coefficients = model.apply_transpose(embed_discrete(model, psi))
+        raise InvalidState(f"expected {model.n_levels} level amplitudes or a full vector")
     evolved = np.exp(-1j * model.eigenvalues * t) * coefficients
     if levels_only:
         return _by_real_columns(partial(np.matmul, model.eigenvectors), evolved)

@@ -106,7 +106,10 @@ class EigenvectorCorrections:
 
     - dressed diagonal vector of level i: unit (i, i) slot plus
       ``dressed_diagonal_mixing(i, w)`` on both level-continuum cross slots;
-    - dressed off-diagonal (i, j) vector: row/col mixings below;
+    - dressed off-diagonal (i, j) vector: unit (i, j) slot plus
+      ``dressed_diagonal_mixing(i, w)`` on the (w, j) slot and
+      ``dressed_diagonal_mixing(j, w)`` on the (i, w) slot: each cross slot
+      carries the mixing of the level whose index w replaces;
     - dual of the dressed diagonal vector: ``dual_diagonal(i)``;
     - the four continuum families carry ``+mixing_ratio(u, i)`` onto the
       (i, i) slot, ``-mixing_ratio(u, i)`` onto the continuum diagonal, and
@@ -116,7 +119,6 @@ class EigenvectorCorrections:
     """
 
     spec: ModelSpec
-    grid: ContinuumGrid
 
     def mixing_ratio(self, u, i: int):
         """V(u, i) / (u - Omega_i): the universal first-order mixing weight."""
@@ -127,14 +129,6 @@ class EigenvectorCorrections:
         diagonal vector of level i: V(w, i) / (Omega_i - w)."""
         return -self.mixing_ratio(omega, i)
 
-    def dressed_offdiag_row_mixing(self, i: int, j: int, omega):
-        """Coefficient of the (w, j) slot in the dressed (i, j) vector."""
-        return -self.mixing_ratio(omega, i)
-
-    def dressed_offdiag_col_mixing(self, i: int, j: int, omega):
-        """Coefficient of the (i, w) slot in the dressed (i, j) vector."""
-        return -self.mixing_ratio(omega, j)
-
     def dual_diagonal(self, i: int):
         """Dual functional of the dressed diagonal vector of level i.
 
@@ -143,8 +137,3 @@ class EigenvectorCorrections:
         kept as a point evaluation, never smeared onto the grid.
         """
         return 1.0, AtomicMeasure(locations=[self.spec.levels[i]], weights=[-1.0])
-
-
-def eigenvector_corrections(spec: ModelSpec, grid: ContinuumGrid) -> EigenvectorCorrections:
-    """First-order eigenvector corrections for a validated model."""
-    return EigenvectorCorrections(spec=spec, grid=grid)

@@ -42,8 +42,8 @@ def normalized_density(grid, mass=1.0):
 
 
 class NumpyWithoutMemory:
-    """numpy whose constructors of grid nodes fail as a huge allocation does,
-    so no test has to attempt one."""
+    """numpy whose constructors of grid nodes and time grids fail as a huge
+    allocation does, so no test has to attempt one."""
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -52,7 +52,7 @@ class NumpyWithoutMemory:
     def arange(*args, **kwargs):
         raise MemoryError("Unable to allocate 745. GiB")
 
-    linspace = arange
+    linspace = geomspace = arange
 
 
 def scipy_modules_loaded_by(code):

@@ -322,6 +322,19 @@ def test_unallocatable_grid_fails_with_one_line(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,spacing", [("evolve", "log"), ("compare", "linear")])
+def test_unallocatable_time_grid_fails_with_one_line(tmp_path, capsys, monkeypatch,
+                                                     command, spacing):
+    monkeypatch.setattr("pointersim.cli.np", NumpyWithoutMemory())
+    write_model(tmp_path)
+    config = write_config(tmp_path, initial={"diagonal": [0.3, 0.7]}, times={
+        "t_start": 1.0, "t_end": 10.0, "samples": 100_000_000_000, "spacing": spacing})
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "times.samples = 100000000000" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("extra", [
     {"model": 5},
     {"output_dir": 5},

@@ -223,11 +223,12 @@ def test_resolvent_boundary_asymmetric_point():
 
 def test_atomic_measure_bookkeeping():
     atoms = AtomicMeasure.empty()
-    atoms = atoms.adding(1.0, 0.3).adding(2.0, 0.5).adding(1.0, 0.2)
+    atoms = atoms.merging([1.0], [0.3]).merging([2.0], [0.5]).merging([1.0], [0.2])
     assert atoms.total() == pytest.approx(1.0)
-    assert atoms.weight_at(1.0) == pytest.approx(0.5)
-    assert atoms.weight_at(2.0) == pytest.approx(0.5)
-    assert atoms.weight_at(3.0) == 0.0
+    at_one, at_two, at_three = atoms.weights_at([1.0, 2.0, 3.0])
+    assert at_one == pytest.approx(0.5)
+    assert at_two == pytest.approx(0.5)
+    assert at_three == 0.0
     assert np.all(np.diff(atoms.locations) > 0)
 
 

@@ -11,7 +11,6 @@ from pointersim import (
     build_grid,
     coherence,
     discretize,
-    embed_discrete,
     energy_distribution,
     evolve_pure,
     fit_exponential_rate,
@@ -21,7 +20,8 @@ from pointersim import (
     resonance_center,
     survival_probability,
 )
-from pointersim.errors import EigensolverFailure, FitFailure, InvalidState, RecurrenceWindowExceeded
+from pointersim.errors import (EigensolverFailure, FitFailure, InvalidState, NegativeTime,
+                               RecurrenceWindowExceeded)
 from pointersim.model import coupling_at
 from .conftest import make_constant_model, scipy_modules_loaded_by
 
@@ -291,7 +291,7 @@ def test_evolve_pure_matches_complex_spectral_product(oracle_unit, oracle_two):
     cases = [(oracle_unit, psi), (oracle_two, np.array([0.6, 0.8j]))]
     for model, amplitudes in cases:
         q, energies = model.apply(np.eye(model.size)), model.eigenvalues
-        full = embed_discrete(model, amplitudes)
+        full = np.concatenate([amplitudes, np.zeros(model.size - len(amplitudes))])
         for t in (0.0, 0.7, 25.0, 140.0):
             reference = q @ (np.exp(-1j * energies * t) * (q.T @ full))
             assert np.max(np.abs(evolve_pure(model, amplitudes, t) - reference)) < 1e-13
@@ -443,12 +443,19 @@ def test_resonance_center_of_decoupled_level_is_its_bare_energy(decoupled):
     assert resonance_center(decoupled, 1) == 2.0
 
 
-def test_embed_discrete_shapes(oracle_two):
-    full = embed_discrete(oracle_two, [0.6, 0.8j])
-    assert full.shape == (oracle_two.size,)
-    assert np.all(full[2:] == 0.0)
+def test_evolve_pure_refuses_a_wrong_length_vector(oracle_two):
     with pytest.raises(InvalidState, match="expected 2 level amplitudes or a full vector"):
-        embed_discrete(oracle_two, [1.0, 0.0, 0.0])
+        evolve_pure(oracle_two, [1.0, 0.0, 0.0], 1.0)
+
+
+@pytest.mark.parametrize("t", [-0.1, np.nan, np.inf])
+def test_probes_refuse_a_time_that_is_negative_or_not_finite(oracle_two, t):
+    amplitudes = [0.6, 0.8]
+    for probe in (lambda: evolve_pure(oracle_two, amplitudes, t),
+                  lambda: survival_probability(oracle_two, 0, t),
+                  lambda: coherence(oracle_two, 0, 1, amplitudes, t)):
+        with pytest.raises(NegativeTime, match="finite and >= 0"):
+            probe()
 
 
 def test_fit_exponential_rate_recovers_exact_exponential():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from pointersim import (
+    EigenvectorCorrections,
     build_grid,
     decay_rate,
-    eigenvector_corrections,
     level_shift,
     liouville_spectrum,
 )
@@ -123,41 +123,35 @@ def test_spectrum_container_matches_free_functions(grid):
 
 def test_corrections_vanish_at_zero_coupling(grid):
     spec = make_constant_model([1.0], 0.1, scale=0.0)
-    corr = eigenvector_corrections(spec, grid)
+    corr = EigenvectorCorrections(spec)
     assert np.all(corr.mixing_ratio(grid.nodes, 0) == 0.0)
     assert np.all(corr.dressed_diagonal_mixing(0, grid.nodes) == 0.0)
 
 
 def test_dressed_diagonal_mixing_formula(grid):
-    spec = make_constant_model([1.0], 0.1)
-    corr = eigenvector_corrections(spec, grid)
-    omega = grid.nodes[137]
-    assert corr.dressed_diagonal_mixing(0, omega) == pytest.approx(0.1 / (1.0 - omega))
+    # the last two inputs are the cross slots of the dressed (0, 1) vector:
+    # each carries the mixing of its own level
+    cases = [(([1.0], 0.1), 0, grid.nodes[137], 0.1, 1.0),
+             (([1.0, 2.0], [0.1, 0.2]), 0, 4.0, 0.1, 1.0),
+             (([1.0, 2.0], [0.1, 0.2]), 1, 4.0, 0.2, 2.0)]
+    for model, i, omega, amplitude, level in cases:
+        corr = EigenvectorCorrections(make_constant_model(*model))
+        assert corr.dressed_diagonal_mixing(i, omega) == pytest.approx(amplitude / (level - omega))
 
 
 def test_mixing_is_odd_under_slot_exchange(grid):
     # the same ratio appears with the denominator (u - level) in the continuum
     # families and (level - u) in the dressed diagonal vector
     spec = make_constant_model([1.0, 2.0], [0.1, 0.2])
-    corr = eigenvector_corrections(spec, grid)
+    corr = EigenvectorCorrections(spec)
     for i in range(2):
         u = grid.nodes[::211]
         assert np.all(corr.dressed_diagonal_mixing(i, u) == -corr.mixing_ratio(u, i))
 
 
-def test_offdiagonal_mixings_use_their_own_level(grid):
-    spec = make_constant_model([1.0, 2.0], [0.1, 0.2])
-    corr = eigenvector_corrections(spec, grid)
-    omega = 4.0
-    assert corr.dressed_offdiag_row_mixing(0, 1, omega) == pytest.approx(0.1 / (1.0 - omega))
-    assert corr.dressed_offdiag_col_mixing(0, 1, omega) == pytest.approx(0.2 / (2.0 - omega))
-    # at i == j both collapse onto the diagonal rule
-    assert corr.dressed_offdiag_row_mixing(0, 0, omega) == corr.dressed_diagonal_mixing(0, omega)
-
-
-def test_dual_diagonal_keeps_exact_atom(grid):
+def test_dual_diagonal_keeps_exact_atom():
     spec = make_constant_model([1.0, 2.0], 0.1)
-    corr = eigenvector_corrections(spec, grid)
+    corr = EigenvectorCorrections(spec)
     coeff, atoms = corr.dual_diagonal(1)
     assert coeff == 1.0
     assert atoms.locations.tolist() == [2.0]
@@ -168,18 +162,18 @@ def test_biorthogonality_first_order_cancellation(grid):
     # dual of the continuum-discrete family paired against the dressed
     # diagonal vector: the two first-order contributions cancel identically
     spec = make_constant_model([1.0, 2.0], [0.1, 0.2])
-    corr = eigenvector_corrections(spec, grid)
+    corr = EigenvectorCorrections(spec)
     for i in range(2):
         u = grid.nodes[::97]
         residual = corr.mixing_ratio(u, i) + corr.dressed_diagonal_mixing(i, u)
         assert np.max(np.abs(residual)) == 0.0
 
 
-def test_biorthogonality_dual_diagonal_against_other_levels(grid):
+def test_biorthogonality_dual_diagonal_against_other_levels():
     # the dual of the dressed (i, i) vector sees another level's dressed
     # vector only through its continuum-diagonal density, which is zero
     spec = make_constant_model([1.0, 2.0], 0.1)
-    corr = eigenvector_corrections(spec, grid)
+    corr = EigenvectorCorrections(spec)
     coeff, atoms = corr.dual_diagonal(0)
     continuum_diagonal_density_of_dressed_vector = 0.0
     pairing_same = coeff * 1.0 + atoms.weights[0] * continuum_diagonal_density_of_dressed_vector
@@ -188,12 +182,12 @@ def test_biorthogonality_dual_diagonal_against_other_levels(grid):
     assert pairing_other == 0.0
 
 
-def test_biorthogonality_residual_is_second_order(grid):
+def test_biorthogonality_residual_is_second_order():
     # pairing of the off-diagonal continuum family's dual with the dressed
     # diagonal vector leaves a product of two first-order mixings
     def residual(amplitude):
         spec = make_constant_model([1.0], amplitude)
-        corr = eigenvector_corrections(spec, grid)
+        corr = EigenvectorCorrections(spec)
         u, uprime = 4.0, 7.0
         return (corr.mixing_ratio(u, 0) * corr.dressed_diagonal_mixing(0, uprime)
                 + corr.mixing_ratio(uprime, 0) * corr.dressed_diagonal_mixing(0, u))
