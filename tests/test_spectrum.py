@@ -129,14 +129,10 @@ def test_corrections_vanish_at_zero_coupling(grid):
 
 
 def test_dressed_diagonal_mixing_formula(grid):
-    # the last two inputs are the cross slots of the dressed (0, 1) vector:
-    # each carries the mixing of its own level
-    cases = [(([1.0], 0.1), 0, grid.nodes[137], 0.1, 1.0),
-             (([1.0, 2.0], [0.1, 0.2]), 0, 4.0, 0.1, 1.0),
-             (([1.0, 2.0], [0.1, 0.2]), 1, 4.0, 0.2, 2.0)]
-    for model, i, omega, amplitude, level in cases:
-        corr = EigenvectorCorrections(make_constant_model(*model))
-        assert corr.dressed_diagonal_mixing(i, omega) == pytest.approx(amplitude / (level - omega))
+    spec = make_constant_model([1.0], 0.1)
+    corr = EigenvectorCorrections(spec)
+    omega = grid.nodes[137]
+    assert corr.dressed_diagonal_mixing(0, omega) == pytest.approx(0.1 / (1.0 - omega))
 
 
 def test_mixing_is_odd_under_slot_exchange(grid):
@@ -147,6 +143,16 @@ def test_mixing_is_odd_under_slot_exchange(grid):
     for i in range(2):
         u = grid.nodes[::211]
         assert np.all(corr.dressed_diagonal_mixing(i, u) == -corr.mixing_ratio(u, i))
+
+
+def test_offdiagonal_mixings_use_their_own_level(grid):
+    # the dressed (0, 1) vector carries the mixing of level 0 on its (w, 1)
+    # slot and that of level 1 on its (0, w) slot
+    spec = make_constant_model([1.0, 2.0], [0.1, 0.2])
+    corr = EigenvectorCorrections(spec)
+    omega = 4.0
+    assert corr.dressed_diagonal_mixing(0, omega) == pytest.approx(0.1 / (1.0 - omega))
+    assert corr.dressed_diagonal_mixing(1, omega) == pytest.approx(0.2 / (2.0 - omega))
 
 
 def test_dual_diagonal_keeps_exact_atom():
