@@ -199,7 +199,7 @@ def _level_values(raw, field: str, n_levels: int, pairs: bool = False) -> np.nda
     return arr[:, 0] + 1j * arr[:, 1] if pairs else arr
 
 
-def _initial_rho_d(cfg: RunConfig) -> np.ndarray:
+def _initial_state(cfg: RunConfig, grid):
     initial = cfg.effective.get("initial")
     if initial is None:
         raise ConfigParse("evolve needs an 'initial' block with 'amplitudes' or 'diagonal'")
@@ -208,12 +208,12 @@ def _initial_rho_d(cfg: RunConfig) -> np.ndarray:
     n = cfg.model.n_levels
     if "amplitudes" in initial:
         a = _level_values(initial["amplitudes"], "initial.amplitudes", n, pairs=True)
-        return np.outer(np.conj(a), a)
+        return premeasure(MeasurementSetup(a), grid)
     if "diagonal" in initial:
         diagonal = _level_values(initial["diagonal"], "initial.diagonal", n)
         if np.any(diagonal < 0):
             raise ConfigParse("'initial.diagonal' occupations must be >= 0")
-        return np.diag(diagonal).astype(complex)
+        return discrete_state(grid, np.diag(diagonal))
     raise ConfigParse("'initial' block must contain 'amplitudes' or 'diagonal'")
 
 
@@ -255,7 +255,7 @@ def run_evolve(cfg: RunConfig):
         raise ConfigParse("evolve needs a 'times' block")
     grid = _model_grid(cfg)
     spec = liouville_spectrum(cfg.model, grid)
-    state0 = decompose_initial(discrete_state(grid, _initial_rho_d(cfg)), spec)
+    state0 = decompose_initial(_initial_state(cfg, grid), spec)
 
     n = spec.n_levels
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -313,16 +313,15 @@ def run_measure(cfg: RunConfig):
     spec = liouville_spectrum(cfg.model, grid)
     pointer = readout(setup, spec)
     rows = [(i, omega, probability) for i, (omega, probability) in enumerate(pointer)]
-    artifacts = [_write_csv(cfg.output_dir / "measure.csv", "measure", cfg, grid,
-                            ["i", "omega", "probability"], rows)]
-
+    tables = [("measure.csv", ["i", "omega", "probability"], rows)]
     if cfg.times is not None:
         state0 = decompose_initial(premeasure(setup, grid), spec)
         columns = ["t"] + [f"atom_{i}" for i in range(spec.n_levels)]
         time_rows = [[t] + _level_atoms(state, spec) for t, state in _evolved(cfg, spec, state0)]
-        artifacts.append(_write_csv(cfg.output_dir / "measure_timeseries.csv", "measure",
-                                    cfg, grid, columns, time_rows))
-    return artifacts
+        tables.append(("measure_timeseries.csv", columns, time_rows))
+    # every row exists before the first artifact is written, so a failure leaves none
+    return [_write_csv(cfg.output_dir / name, "measure", cfg, grid, header, body)
+            for name, header, body in tables]
 
 
 _RUNNERS = {

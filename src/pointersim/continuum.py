@@ -178,19 +178,6 @@ def build_grid(omega_max: float, m: int, scheme: str = "uniform-midpoint",
     return ContinuumGrid(nodes=nodes, weights=weights, omega_max=float(omega_max))
 
 
-def _values_on_grid(f, grid: ContinuumGrid) -> np.ndarray:
-    values = f(grid.nodes) if callable(f) else np.asarray(f, float)
-    values = np.broadcast_to(np.asarray(values, float), grid.nodes.shape)
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteValue("integrand is not finite on every grid node")
-    return values
-
-
-def integrate(f, grid: ContinuumGrid) -> float:
-    """Quadrature sum of ``f`` (callable or per-node array) over the grid."""
-    return float(np.dot(grid.weights, _values_on_grid(f, grid)))
-
-
 def _check_continuity(f, singularity: float, grid: ContinuumGrid, f_at: float):
     """Probe the subtracted integrand approaching the singularity.
 
@@ -245,7 +232,9 @@ def principal_value(f, singularity: float, grid: ContinuumGrid) -> float:
         raise NonFiniteValue("integrand is not finite at the singularity")
     _check_continuity(f, singularity, grid, f_at)
 
-    values = _values_on_grid(f, grid)
+    values = np.broadcast_to(np.asarray(f(grid.nodes), float), grid.nodes.shape)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteValue("integrand is not finite on every grid node")
     subtracted = (values - f_at) / (grid.nodes - singularity)
     log_term = f_at * np.log((grid.omega_max - singularity) / singularity)
     return float(np.dot(grid.weights, subtracted) + log_term)

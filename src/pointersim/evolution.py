@@ -92,10 +92,11 @@ class GeneralizedState:
         In the eigen basis the discrete coefficients pair with traceless
         duals, so only the continuum diagonal contributes.
         """
-        cont = float(np.dot(self.grid.weights, self.rho_omega_regular)) + self.rho_omega_atoms.total()
-        if self.basis == BASIS_EIGEN:
-            return cont
-        return cont + float(np.sum(np.real(np.diag(self.rho_d))))
+        with np.errstate(over="ignore"):  # an overflowing trace is inf: TraceViolation
+            cont = float(np.dot(self.grid.weights, self.rho_omega_regular)) + self.rho_omega_atoms.total()
+            if self.basis == BASIS_EIGEN:
+                return cont
+            return cont + float(np.sum(np.real(np.diag(self.rho_d))))
 
     def hermiticity_defect(self) -> float:
         """Largest deviation from Hermitian pairing across stored sectors."""

@@ -1,4 +1,4 @@
-"""Premeasurement, pointer-basis readout, CSCO blocks and classical profiles.
+"""Premeasurement, pointer-basis readout and CSCO blocks.
 
 The readout layer adds no dynamics of its own: correlating the measured
 system with the apparatus produces a rank-one discrete state, and the
@@ -15,7 +15,7 @@ import numpy as np
 
 from .continuum import ContinuumGrid, read_only
 from .errors import InvalidState, NonHermitianBlock, NotNormalized
-from .evolution import EquilibriumState, GeneralizedState, discrete_state, equilibrium
+from .evolution import GeneralizedState, discrete_state, equilibrium
 from .spectrum import LiouvilleSpectrum
 
 _NORM_TOL = 1e-12
@@ -33,7 +33,8 @@ class MeasurementSetup:
         a = read_only(np.atleast_1d(np.array(self.amplitudes, complex)), complex)
         if a.ndim != 1 or not np.all(np.isfinite(a)):
             raise InvalidState(f"amplitudes must be a finite 1-d vector, got shape {a.shape}")
-        total = float(np.sum(np.abs(a) ** 2))
+        with np.errstate(over="ignore"):  # an overflowing norm is inf: NotNormalized
+            total = float(np.sum(np.abs(a) ** 2))
         if abs(total - 1.0) > _NORM_TOL:
             raise NotNormalized(f"sum |a_i|^2 = {total!r}, expected 1")
         object.__setattr__(self, "amplitudes", a)
@@ -99,46 +100,3 @@ def csco_diagonalize(blocks):
             raise NonHermitianBlock(f"block {k} is not Hermitian")
         results.append(_ordered_eigenpairs(block))
     return results
-
-
-@dataclass(frozen=True, eq=False)
-class ClassicalProfile:
-    """Classical rendering of an equilibrium state.
-
-    Atoms are (energy, weight, label) triples concentrated on the conserved
-    quantities; the continuous part is a density on the grid.  The labels are
-    carried as metadata only.
-    """
-
-    grid: ContinuumGrid
-    atom_locations: np.ndarray
-    atom_weights: np.ndarray
-    atom_labels: tuple
-    continuous: np.ndarray
-
-    def atoms(self):
-        return list(zip(self.atom_locations.tolist(), self.atom_weights.tolist(), self.atom_labels))
-
-    def total_mass(self) -> float:
-        return float(np.dot(self.grid.weights, self.continuous)) + float(np.sum(self.atom_weights))
-
-
-def classical_profile(eq: EquilibriumState, labels=None) -> ClassicalProfile:
-    """Re-express an equilibrium state as weighted classical atoms + density.
-
-    ``labels`` attaches one CSCO label per atom (default 0).  This is a
-    representation change only; it shares the weight and density arrays.
-    """
-    n_atoms = len(eq.atoms.locations)
-    labels = (0,) * n_atoms if labels is None else tuple(labels)
-    if len(labels) != n_atoms:
-        raise InvalidState(f"expected {n_atoms} labels, got {len(labels)}")
-    if np.any(eq.atoms.weights < 0) or np.any(eq.continuous < 0):
-        raise InvalidState("classical profile components must be >= 0")
-    return ClassicalProfile(
-        grid=eq.grid,
-        atom_locations=eq.atoms.locations,
-        atom_weights=eq.atoms.weights,
-        atom_labels=labels,
-        continuous=eq.continuous,
-    )

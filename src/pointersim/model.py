@@ -235,27 +235,6 @@ def model_from_dict(data: dict) -> ModelSpec:
     return ModelSpec(coupling=profile, **fields)
 
 
-def model_to_dict(spec: ModelSpec) -> dict:
-    """Inverse of ``model_from_dict``, with the coupling in resolved form."""
-    coupling: dict = {"kind": spec.coupling.kind}
-    if spec.coupling.amplitude is not None:
-        coupling["amplitude"] = spec.coupling.amplitude.tolist()
-    if spec.coupling.center is not None:
-        coupling["center"] = spec.coupling.center.tolist()
-    if spec.coupling.width is not None:
-        coupling["width"] = spec.coupling.width.tolist()
-    if spec.coupling.table_omega is not None:
-        coupling["omega"] = spec.coupling.table_omega.tolist()
-    if spec.coupling.table_values is not None:
-        coupling["values"] = spec.coupling.table_values.tolist()
-    return {
-        "levels": spec.levels.tolist(),
-        "omega_max": spec.omega_max,
-        "coupling": coupling,
-        "coupling_scale": spec.coupling_scale,
-    }
-
-
 def load_model(path) -> ModelSpec:
     """Load a JSON model file; raises ``ModelInvalid`` when it cannot be read
     or describes no valid model."""

@@ -509,12 +509,6 @@ def coherence(model: OracleModel, i: int, j: int, amplitudes, t: float) -> compl
     return complex(psi[i] * np.conj(psi[j]))
 
 
-def energy_distribution(model: OracleModel, initial, t: float) -> np.ndarray:
-    """Continuum occupation density |<w_k|psi(t)>|^2 / w_k per node."""
-    psi = evolve_pure(model, initial, t)
-    return np.abs(psi[model.n_levels:]) ** 2 / model.grid.weights
-
-
 def pointer_weights(model: OracleModel, amplitudes, t: float) -> np.ndarray:
     """Probability mass attributed to each level at time t.
 

@@ -223,9 +223,13 @@ _TIMES = {"t_start": 0.5, "t_end": 5.0, "samples": 3, "spacing": "log"}
     ("spectrum", {"seed": "abc"}),
     ("spectrum", {"seed": 1.5}),
     ("compare", {"times": _TIMES, "seed": -1}),
+    ("measure", {"amplitudes": [[1e200, 0.0], [0.0, 0.0]]}),
+    ("evolve", {"times": _TIMES, "initial": {"amplitudes": [[1e200, 0.0], [0.0, 0.0]]}}),
+    ("evolve", {"times": _TIMES, "initial": {"diagonal": [1e308, 1e308]}}),
 ], ids=["short-diagonal", "short-initial-amplitudes", "long-amplitudes",
         "non-numeric-diagonal", "negative-diagonal", "initial-not-an-object",
-        "string-seed", "fractional-seed", "negative-seed"])
+        "string-seed", "fractional-seed", "negative-seed", "huge-amplitudes",
+        "huge-initial-amplitudes", "huge-diagonal"])
 def test_malformed_level_inputs_fail_with_one_line(tmp_path, capsys, command, extra):
     write_model(tmp_path)
     config = write_config(tmp_path, **extra)
@@ -322,12 +326,14 @@ def test_unallocatable_grid_fails_with_one_line(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command,spacing", [("evolve", "log"), ("compare", "linear")])
+@pytest.mark.parametrize("command,spacing", [("evolve", "log"), ("compare", "linear"),
+                                             ("measure", "log")])
 def test_unallocatable_time_grid_fails_with_one_line(tmp_path, capsys, monkeypatch,
                                                      command, spacing):
     monkeypatch.setattr("pointersim.cli.np", NumpyWithoutMemory())
     write_model(tmp_path)
-    config = write_config(tmp_path, initial={"diagonal": [0.3, 0.7]}, times={
+    config = write_config(tmp_path, initial={"diagonal": [0.3, 0.7]},
+                          amplitudes=[[0.6, 0.0], [0.0, 0.8]], times={
         "t_start": 1.0, "t_end": 10.0, "samples": 100_000_000_000, "spacing": spacing})
     assert main([command, "--config", str(config)]) == 1
     err = capsys.readouterr().err
@@ -456,7 +462,11 @@ def _model_and_config(draw):
     return model, config
 
 
-@pytest.mark.parametrize("command", ["spectrum", "measure"])
+def _artifact_bytes(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "evolve", "compare", "measure"])
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
 @given(case=_model_and_config())
 def test_any_model_or_config_exits_0_or_1_with_one_line(command, case):
@@ -470,6 +480,12 @@ def test_any_model_or_config_exits_0_or_1_with_one_line(command, case):
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main([command, "--config", str(tmp / "config.json")])
+            # a valid config is byte-deterministic: a second run writes the same files
+            if code == 0:
+                again = main([command, "--config", str(tmp / "config.json"),
+                              "--out", str(tmp / "again")])
+                assert again == 0
+                assert _artifact_bytes(tmp / "again") == _artifact_bytes(tmp / "out")
     assert code in (0, 1)
     if code == 1:
         lines = err.getvalue().splitlines()

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
-from pointersim import (
-    AtomicMeasure,
-    build_grid,
-    integrate,
-    principal_value,
-    resolvent_boundary,
-)
+from pointersim import AtomicMeasure, build_grid, principal_value
+from pointersim.continuum import resolvent_boundary
 from pointersim.errors import (
     DiscontinuousAtSingularity,
     InvalidGrid,
@@ -83,30 +78,10 @@ def test_node_collision_is_shifted_and_logged(caplog):
     assert any("shifted" in record.message for record in caplog.records)
 
 
-def test_integrate_constant():
-    grid = build_grid(10.0, 1000)
-    assert integrate(lambda w: np.ones_like(w), grid) == pytest.approx(10.0, abs=1e-12)
-
-
-def test_integrate_linear():
-    grid = build_grid(10.0, 1000)
-    assert integrate(lambda w: w, grid) == pytest.approx(50.0, abs=1e-6)
-
-
-def test_integrate_sine_on_0_pi():
-    grid = build_grid(np.pi, 1000)
-    assert integrate(np.sin, grid) == pytest.approx(2.0, abs=1e-5)
-
-
-def test_integrate_accepts_arrays():
-    grid = build_grid(10.0, 100)
-    assert integrate(np.ones(100), grid) == pytest.approx(10.0)
-
-
-def test_integrate_rejects_non_finite():
+def test_pv_rejects_non_finite_on_grid():
     grid = build_grid(10.0, 100)
     with np.errstate(divide="ignore"), pytest.raises(NonFiniteValue):
-        integrate(lambda w: 1.0 / (w - w[0]), grid)
+        principal_value(lambda w: 1.0 / (np.asarray(w, float) - grid.nodes[0]), 5.0, grid)
 
 
 def test_pv_constant_at_midpoint_vanishes():

@@ -10,7 +10,6 @@ from pointersim import (
     GeneralizedState,
     MeasurementSetup,
     build_grid,
-    continuous_state,
     decompose_initial,
     diagonal_evolution,
     discrete_state,
@@ -19,9 +18,9 @@ from pointersim import (
     liouville_spectrum,
     premeasure,
     recompose,
-    zero_state,
 )
 from pointersim.errors import InvalidState, NegativeTime, TraceViolation
+from pointersim.evolution import continuous_state, zero_state
 from .conftest import make_constant_model, normalized_density, random_valid_state
 
 

@@ -4,7 +4,6 @@ import pytest
 from pointersim import (
     MeasurementSetup,
     build_grid,
-    classical_profile,
     csco_diagonalize,
     equilibrium,
     liouville_spectrum,
@@ -12,7 +11,6 @@ from pointersim import (
     readout,
 )
 from pointersim.errors import InvalidState, NonHermitianBlock, NotNormalized
-from pointersim.evolution import EquilibriumState
 from .conftest import make_constant_model
 
 
@@ -142,31 +140,3 @@ def test_csco_random_psd_blocks_preserve_structure():
         assert np.all(weights >= -1e-12)
         assert np.sum(weights) == pytest.approx(np.trace(block).real, rel=1e-12)
         assert np.max(np.abs(rotation.conj().T @ rotation - np.eye(4))) < 1e-10
-
-
-def test_classical_profile_single_atom(grid, spectrum):
-    eq = equilibrium(premeasure(MeasurementSetup([1.0, 0.0]), grid), spectrum)
-    profile = classical_profile(eq)
-    assert profile.atoms() == [(1.0, 1.0, 0)]
-    assert profile.total_mass() == pytest.approx(1.0)
-
-
-def test_classical_profile_matches_equilibrium(grid, spectrum):
-    eq = equilibrium(premeasure(MeasurementSetup([0.6, 0.8j]), grid), spectrum)
-    profile = classical_profile(eq, labels=("r1", "r2"))
-    assert np.array_equal(profile.atom_weights, eq.atoms.weights)
-    assert profile.atom_labels == ("r1", "r2")
-    assert profile.total_mass() == pytest.approx(1.0)
-
-
-def test_classical_profile_label_count_checked(grid, spectrum):
-    eq = equilibrium(premeasure(MeasurementSetup([0.6, 0.8j]), grid), spectrum)
-    with pytest.raises(InvalidState, match="expected 2 labels, got 1"):
-        classical_profile(eq, labels=("only-one",))
-
-
-def test_classical_profile_rejects_negative_components(grid, spectrum):
-    eq = equilibrium(premeasure(MeasurementSetup([0.6, 0.8j]), grid), spectrum)
-    negative = EquilibriumState(grid=grid, continuous=-np.ones(grid.size), atoms=eq.atoms)
-    with pytest.raises(InvalidState, match="components must be >= 0"):
-        classical_profile(negative)

@@ -11,7 +11,6 @@ from pointersim import (
     build_grid,
     coherence,
     discretize,
-    energy_distribution,
     evolve_pure,
     fit_exponential_rate,
     fitted_decay_rate,
@@ -374,13 +373,15 @@ def test_zero_coupling_coherence_rotates_without_damping(decoupled):
 
 
 def test_energy_distribution_zero_coupling_empty(decoupled):
-    assert np.all(energy_distribution(decoupled, [1.0, 0.0], 5.0) == 0.0)
+    psi = evolve_pure(decoupled, [1.0, 0.0], 5.0)
+    density = np.abs(psi[decoupled.n_levels:]) ** 2 / decoupled.grid.weights
+    assert np.all(density == 0.0)
 
 
 def test_energy_distribution_conserves_probability(oracle_unit):
     t = 30.0
     psi = evolve_pure(oracle_unit, [1.0], t)
-    density = energy_distribution(oracle_unit, [1.0], t)
+    density = np.abs(psi[1:]) ** 2 / oracle_unit.grid.weights
     discrete = float(np.abs(psi[0]) ** 2)
     assert discrete + np.dot(oracle_unit.grid.weights, density) == pytest.approx(1.0, abs=1e-10)
 
@@ -391,7 +392,7 @@ def test_late_time_distribution_is_a_lorentzian_line(oracle_unit):
     gamma = 2 * np.pi * 0.1 ** 2
     delta = 0.1 ** 2 * np.log(9.0)
     t = 5.0 / gamma
-    density = energy_distribution(oracle_unit, [1.0], t)
+    density = np.abs(evolve_pure(oracle_unit, [1.0], t)[1:]) ** 2 / oracle_unit.grid.weights
     nodes = oracle_unit.grid.nodes
     mask = np.abs(nodes - 1.0) < 10 * gamma
 

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from pointersim import (
-    EigenvectorCorrections,
-    build_grid,
-    decay_rate,
-    level_shift,
-    liouville_spectrum,
-)
+from pointersim import build_grid, level_shift, liouville_spectrum
+from pointersim.spectrum import EigenvectorCorrections, decay_rate
 from .conftest import make_constant_model
 
 
