@@ -5,7 +5,7 @@ A state is a functional over the observable slots
     (i j|   discrete block          rho_d
     (w|     continuum diagonal      rho_omega_regular + rho_omega_atoms
     (i w|   level-continuum         rho_iomega      (optional)
-    (w i|   continuum-level         rho_omegai      (optional)
+    (w i|   continuum-level         rho_iomega.conj(), never stored
     (w w'|  continuum off-diagonal  rho_omegaomega  (optional, transient only)
 
 and lives in one of two bases.  ``basis == "free"`` means the components are
@@ -19,10 +19,12 @@ lambda identically zero, so the trace it carries is conserved exactly.
 
 An optional sector that is ``None`` is identically zero, and every transform
 keeps it ``None``: a zero coefficient stays zero under exp(i * lambda * t), so
-evolving an absent sector costs nothing.  The two mixed sectors are present or
-absent together.  ``zero_state``, ``discrete_state`` and ``continuous_state``
-leave all three optional sectors absent, so the premeasured states of
-``measurement`` carry no level-continuum arrays at all.
+evolving an absent sector costs nothing.  A physical state is Hermitian, so
+its (w i| slot is the conjugate of its (i w| slot in every basis and at every
+time; storing ``rho_iomega`` alone keeps the pair conjugate by construction.
+``zero_state``, ``discrete_state`` and ``continuous_state`` leave all three
+optional sectors absent, so the premeasured states of ``measurement`` carry
+no level-continuum array at all.
 
 States are values: a ``GeneralizedState`` never changes after construction.
 Its sectors are read-only views, and each state-to-state transform returns a
@@ -43,12 +45,13 @@ from .spectrum import LiouvilleSpectrum
 
 _TRACE_TOL = 1e-10
 _HERM_TOL = 1e-10
+_SIGN_TOL = 1e-12  # how far below zero a density, weight or occupation may round
 
 BASIS_FREE = "free"
 BASIS_EIGEN = "eigen"
 
 _SECTOR_DTYPES = (("rho_omega_regular", float), ("rho_d", complex), ("rho_iomega", complex),
-                  ("rho_omegai", complex), ("rho_omegaomega", complex))
+                  ("rho_omegaomega", complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +63,6 @@ class GeneralizedState:
     rho_omega_atoms: AtomicMeasure
     rho_d: np.ndarray
     rho_iomega: np.ndarray | None = None
-    rho_omegai: np.ndarray | None = None
     rho_omegaomega: np.ndarray | None = None
     basis: str = BASIS_FREE
 
@@ -74,10 +76,7 @@ class GeneralizedState:
         if self.rho_d.ndim != 2 or self.rho_d.shape[0] != self.rho_d.shape[1]:
             raise InvalidState("rho_d must be square")
         n = self.rho_d.shape[0]
-        if (self.rho_iomega is None) != (self.rho_omegai is None):
-            raise InvalidState("mixed sectors must be present or absent together")
-        if self.rho_iomega is not None and not (
-                self.rho_iomega.shape == self.rho_omegai.shape == (n, self.grid.size)):
+        if self.rho_iomega is not None and self.rho_iomega.shape != (n, self.grid.size):
             raise InvalidState("mixed sectors must have shape (n_levels, grid size)")
         if self.rho_omegaomega is not None and self.rho_omegaomega.shape != (self.grid.size,) * 2:
             raise InvalidState("rho_omegaomega must have shape (grid size, grid size)")
@@ -107,17 +106,21 @@ class GeneralizedState:
 
     def validate(self) -> "GeneralizedState":
         """Check the physical-state invariants (free basis) and return self."""
-        if np.any(self.rho_omega_regular < -1e-12):
+        # first, so that no NaN slips past a comparison and no inf warns below
+        for name, _ in _SECTOR_DTYPES:
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise InvalidState(f"{name} must be finite")
+        if not np.all(np.isfinite(self.rho_omega_atoms.weights)):
+            raise InvalidState("atom weights must be finite")
+        if np.any(self.rho_omega_regular < -_SIGN_TOL):
             raise InvalidState("continuum diagonal density must be >= 0")
-        if np.any(self.rho_omega_atoms.weights < -1e-12):
+        if np.any(self.rho_omega_atoms.weights < -_SIGN_TOL):
             raise InvalidState("atom weights must be >= 0")
         if self.hermiticity_defect() > _HERM_TOL:
             raise InvalidState("rho_d (and rho_omegaomega) must be Hermitian")
-        if np.any(np.real(np.diag(self.rho_d)) < -1e-12):
+        if np.any(np.real(np.diag(self.rho_d)) < -_SIGN_TOL):
             raise InvalidState("discrete occupations must be >= 0")
-        if self.rho_iomega is not None and np.max(
-                np.abs(self.rho_iomega - self.rho_omegai.conj()), initial=0.0) > _HERM_TOL:
-            raise InvalidState("mixed sectors must be conjugates of each other")
         tr = self.trace()
         if abs(tr - 1.0) > _TRACE_TOL:
             raise TraceViolation(f"state trace is {tr!r}, expected 1 within {_TRACE_TOL}")
@@ -193,17 +196,16 @@ def evolve(state: GeneralizedState, spectrum: LiouvilleSpectrum, t: float) -> Ge
 
     The continuum diagonal (rate zero) and its atoms are shared with the
     input, so the trace is conserved identically for all t.  Absent sectors
-    stay absent.
+    stay absent.  The (w i| slot, ``rho_iomega.conj()``, thereby evolves with
+    -conj(lambda(i, w)) and damps at gamma_i / 2 like its partner.
     """
     _check_time(t)
     _check_input(state, spectrum, BASIS_EIGEN,
                  "evolve expects eigen-basis coefficients; call decompose_initial first")
     nodes = state.grid.nodes
-    rho_iomega, rho_omegai = state.rho_iomega, state.rho_omegai
-    rho_omegaomega = state.rho_omegaomega
+    rho_iomega, rho_omegaomega = state.rho_iomega, state.rho_omegaomega
     if rho_iomega is not None:
         levels = np.arange(spectrum.n_levels)[:, None]
-        rho_omegai = rho_omegai * np.exp(1j * spectrum.lambda_continuum_discrete(nodes, levels) * t)
         rho_iomega = rho_iomega * np.exp(1j * spectrum.lambda_discrete_continuum(levels, nodes) * t)
     if rho_omegaomega is not None:
         phase = np.exp(1j * nodes * t)
@@ -211,7 +213,6 @@ def evolve(state: GeneralizedState, spectrum: LiouvilleSpectrum, t: float) -> Ge
     return replace(
         state,
         rho_d=state.rho_d * np.exp(1j * spectrum.lambda_d * t),
-        rho_omegai=rho_omegai,
         rho_iomega=rho_iomega,
         rho_omegaomega=rho_omegaomega,
     )
@@ -227,9 +228,9 @@ def diagonal_evolution(state: GeneralizedState, spectrum: LiouvilleSpectrum, t: 
     _check_time(t)
     _check_input(state, spectrum, BASIS_FREE, "diagonal_evolution expects the free-basis initial state")
     off_diag = state.rho_d - np.diag(np.diag(state.rho_d))
-    mixed = () if state.rho_iomega is None else (state.rho_iomega, state.rho_omegai)
     if (any(np.max(np.abs(sector), initial=0.0) > 1e-12
-            for sector in (off_diag, *mixed, state.rho_omega_regular))
+            for sector in (off_diag, state.rho_iomega, state.rho_omega_regular)
+            if sector is not None)
             or state.rho_omega_atoms.total() > 1e-12):
         raise InvalidState("diagonal_evolution needs a purely discrete diagonal state")
     p0 = np.real(np.diag(state.rho_d))
@@ -260,7 +261,7 @@ def equilibrium(state: GeneralizedState, spectrum: LiouvilleSpectrum) -> Equilib
         state = decompose_initial(state, spectrum)
     eq = EquilibriumState(grid=state.grid, continuous=state.rho_omega_regular,
                           atoms=state.rho_omega_atoms)
-    if np.any(eq.continuous < -1e-12) or np.any(eq.atoms.weights < -1e-12):
+    if np.any(eq.continuous < -_SIGN_TOL) or np.any(eq.atoms.weights < -_SIGN_TOL):
         raise InvalidState("equilibrium components must be >= 0")
     if abs(eq.total_mass() - 1.0) > _TRACE_TOL:
         raise TraceViolation(f"equilibrium mass is {eq.total_mass()!r}, expected 1")

@@ -7,9 +7,13 @@ exp(i * lambda * t), so Im lambda >= 0 means damping):
     delta_i   = PV int V(w, i)^2 / (w - Omega_i) dw     per-level shift
     lambda_d[i, j] = (Omega_i - Omega_j) - (delta_i - delta_j)
                      + i (gamma_i + gamma_j) / 2        discrete block
-    lambda(u, i)   = u - Omega_i                        continuum-discrete, real
-    lambda(i, u')  = Omega_i - u' - delta_i + i gamma_i / 2
+    lambda(i, u')  = Omega_i - u' - delta_i + i gamma_i / 2   level-continuum
+    lambda(u, i)   = -conj(lambda(i, u))                continuum-level, its conjugate
     lambda(u, u')  = u - u'                             continuum-continuum, real
+
+``LiouvilleSpectrum`` evaluates lambda_d and lambda(i, u') only: ``evolve``
+stores the (u, i) sector as the conjugate of the (i, u) one, and phases the
+(u, u') sector by an outer product of exp(i u t).
 
 The discrete diagonal is lambda_d[i, i] = i gamma_i, and the continuum
 diagonal eigenvalue is identically zero, which is what preserves the trace.
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuum import AtomicMeasure, ContinuumGrid, principal_value
+from .continuum import ContinuumGrid, principal_value
 from .errors import ModelInvalid
 from .model import ModelSpec, coupling_at
 
@@ -59,18 +63,10 @@ class LiouvilleSpectrum:
     def n_levels(self) -> int:
         return self.spec.n_levels
 
-    def lambda_continuum_discrete(self, u, i):
-        """Eigenvalue of the (u, i) sector: u - Omega_i, real (i may be an index array)."""
-        return np.asarray(u, float) - self.levels[i] + 0.0j
-
     def lambda_discrete_continuum(self, i, u):
         """Eigenvalue of the (i, u') sector, damped at gamma_i / 2 (i may be an index array)."""
         re = self.levels[i] - np.asarray(u, float) - self.shift[i]
         return re + 0.5j * self.gamma[i]
-
-    def lambda_cc(self, u, uprime):
-        """Eigenvalue of the off-diagonal continuum sector: u - u', real."""
-        return np.asarray(u, float) - np.asarray(uprime, float) + 0.0j
 
 
 def liouville_spectrum(spec: ModelSpec, grid: ContinuumGrid) -> LiouvilleSpectrum:
@@ -95,45 +91,3 @@ def liouville_spectrum(spec: ModelSpec, grid: ContinuumGrid) -> LiouvilleSpectru
             f"delta {shift[i]:g}); the coupling is too large")
     return LiouvilleSpectrum(spec=spec, grid=grid, gamma=gamma, shift=shift,
                              lambda_d=re + 1j * im)
-
-
-@dataclass(frozen=True, eq=False)
-class EigenvectorCorrections:
-    """First-order eigenvector structure as evaluable coefficient rules.
-
-    Every correction is built from the mixing ratio V(u, i) / (u - Omega_i),
-    which is odd under exchanging its two energy slots.  Family assembly:
-
-    - dressed diagonal vector of level i: unit (i, i) slot plus
-      ``dressed_diagonal_mixing(i, w)`` on both level-continuum cross slots;
-    - dressed off-diagonal (i, j) vector: unit (i, j) slot plus
-      ``dressed_diagonal_mixing(i, w)`` on the (w, j) slot and
-      ``dressed_diagonal_mixing(j, w)`` on the (i, w) slot: each cross slot
-      carries the mixing of the level whose index w replaces;
-    - dual of the dressed diagonal vector: ``dual_diagonal(i)``;
-    - the four continuum families carry ``+mixing_ratio(u, i)`` onto the
-      (i, i) slot, ``-mixing_ratio(u, i)`` onto the continuum diagonal, and
-      ``u' -> -mixing_ratio(u', i)`` onto the off-diagonal continuum sector.
-
-    All rules vanish identically at zero coupling.
-    """
-
-    spec: ModelSpec
-
-    def mixing_ratio(self, u, i: int):
-        """V(u, i) / (u - Omega_i): the universal first-order mixing weight."""
-        return coupling_at(self.spec, u, i) / (np.asarray(u, float) - self.spec.levels[i])
-
-    def dressed_diagonal_mixing(self, i: int, omega):
-        """Coefficient of both level-continuum cross slots in the dressed
-        diagonal vector of level i: V(w, i) / (Omega_i - w)."""
-        return -self.mixing_ratio(omega, i)
-
-    def dual_diagonal(self, i: int):
-        """Dual functional of the dressed diagonal vector of level i.
-
-        Returns (coefficient on the (i, i) slot, atomic part on the continuum
-        diagonal).  The atom sits exactly at Omega_i with weight -1; it is
-        kept as a point evaluation, never smeared onto the grid.
-        """
-        return 1.0, AtomicMeasure(locations=[self.spec.levels[i]], weights=[-1.0])

@@ -74,7 +74,7 @@ def random_valid_state(grid, spectrum, rng, with_cc=False):
     raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho_d = raw @ raw.conj().T
     rho_d /= np.trace(rho_d).real / 0.4          # discrete sector carries mass 0.4
-    rho_omegai = 0.01 * (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)))
+    rho_iomega = 0.01 * (rng.normal(size=(n, m)) - 1j * rng.normal(size=(n, m)))
     rho_omegaomega = None
     if with_cc:
         cc = 0.01 * (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
@@ -84,8 +84,7 @@ def random_valid_state(grid, spectrum, rng, with_cc=False):
         rho_omega_regular=normalized_density(grid, mass=0.5),
         rho_omega_atoms=AtomicMeasure(locations=[6.5], weights=[0.1]),
         rho_d=rho_d,
-        rho_iomega=rho_omegai.conj(),
-        rho_omegai=rho_omegai,
+        rho_iomega=rho_iomega,
         rho_omegaomega=rho_omegaomega,
     ).validate()
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from pointersim import (
+    MeasurementSetup,
     build_grid,
     coherence,
     csco_diagonalize,
@@ -24,6 +25,7 @@ from pointersim import (
     level_shift,
     liouville_spectrum,
     pointer_weights,
+    premeasure,
     principal_value,
     recompose,
     resonance_center,
@@ -52,7 +54,7 @@ def test_criterion_1_golden_rule_decay():
               f"({100 * relative:.2f}% off, {elapsed:.1f} s incl. eigendecomposition)")
 
 
-def test_criterion_2_coherence_damping_and_sign(oracle_two):
+def test_criterion_2_coherence_damping_and_sign(oracle_two, spectrum_two):
     mean_rate = GAMMA_005  # both levels share the coupling, so (G1 + G2) / 2 = G
     amps = np.array([1.0, 1.0]) / np.sqrt(2.0)
     times = np.linspace(0.1 / mean_rate, 2.0 / mean_rate, 40)
@@ -63,8 +65,22 @@ def test_criterion_2_coherence_damping_and_sign(oracle_two):
     # the alternative combination pi*(V1^2 - V2^2) predicts no damping here;
     # an observed rate this close to the sum rejects it at the same tolerance
     assert abs(fitted - 0.0) > 0.10 * mean_rate
+
+    # the phase: the predicted rho_d[0, 1] pairs with conj(rho_01) of the
+    # oracle and turns at the shifted splitting; its error stays below a tenth
+    # of what the shifts alone contribute
+    amps = np.array([0.6, 0.8j])
+    eigen = decompose_initial(premeasure(MeasurementSetup(amps), spectrum_two.grid), spectrum_two)
+    worst_phase = 0.0
+    for t in (100.0, 200.0, 300.0):
+        predicted = recompose(evolve(eigen, spectrum_two, t), spectrum_two).rho_d[0, 1]
+        error = abs(np.angle(predicted / np.conj(coherence(oracle_two, 0, 1, amps, t))))
+        shift_phase = abs((spectrum_two.shift[0] - spectrum_two.shift[1]) * t)
+        assert error < 0.1 * shift_phase
+        worst_phase = max(worst_phase, error / shift_phase)
     report(2, f"coherence envelope rate {fitted:.6g} matches (G1+G2)/2 = {mean_rate:.6g} "
-              f"({100 * relative:.2f}% off); zero-damping alternative rejected")
+              f"({100 * relative:.2f}% off); zero-damping alternative rejected; "
+              f"phase error at most {worst_phase:.1e} of the shift phase at t = 100..300")
 
 
 def test_criterion_3_level_shift(single_level_model, grid_2000, oracle_single):
@@ -120,7 +136,7 @@ def test_criterion_6_conservation_and_structure(grid_2000):
         eigen = decompose_initial(state, spectrum_small)
         for t in (0.3, 12.0, 400.0):
             evolved = evolve(eigen, spectrum_small, t)
-            physical = recompose(evolved, spectrum_small)
+            physical = recompose(evolved, spectrum_small).validate()
             worst_trace = max(worst_trace, abs(physical.trace() - 1.0))
             worst_herm = max(worst_herm, evolved.hermiticity_defect())
     assert worst_trace < 1e-10

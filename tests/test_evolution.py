@@ -10,6 +10,7 @@ from pointersim import (
     GeneralizedState,
     MeasurementSetup,
     build_grid,
+    coherence,
     decompose_initial,
     diagonal_evolution,
     discrete_state,
@@ -39,7 +40,7 @@ def spectrum(grid):
 def _state_with(grid, **overrides):
     m = grid.size
     sectors = dict(grid=grid, rho_omega_regular=np.zeros(m), rho_omega_atoms=AtomicMeasure.empty(),
-                   rho_d=np.zeros((2, 2)), rho_iomega=np.zeros((2, m)), rho_omegai=np.zeros((2, m)))
+                   rho_d=np.zeros((2, 2)), rho_iomega=np.zeros((2, m)))
     return GeneralizedState(**(sectors | overrides))
 
 
@@ -49,11 +50,9 @@ def _state_with(grid, **overrides):
     (lambda g: _state_with(g, rho_d=0.5), "square"),
     (lambda g: discrete_state(g, 0.5), "square"),
     (lambda g: _state_with(g, rho_iomega=np.zeros((2, g.size + 1))), "mixed sectors must have shape"),
-    (lambda g: _state_with(g, rho_iomega=None), "present or absent together"),
-    (lambda g: _state_with(g, rho_omegai=None), "present or absent together"),
     (lambda g: _state_with(g, rho_omegaomega=np.zeros((3, 3))), "rho_omegaomega must have shape"),
 ], ids=["continuum-size", "non-square-discrete", "scalar-discrete", "scalar-discrete-state",
-        "mixed-shape", "only-omegai-present", "only-iomega-present", "continuum-block-size"])
+        "mixed-shape", "continuum-block-size"])
 def test_malformed_sectors_are_invalid_states(grid, make, match):
     with pytest.raises(InvalidState, match=match):
         make(grid)
@@ -81,10 +80,16 @@ def _break_occupation(state):
     return replace(state, rho_d=np.diag([-0.5, 1.5]).astype(complex))
 
 
-def _break_pairing(state):
-    # a discrete state has no mixed sectors; give it zero ones, then unpair them
-    zeros = np.zeros((state.n_levels, state.grid.size), complex)
-    return replace(state, rho_iomega=_with_entry(zeros, (0, 0), 0.1), rho_omegai=zeros)
+def _nan_coherence(state):
+    return replace(state, rho_d=np.array([[0.5, np.nan], [np.nan, 0.5]]))
+
+
+def _nan_occupation(state):
+    return replace(state, rho_d=np.diag([np.nan, 0.5]))
+
+
+def _inf_density(state):
+    return replace(state, rho_omega_regular=_with_entry(state.rho_omega_regular, 0, np.inf))
 
 
 @pytest.mark.parametrize("breaks, match", [
@@ -92,9 +97,11 @@ def _break_pairing(state):
     (_break_atoms, "atom weights"),
     (_break_hermiticity, "Hermitian"),
     (_break_occupation, "occupations"),
-    (_break_pairing, "mixed sectors must be conjugates"),
+    (_nan_coherence, "rho_d must be finite"),
+    (_nan_occupation, "rho_d must be finite"),
+    (_inf_density, "rho_omega_regular must be finite"),
 ], ids=["negative-density", "negative-atom", "non-hermitian", "negative-occupation",
-        "unpaired-mixed"])
+        "nan-coherence", "nan-occupation", "inf-density"])
 def test_broken_invariants_are_invalid_states(grid, breaks, match):
     state = breaks(discrete_state(grid, np.diag([0.5, 0.5])))
     with pytest.raises(InvalidState, match=match):
@@ -141,7 +148,7 @@ def test_level_count_mismatch_is_an_invalid_state(grid, spectrum, call):
 
 # -- ownership: states are values ----------------------------------------------
 
-_SECTORS = ("rho_omega_regular", "rho_d", "rho_iomega", "rho_omegai", "rho_omegaomega")
+_SECTORS = ("rho_omega_regular", "rho_d", "rho_iomega", "rho_omegaomega")
 
 
 def _sector_arrays(state):
@@ -210,13 +217,13 @@ def test_discrete_states_carry_no_mixed_sectors(grid, spectrum):
         eigen = decompose_initial(state, spectrum)
         evolved = evolve(eigen, spectrum, 3.0)
         for stage in (state, eigen, evolved, recompose(evolved, spectrum)):
-            assert stage.rho_iomega is None and stage.rho_omegai is None
+            assert stage.rho_iomega is None
 
 
 def test_absent_mixed_sectors_evolve_like_zero_ones(grid, spectrum):
     absent = discrete_state(grid, np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]]))
     zeros = np.zeros((2, grid.size), complex)
-    explicit = replace(absent, rho_iomega=zeros, rho_omegai=zeros)
+    explicit = replace(absent, rho_iomega=zeros)
     eigen_absent, eigen_explicit = (decompose_initial(s, spectrum) for s in (absent, explicit))
     for t in (0.0, 0.7, 40.0, 300.0):
         a = recompose(evolve(eigen_absent, spectrum, t), spectrum)
@@ -224,7 +231,7 @@ def test_absent_mixed_sectors_evolve_like_zero_ones(grid, spectrum):
         assert a.rho_d.tobytes() == e.rho_d.tobytes()
         assert a.rho_omega_atoms.locations.tobytes() == e.rho_omega_atoms.locations.tobytes()
         assert a.rho_omega_atoms.weights.tobytes() == e.rho_omega_atoms.weights.tobytes()
-        assert not np.any(e.rho_iomega) and not np.any(e.rho_omegai)
+        assert not np.any(e.rho_iomega)
 
 
 # -- decomposition -------------------------------------------------------------
@@ -353,7 +360,7 @@ def test_evolve_at_zero_time_is_identity(grid, spectrum):
 
 
 def test_evolve_matches_the_per_level_phases(grid, spectrum):
-    # the mixed sectors are exponentiated as one block; row by row is the
+    # the mixed sector is exponentiated as one block; row by row is the
     # reference.  The continuum off-diagonal sector is phased by an outer
     # product, checked against its own eigenvalue u - u'
     state = random_valid_state(grid, spectrum, np.random.default_rng(13), with_cc=True)
@@ -363,13 +370,10 @@ def test_evolve_matches_the_per_level_phases(grid, spectrum):
     for t in (0.7, 120.0):
         evolved = evolve(eigen, spectrum, t)
         for i in range(spectrum.n_levels):
-            omegai = eigen.rho_omegai[i] * np.exp(
-                1j * spectrum.lambda_continuum_discrete(u, i) * t)
             iomega = eigen.rho_iomega[i] * np.exp(
                 1j * spectrum.lambda_discrete_continuum(i, u) * t)
-            assert np.array_equal(evolved.rho_omegai[i], omegai)
             assert np.array_equal(evolved.rho_iomega[i], iomega)
-        phased = eigen.rho_omegaomega * np.exp(1j * spectrum.lambda_cc(u[:, None], u[None, :]) * t)
+        phased = eigen.rho_omegaomega * np.exp(1j * (u[:, None] - u[None, :]) * t)
         assert np.max(np.abs(evolved.rho_omegaomega - phased)) <= 1e-12 * scale
 
 
@@ -401,14 +405,43 @@ def test_negative_time_rejected(grid, spectrum):
             diagonal_evolution(state, spectrum, t)
 
 
-@pytest.mark.xfail(strict=True, raises=InvalidState, reason="ROADMAP item 3")
 def test_evolved_state_keeps_its_mixed_sectors_conjugate():
-    # recompose applies no first-order eigenvector correction, so the mixed
-    # sectors, damped on one side only, stop being conjugates of each other
+    # the (w i| slot is rho_iomega.conj(), so both mixed sectors damp at
+    # gamma / 2 together and the recomposed state stays valid
     grid = build_grid(10.0, 400)
     spec = liouville_spectrum(make_constant_model([1.0], 0.1), grid)
     state = random_valid_state(grid, spec, np.random.default_rng(0))
-    recompose(evolve(decompose_initial(state, spec), spec, 20.0), spec).validate()
+    physical = recompose(evolve(decompose_initial(state, spec), spec, 20.0), spec).validate()
+    damping = np.exp(-spec.gamma[0] * 20.0 / 2.0)
+    assert np.allclose(np.abs(physical.rho_iomega), damping * np.abs(state.rho_iomega),
+                       rtol=1e-12, atol=0.0)
+
+
+def test_mixed_sectors_follow_the_oracle(unit_model, grid_800, oracle_unit):
+    # psi0 = (|level> + |node k>) / sqrt(2): the (i w| slot of the prediction
+    # is psi_k conj(psi_0), and its conjugate, the (w i| slot, is psi_0 conj(psi_k).
+    # Over [0.1/gamma, 2/gamma] the shift alone turns the phase by up to 0.7 rad
+    spectrum = liouville_spectrum(unit_model, grid_800)
+    k = int(np.argmin(np.abs(grid_800.nodes - 5.0)))
+    psi0 = np.zeros(oracle_unit.size, complex)
+    psi0[[0, 1 + k]] = 1 / np.sqrt(2.0)
+    density = np.zeros(grid_800.size)
+    density[k] = 0.5 / grid_800.weights[k]
+    rho_iomega = np.zeros((1, grid_800.size), complex)
+    rho_iomega[0, k] = coherence(oracle_unit, 1 + k, 0, psi0, 0.0)
+    state = GeneralizedState(grid=grid_800, rho_omega_regular=density,
+                             rho_omega_atoms=AtomicMeasure.empty(), rho_d=[[0.5]],
+                             rho_iomega=rho_iomega).validate()
+    eigen = decompose_initial(state, spectrum)
+
+    def oracle_ratio(i, j, t):
+        return coherence(oracle_unit, i, j, psi0, t) / coherence(oracle_unit, i, j, psi0, 0.0)
+
+    gamma = spectrum.gamma[0]
+    for t in np.linspace(0.1 / gamma, 2.0 / gamma, 40):
+        ratio = recompose(evolve(eigen, spectrum, t), spectrum).rho_iomega[0, k] / rho_iomega[0, k]
+        assert abs(ratio / oracle_ratio(1 + k, 0, t) - 1.0) <= 0.03
+        assert abs(np.conj(ratio) / oracle_ratio(0, 1 + k, t) - 1.0) <= 0.03
 
 
 def test_evolve_requires_eigen_basis(grid, spectrum):
@@ -567,3 +600,14 @@ def test_evolved_discrete_states_stay_valid_and_conserve_each_level(rho_d, decay
     atoms = physical.rho_omega_atoms.weights_at(spectrum.levels)
     level_total = np.real(np.diag(physical.rho_d)) + atoms
     assert np.max(np.abs(level_total - np.real(np.diag(rho_d)))) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(n_levels=st.integers(1, len(_PROPERTY_LEVELS)), seed=st.integers(0, 2 ** 32 - 1),
+       with_cc=st.booleans(), decay_times=st.floats(0.0, 10.0))
+def test_evolved_states_stay_valid_in_every_sector(n_levels, seed, with_cc, decay_times):
+    spectrum = _property_spectrum(n_levels)
+    state = random_valid_state(spectrum.grid, spectrum, np.random.default_rng(seed), with_cc)
+    t = decay_times / float(np.min(spectrum.gamma))
+    physical = recompose(evolve(decompose_initial(state, spectrum), spectrum, t), spectrum)
+    assert abs(physical.validate().trace() - 1.0) <= 1e-10

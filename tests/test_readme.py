@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from pathlib import Path
 
@@ -37,5 +38,11 @@ def test_public_names_resolve():
         assert re.search(rf"\b{name}\b", _readers(module.rsplit(".", 1)[-1])), name
     # removed names stay removed: each has one surviving way, or no reader at all
     for gone in ("eigenvector_corrections", "embed_discrete", "integrate", "model_to_dict",
-                 "energy_distribution", "classical_profile", "ClassicalProfile"):
+                 "energy_distribution", "classical_profile", "ClassicalProfile",
+                 "EigenvectorCorrections"):
         assert gone not in pointersim.__all__ and not hasattr(pointersim, gone)
+    assert not hasattr(pointersim.spectrum, "EigenvectorCorrections")
+    # the (w i| sector is rho_iomega.conj(), and (u, u') is phased by an outer product
+    for gone in ("lambda_continuum_discrete", "lambda_cc"):
+        assert not hasattr(pointersim.LiouvilleSpectrum, gone), gone
+    assert "rho_omegai" not in {f.name for f in dataclasses.fields(pointersim.GeneralizedState)}
