@@ -16,7 +16,6 @@ from .continuum import (
 from .evolution import (
     GeneralizedState,
     decompose_initial,
-    diagonal_evolution,
     discrete_state,
     equilibrium,
     evolve,
@@ -70,7 +69,6 @@ __all__ = [
     "coupling_at",
     "csco_diagonalize",
     "decompose_initial",
-    "diagonal_evolution",
     "discrete_state",
     "discretize",
     "equilibrium",

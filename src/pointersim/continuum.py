@@ -20,6 +20,7 @@ from .errors import (
     DiscontinuousAtSingularity,
     InvalidGrid,
     InvalidState,
+    NegativeTime,
     NonFiniteValue,
     SingularityOutsideSupport,
     TooFewNodes,
@@ -34,6 +35,12 @@ _GL_ORDER = 4
 # atoms closer than this are one atom: the distinctness, merge and lookup
 # tolerance of ``AtomicMeasure``, and the least separation of two levels
 ATOM_TOL = 1e-12
+
+
+def check_time(t: float):
+    """Refuse an evolution time that is negative, NaN or infinite."""
+    if not (np.isfinite(t) and t >= 0):
+        raise NegativeTime(f"evolution time must be finite and >= 0, got {t}")
 
 
 def read_only(values, dtype) -> np.ndarray:
@@ -90,6 +97,8 @@ class AtomicMeasure:
         object.__setattr__(self, "weights", read_only(np.atleast_1d(self.weights), float))
         if self.locations.shape != self.weights.shape:
             raise InvalidState("locations and weights must have matching shapes")
+        if not np.isfinite(self.locations).all():  # NaN would pass the distinctness check
+            raise InvalidState("atom locations must be finite")
         if len(self.locations) > 1 and np.any(np.diff(np.sort(self.locations)) <= ATOM_TOL):
             raise InvalidState("atom locations must be distinct")
 

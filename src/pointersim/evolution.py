@@ -39,8 +39,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .continuum import AtomicMeasure, ContinuumGrid, read_only
-from .errors import InvalidState, NegativeTime, TraceViolation
+from .continuum import AtomicMeasure, ContinuumGrid, check_time, read_only
+from .errors import InvalidState, TraceViolation
 from .spectrum import LiouvilleSpectrum
 
 _TRACE_TOL = 1e-10
@@ -157,11 +157,6 @@ def _check_input(state: GeneralizedState, spectrum: LiouvilleSpectrum, basis: st
         raise InvalidState(f"state has {state.n_levels} levels, spectrum has {spectrum.n_levels}")
 
 
-def _check_time(t: float):
-    if not (np.isfinite(t) and t >= 0):
-        raise NegativeTime(f"evolution time must be finite and >= 0, got {t}")
-
-
 def _shift_level_atoms(state: GeneralizedState, spectrum: LiouvilleSpectrum,
                        sign: float, basis: str) -> GeneralizedState:
     """``state`` in ``basis`` with sign * rho_d[i, i] added to the
@@ -199,7 +194,7 @@ def evolve(state: GeneralizedState, spectrum: LiouvilleSpectrum, t: float) -> Ge
     stay absent.  The (w i| slot, ``rho_iomega.conj()``, thereby evolves with
     -conj(lambda(i, w)) and damps at gamma_i / 2 like its partner.
     """
-    _check_time(t)
+    check_time(t)
     _check_input(state, spectrum, BASIS_EIGEN,
                  "evolve expects eigen-basis coefficients; call decompose_initial first")
     nodes = state.grid.nodes
@@ -218,51 +213,17 @@ def evolve(state: GeneralizedState, spectrum: LiouvilleSpectrum, t: float) -> Ge
     )
 
 
-def diagonal_evolution(state: GeneralizedState, spectrum: LiouvilleSpectrum, t: float):
-    """Projected evolution of a purely discrete diagonal initial state.
+def equilibrium(state: GeneralizedState, spectrum: LiouvilleSpectrum) -> GeneralizedState:
+    """The t -> infinity limit as a validated free-basis state.
 
-    Returns (discrete weights, pointer-atom weights) at time t:
-    p_i * exp(-gamma_i t) and p_i * (1 - exp(-gamma_i t)), whose sum is the
-    initial occupation p_i exactly.
-    """
-    _check_time(t)
-    _check_input(state, spectrum, BASIS_FREE, "diagonal_evolution expects the free-basis initial state")
-    off_diag = state.rho_d - np.diag(np.diag(state.rho_d))
-    if (any(np.max(np.abs(sector), initial=0.0) > 1e-12
-            for sector in (off_diag, state.rho_iomega, state.rho_omega_regular)
-            if sector is not None)
-            or state.rho_omega_atoms.total() > 1e-12):
-        raise InvalidState("diagonal_evolution needs a purely discrete diagonal state")
-    p0 = np.real(np.diag(state.rho_d))
-    decay = np.exp(-spectrum.gamma * t)
-    return p0 * decay, p0 * (1.0 - decay)
-
-
-@dataclass(frozen=True, eq=False)
-class EquilibriumState:
-    """The surviving t -> infinity content: continuum density plus level atoms."""
-
-    grid: ContinuumGrid
-    continuous: np.ndarray
-    atoms: AtomicMeasure
-
-    def total_mass(self) -> float:
-        return float(np.dot(self.grid.weights, self.continuous)) + self.atoms.total()
-
-
-def equilibrium(state: GeneralizedState, spectrum: LiouvilleSpectrum) -> EquilibriumState:
-    """Drop every damped or dephasing sector and keep the invariant one.
-
-    The limit is structural: all sectors except the continuum diagonal carry
-    eigenvalues with positive imaginary part or nonzero oscillation frequency,
-    so none of them survives.  Large-t numerics never enter.
+    Every sector but the continuum diagonal carries an eigenvalue with
+    positive imaginary part or nonzero oscillation frequency, so the limit
+    keeps the eigen-basis continuum density and atoms and nothing else.  With
+    no discrete occupation left, the free and eigen bases agree.  The limit
+    is structural: large-t numerics never enter.
     """
     if state.basis == BASIS_FREE:
         state = decompose_initial(state, spectrum)
-    eq = EquilibriumState(grid=state.grid, continuous=state.rho_omega_regular,
-                          atoms=state.rho_omega_atoms)
-    if np.any(eq.continuous < -_SIGN_TOL) or np.any(eq.atoms.weights < -_SIGN_TOL):
-        raise InvalidState("equilibrium components must be >= 0")
-    if abs(eq.total_mass() - 1.0) > _TRACE_TOL:
-        raise TraceViolation(f"equilibrium mass is {eq.total_mass()!r}, expected 1")
-    return eq
+    limit = replace(zero_state(state.grid, state.n_levels),
+                    rho_omega_regular=state.rho_omega_regular, rho_omega_atoms=state.rho_omega_atoms)
+    return limit.validate()

@@ -2,9 +2,9 @@
 
 The readout layer adds no dynamics of its own: correlating the measured
 system with the apparatus produces a rank-one discrete state, and the
-probabilities attached to the pointer atoms are exactly the equilibrium
-content of that state under the dissipative evolution.  Its input, a
-``MeasurementSetup``, is normalized by construction.
+probabilities attached to the pointer atoms are the atoms of that state's
+``equilibrium``, the t -> infinity state of the dissipative evolution.  Its
+input, a ``MeasurementSetup``, is normalized by construction.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ def premeasure(setup: MeasurementSetup, grid: ContinuumGrid) -> GeneralizedState
 def readout(setup: MeasurementSetup, spectrum: LiouvilleSpectrum):
     """Pointer probabilities: (level energy, |a_i|^2) pairs.
 
-    Computed literally as the equilibrium atoms of the premeasured state, so
-    any change to the evolution layer propagates here.
+    Read literally from ``rho_omega_atoms`` of the premeasured state's
+    equilibrium, so any change to the evolution layer propagates here.
     """
-    state = premeasure(setup, spectrum.grid)
-    eq = equilibrium(state, spectrum)
-    return list(zip(spectrum.levels.tolist(), eq.atoms.weights_at(spectrum.levels).tolist()))
+    final = equilibrium(premeasure(setup, spectrum.grid), spectrum)
+    weights = final.rho_omega_atoms.weights_at(spectrum.levels)
+    return list(zip(spectrum.levels.tolist(), weights.tolist()))
 
 
 def _ordered_eigenpairs(block: np.ndarray):

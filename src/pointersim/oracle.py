@@ -33,9 +33,8 @@ from functools import partial
 
 import numpy as np
 
-from .continuum import ContinuumGrid
-from .errors import (EigensolverFailure, FitFailure, InvalidState, NegativeTime,
-                     RecurrenceWindowExceeded)
+from .continuum import ContinuumGrid, check_time
+from .errors import EigensolverFailure, FitFailure, InvalidState, RecurrenceWindowExceeded
 from .model import ModelSpec, coupling_at
 
 _ORTHO_TOL = 1e-10
@@ -463,8 +462,7 @@ def _pole_sum(poles, g2, origin, offset):
 
 
 def _check_window(model: OracleModel, t: float):
-    if not (np.isfinite(t) and t >= 0):
-        raise NegativeTime(f"evolution time must be finite and >= 0, got {t}")
+    check_time(t)
     if t >= model.grid.valid_t_max:
         warnings.warn(
             f"t = {t:g} is beyond half the recurrence time {model.recurrence_time:g}; "

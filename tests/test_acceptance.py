@@ -16,7 +16,6 @@ from pointersim import (
     coherence,
     csco_diagonalize,
     decompose_initial,
-    diagonal_evolution,
     discrete_state,
     equilibrium,
     evolve,
@@ -106,20 +105,27 @@ def test_criterion_4_pointer_basis_born_rule(oracle_two):
 
 
 def test_criterion_5_exact_bookkeeping(single_level_model, grid_2000, spectrum_single):
-    state = discrete_state(grid_2000, np.diag([1.0]))
+    # the general path: recompose(evolve(...)), as `pointersim evolve` writes it
+    eigen = decompose_initial(discrete_state(grid_2000, np.diag([1.0])), spectrum_single)
+
+    def split(t):
+        state = recompose(evolve(eigen, spectrum_single, t), spectrum_single)
+        return state.rho_d[0, 0].real, state.rho_omega_atoms.weights_at([1.0])[0]
+
     times = np.linspace(0.0, 4.0 / GAMMA_005, 100)
-    worst = 0.0
-    for t in times:
-        occupied, transferred = diagonal_evolution(state, spectrum_single, t)
-        worst = max(worst, abs(occupied[0] + transferred[0] - 1.0))
+    occupied, transferred = np.array([split(t) for t in times]).T
+    worst = float(np.max(np.abs(occupied + transferred - 1.0)))
     assert worst < 1e-12
+    assert split(0.0) == (1.0, 0.0)
+    assert np.all(np.diff(occupied) < 0)
+    assert np.all(np.diff(transferred) > 0)
 
     half_life = np.log(2.0) / spectrum_single.gamma[0]
-    occupied, transferred = diagonal_evolution(state, spectrum_single, half_life)
-    assert abs(occupied[0] - 0.5) < 1e-10
-    assert abs(transferred[0] - 0.5) < 1e-10
+    occupied, transferred = split(half_life)
+    assert abs(occupied - 0.5) < 1e-10
+    assert abs(transferred - 0.5) < 1e-10
     report(5, f"occupation + pointer weight conserved to {worst:.2e} over 100 times; "
-              "half-life point exact to 1e-10")
+              "transfer strictly monotone from (1, 0) at t=0; half-life point exact to 1e-10")
 
 
 def test_criterion_6_conservation_and_structure(grid_2000):
@@ -146,8 +152,8 @@ def test_criterion_6_conservation_and_structure(grid_2000):
     eigen = decompose_initial(state, spectrum_small)
     eq0 = equilibrium(eigen, spectrum_small)
     eq_later = equilibrium(evolve(eigen, spectrum_small, 37.0), spectrum_small)
-    assert np.array_equal(eq0.continuous, eq_later.continuous)
-    assert np.array_equal(eq0.atoms.weights, eq_later.atoms.weights)
+    assert np.array_equal(eq0.rho_omega_regular, eq_later.rho_omega_regular)
+    assert np.array_equal(eq0.rho_omega_atoms.weights, eq_later.rho_omega_atoms.weights)
 
     for i in range(2):
         for j in range(2):

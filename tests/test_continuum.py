@@ -212,6 +212,13 @@ def test_atomic_measure_rejects_duplicate_locations():
         AtomicMeasure(locations=[1.0, 1.0], weights=[0.5, 0.5])
 
 
+@pytest.mark.parametrize("locations", [[np.nan], [np.nan, np.nan], [np.inf]],
+                         ids=["nan", "two-nans", "inf"])
+def test_atomic_measure_rejects_non_finite_locations(locations):
+    with pytest.raises(InvalidState, match="atom locations must be finite"):
+        AtomicMeasure(locations=locations, weights=np.full(len(locations), 1.0 / len(locations)))
+
+
 def test_atomic_measure_rejects_mismatched_shapes():
     with pytest.raises(InvalidState, match="shapes"):
         AtomicMeasure(locations=[1.0, 2.0], weights=[0.5])

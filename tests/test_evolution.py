@@ -12,7 +12,6 @@ from pointersim import (
     build_grid,
     coherence,
     decompose_initial,
-    diagonal_evolution,
     discrete_state,
     equilibrium,
     evolve,
@@ -118,16 +117,23 @@ def _negative_eigen_continuum(grid):
     return replace(zero_state(grid, 2), rho_omega_regular=density, basis="eigen")
 
 
+def _nan_eigen_continuum(grid):
+    return replace(zero_state(grid, 2), rho_omega_regular=np.full(grid.size, np.nan), basis="eigen")
+
+
+def _nan_eigen_atom(grid):
+    return replace(zero_state(grid, 2), rho_omega_atoms=AtomicMeasure([1.0], [np.nan]), basis="eigen")
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda g, s: decompose_initial(_eigen_state(g, s), s), "decompose_initial expects"),
     (lambda g, s: recompose(discrete_state(g, np.diag([1.0, 0.0])), s), "recompose expects"),
     (lambda g, s: evolve(discrete_state(g, np.diag([1.0, 0.0])), s, 1.0), "evolve expects"),
-    (lambda g, s: diagonal_evolution(_eigen_state(g, s), s, 1.0), "diagonal_evolution expects"),
-    (lambda g, s: diagonal_evolution(discrete_state(g, np.full((2, 2), 0.5)), s, 1.0),
-     "purely discrete diagonal"),
-    (lambda g, s: equilibrium(_negative_eigen_continuum(g), s), "equilibrium components"),
-], ids=["decompose-basis", "recompose-basis", "evolve-basis", "diagonal-basis",
-        "diagonal-purity", "equilibrium-sign"])
+    (lambda g, s: equilibrium(_negative_eigen_continuum(g), s), "density must be >= 0"),
+    (lambda g, s: equilibrium(_nan_eigen_continuum(g), s), "rho_omega_regular must be finite"),
+    (lambda g, s: equilibrium(_nan_eigen_atom(g), s), "atom weights must be finite"),
+], ids=["decompose-basis", "recompose-basis", "evolve-basis", "equilibrium-sign",
+        "equilibrium-nan", "equilibrium-nan-atom"])
 def test_evolution_input_errors_are_invalid_states(grid, spectrum, call, match):
     with pytest.raises(InvalidState, match=match):
         call(grid, spectrum)
@@ -137,8 +143,7 @@ def test_evolution_input_errors_are_invalid_states(grid, spectrum, call, match):
     lambda g, s, one: decompose_initial(discrete_state(g, np.diag([0.3, 0.7])), one),
     lambda g, s, one: evolve(_eigen_state(g, s), one, 1.0),
     lambda g, s, one: recompose(_eigen_state(g, s), one),
-    lambda g, s, one: diagonal_evolution(discrete_state(g, np.diag([0.3, 0.7])), one, 1.0),
-], ids=["decompose_initial", "evolve", "recompose", "diagonal_evolution"])
+], ids=["decompose_initial", "evolve", "recompose"])
 def test_level_count_mismatch_is_an_invalid_state(grid, spectrum, call):
     # a one-level spectrum would hand level 0's rate to level 1 as well
     one_level = liouville_spectrum(make_constant_model([1.0], 0.1), grid)
@@ -396,13 +401,10 @@ def test_coherence_modulus_decays_at_mean_rate(grid, spectrum):
 
 
 def test_negative_time_rejected(grid, spectrum):
-    state = discrete_state(grid, np.diag([1.0, 0.0]))
-    eigen = decompose_initial(state, spectrum)
+    eigen = decompose_initial(discrete_state(grid, np.diag([1.0, 0.0])), spectrum)
     for t in (-0.1, np.nan, np.inf):
         with pytest.raises(NegativeTime, match="finite and >= 0"):
             evolve(eigen, spectrum, t)
-        with pytest.raises(NegativeTime, match="finite and >= 0"):
-            diagonal_evolution(state, spectrum, t)
 
 
 def test_evolved_state_keeps_its_mixed_sectors_conjugate():
@@ -469,81 +471,46 @@ def test_hermiticity_preserved_under_evolution(grid, spectrum):
         assert evolved.hermiticity_defect() < 1e-12
 
 
-# -- projected diagonal evolution ------------------------------------------------
-
-def test_diagonal_evolution_at_zero_time(grid, spectrum):
-    state = discrete_state(grid, np.diag([0.3, 0.7]))
-    discrete, atoms = diagonal_evolution(state, spectrum, 0.0)
-    assert discrete.tolist() == [0.3, 0.7]
-    assert atoms.tolist() == [0.0, 0.0]
-
-
-def test_diagonal_evolution_long_time_limit(grid, spectrum):
-    state = discrete_state(grid, np.diag([0.3, 0.7]))
-    discrete, atoms = diagonal_evolution(state, spectrum, 1e6)
-    assert np.allclose(discrete, 0.0, atol=1e-300)
-    assert atoms == pytest.approx([0.3, 0.7])
-
-
-def test_diagonal_evolution_half_life(grid, spectrum):
-    state = discrete_state(grid, np.diag([1.0, 0.0]))
-    half_life = np.log(2.0) / spectrum.gamma[0]
-    discrete, atoms = diagonal_evolution(state, spectrum, half_life)
-    assert discrete[0] == pytest.approx(0.5, abs=1e-10)
-    assert atoms[0] == pytest.approx(0.5, abs=1e-10)
-
-
-def test_diagonal_evolution_conserves_each_level(grid, spectrum):
-    state = discrete_state(grid, np.diag([0.25, 0.75]))
-    for t in np.linspace(0.0, 500.0, 40):
-        discrete, atoms = diagonal_evolution(state, spectrum, t)
-        assert np.max(np.abs(discrete + atoms - [0.25, 0.75])) < 1e-12
-
-
-def test_diagonal_evolution_monotone_transfer(grid, spectrum):
-    state = discrete_state(grid, np.diag([1.0, 0.0]))
-    times = np.linspace(0.0, 100.0, 30)
-    occupations = np.array([diagonal_evolution(state, spectrum, t)[0][0] for t in times])
-    atom_weights = np.array([diagonal_evolution(state, spectrum, t)[1][0] for t in times])
-    assert np.all(np.diff(occupations) < 0)
-    assert np.all(np.diff(atom_weights) > 0)
-
-
-def test_diagonal_evolution_rejects_coherent_input(grid, spectrum):
-    state = discrete_state(grid, np.array([[0.5, 0.5], [0.5, 0.5]], complex))
-    with pytest.raises(ValueError):
-        diagonal_evolution(state, spectrum, 1.0)
-
-
 # -- equilibrium -----------------------------------------------------------------
 
 def test_equilibrium_of_pure_discrete_state(grid, spectrum):
     state = discrete_state(grid, np.diag([1.0, 0.0]))
     eq = equilibrium(state, spectrum)
-    at_one, at_two = eq.atoms.weights_at([1.0, 2.0])
+    at_one, at_two = eq.rho_omega_atoms.weights_at([1.0, 2.0])
     assert at_one == pytest.approx(1.0)
     assert at_two == 0.0
-    assert np.all(eq.continuous == 0.0)
-    assert eq.total_mass() == pytest.approx(1.0)
+    assert np.all(eq.rho_omega_regular == 0.0)
+    assert eq.trace() == pytest.approx(1.0)
 
 
 def test_equilibrium_of_mixed_state(grid, spectrum):
     state = replace(zero_state(grid, 2), rho_d=np.diag([0.5, 0.2]),
                     rho_omega_regular=normalized_density(grid, mass=0.3))
     eq = equilibrium(state.validate(), spectrum)
-    at_one, at_two = eq.atoms.weights_at([1.0, 2.0])
+    at_one, at_two = eq.rho_omega_atoms.weights_at([1.0, 2.0])
     assert at_one == pytest.approx(0.5)
     assert at_two == pytest.approx(0.2)
-    assert np.dot(grid.weights, eq.continuous) == pytest.approx(0.3)
+    assert np.dot(grid.weights, eq.rho_omega_regular) == pytest.approx(0.3)
 
 
 def test_equilibrium_drops_coherences(grid, spectrum):
     state = discrete_state(grid, np.array([[0.5, 0.5], [0.5, 0.5]], complex))
     eq = equilibrium(state, spectrum)
-    at_one, at_two = eq.atoms.weights_at([1.0, 2.0])
+    at_one, at_two = eq.rho_omega_atoms.weights_at([1.0, 2.0])
     assert at_one == pytest.approx(0.5)
     assert at_two == pytest.approx(0.5)
-    assert eq.total_mass() == pytest.approx(1.0)
+    assert eq.trace() == pytest.approx(1.0)
+
+
+def test_equilibrium_keeps_only_the_continuum_diagonal(grid, spectrum):
+    state = random_valid_state(grid, spectrum, np.random.default_rng(41), with_cc=True)
+    eigen = decompose_initial(state, spectrum)
+    eq = equilibrium(state, spectrum)
+    assert eq.basis == "free"
+    assert eq.rho_iomega is None and eq.rho_omegaomega is None
+    assert not np.any(eq.rho_d) and eq.rho_d.shape == (2, 2)
+    assert np.array_equal(eq.rho_omega_regular, eigen.rho_omega_regular)
+    assert np.array_equal(eq.rho_omega_atoms.weights, eigen.rho_omega_atoms.weights)
 
 
 def test_equilibrium_is_idempotent_under_evolution(grid, spectrum):
@@ -553,15 +520,15 @@ def test_equilibrium_is_idempotent_under_evolution(grid, spectrum):
     eq0 = equilibrium(eigen, spectrum)
     for t in (1.0, 50.0):
         eq_t = equilibrium(evolve(eigen, spectrum, t), spectrum)
-        assert np.array_equal(eq_t.continuous, eq0.continuous)
-        assert np.array_equal(eq_t.atoms.weights, eq0.atoms.weights)
+        assert np.array_equal(eq_t.rho_omega_regular, eq0.rho_omega_regular)
+        assert np.array_equal(eq_t.rho_omega_atoms.weights, eq0.rho_omega_atoms.weights)
 
 
 def test_equilibrium_components_nonnegative(grid, spectrum):
     rng = np.random.default_rng(37)
     eq = equilibrium(random_valid_state(grid, spectrum, rng), spectrum)
-    assert np.all(eq.continuous >= 0.0)
-    assert np.all(eq.atoms.weights >= 0.0)
+    assert np.all(eq.rho_omega_regular >= 0.0)
+    assert np.all(eq.rho_omega_atoms.weights >= 0.0)
 
 
 # -- property: evolved discrete states stay physical -----------------------------

@@ -96,7 +96,7 @@ def test_readout_equals_equilibrium_atoms(grid, spectrum):
     setup = MeasurementSetup([0.6, 0.8j])
     eq = equilibrium(premeasure(setup, grid), spectrum)
     for level, probability in readout(setup, spectrum):
-        assert probability == eq.atoms.weights_at([level])[0]
+        assert probability == eq.rho_omega_atoms.weights_at([level])[0]
 
 
 def test_readout_agrees_with_oracle_mass_attribution(spectrum_two, oracle_two):

@@ -93,6 +93,7 @@ _CROSS_CHECK_CASES = {
     "two-level-gauss-legendre": (_constant([1.0, 2.0], 0.05), 1600, "gauss-legendre-composite"),
     "two-level-strong-coupling": (_constant([1.0, 2.0], 0.5), 800, "uniform-midpoint"),
     "close-levels": (_constant([1.0, 1.01], 0.05), 800, "uniform-midpoint"),
+    "near-degenerate-levels": (_constant([1.0, 1.0 + 1e-9], 0.05), 800, "uniform-midpoint"),
     "two-level-gaussian-symmetric": (ModelSpec(levels=[1.0, 2.0], omega_max=10.0,
                                                coupling=CouplingProfile.gaussian_window(0.1, 0.1)),
                                      800, "uniform-midpoint"),

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import re
 from pathlib import Path
 
@@ -39,10 +40,24 @@ def test_public_names_resolve():
     # removed names stay removed: each has one surviving way, or no reader at all
     for gone in ("eigenvector_corrections", "embed_discrete", "integrate", "model_to_dict",
                  "energy_distribution", "classical_profile", "ClassicalProfile",
-                 "EigenvectorCorrections"):
+                 "EigenvectorCorrections", "diagonal_evolution", "EquilibriumState"):
         assert gone not in pointersim.__all__ and not hasattr(pointersim, gone)
     assert not hasattr(pointersim.spectrum, "EigenvectorCorrections")
+    # the t -> infinity limit is a GeneralizedState, and recompose(evolve(...))
+    # is the one evolution of a diagonal state
+    for gone in ("diagonal_evolution", "EquilibriumState"):
+        assert not hasattr(pointersim.evolution, gone), gone
     # the (w i| sector is rho_iomega.conj(), and (u, u') is phased by an outer product
     for gone in ("lambda_continuum_discrete", "lambda_cc"):
         assert not hasattr(pointersim.LiouvilleSpectrum, gone), gone
     assert "rho_omegai" not in {f.name for f in dataclasses.fields(pointersim.GeneralizedState)}
+
+
+def test_layout_names_resolve():
+    # every backticked identifier in a Layout row is an attribute of that row's module
+    rows = re.findall(r"^\| `(pointersim\.\w+)` *\|(.*)\|$", README.read_text(), re.M)
+    assert len(rows) == 7
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        for name in re.findall(r"`(\w+)`", contents):
+            assert hasattr(module, name), f"{module_name}.{name}"
