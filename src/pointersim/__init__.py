@@ -8,7 +8,6 @@ perturbative prediction.  ``cli`` drives batch runs that emit CSV artifacts.
 
 from . import errors
 from .continuum import (
-    AtomicMeasure,
     ContinuumGrid,
     build_grid,
     principal_value,
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 # exported only if README, the CLI, the acceptance suite, the benchmark or
 # another module reads it (checked by tests/test_readme.py)
 __all__ = [
-    "AtomicMeasure",
     "ContinuumGrid",
     "CouplingProfile",
     "GeneralizedState",

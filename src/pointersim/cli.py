@@ -245,11 +245,6 @@ def _evolved(cfg: RunConfig, spec, state0):
         yield t, recompose(evolve(state0, spec, t), spec)
 
 
-def _level_atoms(state, spec) -> list:
-    """Pointer-atom weight at each level energy."""
-    return state.rho_omega_atoms.weights_at(spec.levels).tolist()
-
-
 def run_evolve(cfg: RunConfig):
     if cfg.times is None:
         raise ConfigParse("evolve needs a 'times' block")
@@ -265,7 +260,7 @@ def run_evolve(cfg: RunConfig):
     for t, state in _evolved(cfg, spec, state0):
         occ = [float(np.real(state.rho_d[i, i])) for i in range(n)]
         coh = [float(np.abs(state.rho_d[i, j])) for i, j in pairs]
-        rows.append([t] + occ + _level_atoms(state, spec) + coh)
+        rows.append([t] + occ + state.rho_omega_atoms.tolist() + coh)
     return [_write_csv(cfg.output_dir / "evolve.csv", "evolve", cfg, grid, columns, rows)]
 
 
@@ -317,7 +312,7 @@ def run_measure(cfg: RunConfig):
     if cfg.times is not None:
         state0 = decompose_initial(premeasure(setup, grid), spec)
         columns = ["t"] + [f"atom_{i}" for i in range(spec.n_levels)]
-        time_rows = [[t] + _level_atoms(state, spec) for t, state in _evolved(cfg, spec, state0)]
+        time_rows = [[t] + state.rho_omega_atoms.tolist() for t, state in _evolved(cfg, spec, state0)]
         tables.append(("measure_timeseries.csv", columns, time_rows))
     # every row exists before the first artifact is written, so a failure leaves none
     return [_write_csv(cfg.output_dir / name, "measure", cfg, grid, header, body)

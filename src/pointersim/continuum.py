@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     DiscontinuousAtSingularity,
     InvalidGrid,
-    InvalidState,
     NegativeTime,
     NonFiniteValue,
     SingularityOutsideSupport,
@@ -32,9 +31,6 @@ GRID_SCHEMES = ("uniform-midpoint", "gauss-legendre-composite")
 
 _MIN_NODES = 16
 _GL_ORDER = 4
-# atoms closer than this are one atom: the distinctness, merge and lookup
-# tolerance of ``AtomicMeasure``, and the least separation of two levels
-ATOM_TOL = 1e-12
 
 
 def check_time(t: float):
@@ -83,51 +79,6 @@ class ContinuumGrid:
         k = int(np.searchsorted(self.nodes, omega))
         k = min(max(k, 1), self.size - 1)
         return float(self.nodes[k] - self.nodes[k - 1])
-
-
-@dataclass(frozen=True, eq=False)
-class AtomicMeasure:
-    """Point masses on the energy axis (Dirac-delta components); read-only arrays."""
-
-    locations: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "locations", read_only(np.atleast_1d(self.locations), float))
-        object.__setattr__(self, "weights", read_only(np.atleast_1d(self.weights), float))
-        if self.locations.shape != self.weights.shape:
-            raise InvalidState("locations and weights must have matching shapes")
-        if not np.isfinite(self.locations).all():  # NaN would pass the distinctness check
-            raise InvalidState("atom locations must be finite")
-        if len(self.locations) > 1 and np.any(np.diff(np.sort(self.locations)) <= ATOM_TOL):
-            raise InvalidState("atom locations must be distinct")
-
-    @classmethod
-    def empty(cls) -> "AtomicMeasure":
-        return cls(locations=np.empty(0), weights=np.empty(0))
-
-    def total(self) -> float:
-        return float(np.sum(self.weights))
-
-    def weights_at(self, locations) -> np.ndarray:
-        """Weight of the atom at each of ``locations`` (0.0 where none sits)."""
-        hit = np.abs(self.locations - np.asarray(locations, float)[:, None]) <= ATOM_TOL
-        return np.where(hit, self.weights, 0.0).sum(axis=1)
-
-    def merging(self, locations, weights) -> "AtomicMeasure":
-        """New measure, in ascending location order, with each of ``weights``
-        merged onto the atom at its location, or added as a new atom where
-        none sits.  Weights bound for one atom are added in the order given."""
-        locations = np.asarray(locations, float)
-        weights = np.asarray(weights, float)
-        hit = np.abs(self.locations[:, None] - locations) <= ATOM_TOL
-        merged = self.weights.copy()
-        atom, new_index = np.nonzero(hit)
-        np.add.at(merged, atom, weights[new_index])
-        fresh = ~np.any(hit, axis=0)
-        locations = np.concatenate([self.locations, locations[fresh]])
-        order = np.argsort(locations)
-        return AtomicMeasure(locations[order], np.concatenate([merged, weights[fresh]])[order])
 
 
 def build_grid(omega_max: float, m: int, scheme: str = "uniform-midpoint",

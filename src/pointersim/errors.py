@@ -16,8 +16,8 @@ class LevelOutsideContinuum(ModelInvalid):
 
 
 class DegenerateLevels(ModelInvalid):
-    """Two discrete levels lie within ``continuum.ATOM_TOL``; the perturbative
-    formulas and the pointer atoms need them distinct."""
+    """Two discrete levels lie within ``model.LEVEL_SEPARATION`` (1e-12); the
+    perturbative formulas and the one pointer atom per level need them distinct."""
 
 
 class NegativeScale(ModelInvalid):
@@ -26,6 +26,10 @@ class NegativeScale(ModelInvalid):
 
 class OutOfSupport(SimulationError):
     """Requested a coupling value outside [0, omega_max]."""
+
+
+class LevelIndexOutOfRange(SimulationError, IndexError):
+    """A level or state index is not an integer in [0, count); negative ones never wrap."""
 
 
 # -- continuum --------------------------------------------------------------

@@ -3,7 +3,8 @@
 A state is a functional over the observable slots
 
     (i j|   discrete block          rho_d
-    (w|     continuum diagonal      rho_omega_regular + rho_omega_atoms
+    (w|     continuum diagonal      rho_omega_regular, plus rho_omega_atoms:
+                                    one atom per level, at its energy
     (i w|   level-continuum         rho_iomega      (optional)
     (w i|   continuum-level         rho_iomega.conj(), never stored
     (w w'|  continuum off-diagonal  rho_omegaomega  (optional, transient only)
@@ -11,9 +12,10 @@ A state is a functional over the observable slots
 and lives in one of two bases.  ``basis == "free"`` means the components are
 physical occupations of the uncoupled observable basis.  ``decompose_initial``
 rewrites them as coefficients against the damped eigenbasis duals
-(``basis == "eigen"``): the only change is that the continuum diagonal gains
-an atom of weight rho_d[i, i] at each level energy, because the dual of the
-dressed (i, i) vector is (i i| minus a point evaluation there.  ``evolve``
+(``basis == "eigen"``): the only change is that the atom at each level energy
+gains rho_d[i, i], because the dual of the dressed (i, i) vector is (i i|
+minus a point evaluation there.  The continuum diagonal holds no atom
+anywhere else, so ``rho_omega_atoms`` is one weight per level.  ``evolve``
 then multiplies each sector by exp(i * lambda * t); the continuum diagonal has
 lambda identically zero, so the trace it carries is conserved exactly.
 
@@ -39,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .continuum import AtomicMeasure, ContinuumGrid, check_time, read_only
+from .continuum import ContinuumGrid, check_time, read_only
 from .errors import InvalidState, TraceViolation
 from .spectrum import LiouvilleSpectrum
 
@@ -50,17 +52,21 @@ _SIGN_TOL = 1e-12  # how far below zero a density, weight or occupation may roun
 BASIS_FREE = "free"
 BASIS_EIGEN = "eigen"
 
-_SECTOR_DTYPES = (("rho_omega_regular", float), ("rho_d", complex), ("rho_iomega", complex),
-                  ("rho_omegaomega", complex))
+_SECTOR_DTYPES = (("rho_omega_regular", float), ("rho_omega_atoms", float), ("rho_d", complex),
+                  ("rho_iomega", complex), ("rho_omegaomega", complex))
 
 
 @dataclass(frozen=True, eq=False)
 class GeneralizedState:
-    """Sector components of a generalized state on a fixed grid; immutable."""
+    """Sector components of a generalized state on a fixed grid; immutable.
+
+    ``rho_omega_atoms[i]`` is the weight of the continuum-diagonal atom at
+    level i's energy.
+    """
 
     grid: ContinuumGrid
     rho_omega_regular: np.ndarray
-    rho_omega_atoms: AtomicMeasure
+    rho_omega_atoms: np.ndarray
     rho_d: np.ndarray
     rho_iomega: np.ndarray | None = None
     rho_omegaomega: np.ndarray | None = None
@@ -76,6 +82,8 @@ class GeneralizedState:
         if self.rho_d.ndim != 2 or self.rho_d.shape[0] != self.rho_d.shape[1]:
             raise InvalidState("rho_d must be square")
         n = self.rho_d.shape[0]
+        if self.rho_omega_atoms.shape != (n,):
+            raise InvalidState("rho_omega_atoms must have shape (n_levels,)")
         if self.rho_iomega is not None and self.rho_iomega.shape != (n, self.grid.size):
             raise InvalidState("mixed sectors must have shape (n_levels, grid size)")
         if self.rho_omegaomega is not None and self.rho_omegaomega.shape != (self.grid.size,) * 2:
@@ -92,7 +100,8 @@ class GeneralizedState:
         duals, so only the continuum diagonal contributes.
         """
         with np.errstate(over="ignore"):  # an overflowing trace is inf: TraceViolation
-            cont = float(np.dot(self.grid.weights, self.rho_omega_regular)) + self.rho_omega_atoms.total()
+            cont = (float(np.dot(self.grid.weights, self.rho_omega_regular))
+                    + float(np.sum(self.rho_omega_atoms)))
             if self.basis == BASIS_EIGEN:
                 return cont
             return cont + float(np.sum(np.real(np.diag(self.rho_d))))
@@ -111,11 +120,9 @@ class GeneralizedState:
             value = getattr(self, name)
             if value is not None and not np.all(np.isfinite(value)):
                 raise InvalidState(f"{name} must be finite")
-        if not np.all(np.isfinite(self.rho_omega_atoms.weights)):
-            raise InvalidState("atom weights must be finite")
         if np.any(self.rho_omega_regular < -_SIGN_TOL):
             raise InvalidState("continuum diagonal density must be >= 0")
-        if np.any(self.rho_omega_atoms.weights < -_SIGN_TOL):
+        if np.any(self.rho_omega_atoms < -_SIGN_TOL):
             raise InvalidState("atom weights must be >= 0")
         if self.hermiticity_defect() > _HERM_TOL:
             raise InvalidState("rho_d (and rho_omegaomega) must be Hermitian")
@@ -133,15 +140,17 @@ def zero_state(grid: ContinuumGrid, n_levels: int) -> GeneralizedState:
     return GeneralizedState(
         grid=grid,
         rho_omega_regular=np.zeros(grid.size),
-        rho_omega_atoms=AtomicMeasure.empty(),
+        rho_omega_atoms=np.zeros(n_levels),
         rho_d=np.zeros((n_levels, n_levels), complex),
     )
 
 
 def discrete_state(grid: ContinuumGrid, rho_d) -> GeneralizedState:
     """State with only the discrete block occupied (a private copy of rho_d)."""
-    # the state checks the shape of rho_d; indexing it first would fail on a scalar
-    return replace(zero_state(grid, 0), rho_d=np.array(rho_d, complex))
+    rho_d = np.array(rho_d, complex)
+    # the state checks that rho_d is square before it sizes the atoms by it;
+    # shape[:1] does not fail on a scalar
+    return replace(zero_state(grid, 0), rho_omega_atoms=np.zeros(rho_d.shape[:1]), rho_d=rho_d)
 
 
 def continuous_state(grid: ContinuumGrid, density, n_levels: int = 1) -> GeneralizedState:
@@ -157,33 +166,29 @@ def _check_input(state: GeneralizedState, spectrum: LiouvilleSpectrum, basis: st
         raise InvalidState(f"state has {state.n_levels} levels, spectrum has {spectrum.n_levels}")
 
 
-def _shift_level_atoms(state: GeneralizedState, spectrum: LiouvilleSpectrum,
-                       sign: float, basis: str) -> GeneralizedState:
+def _shift_level_atoms(state: GeneralizedState, sign: float, basis: str) -> GeneralizedState:
     """``state`` in ``basis`` with sign * rho_d[i, i] added to the
-    continuum-diagonal atom at each level energy."""
-    weights = np.real(np.diag(state.rho_d))
-    occupied = weights != 0.0
-    atoms = state.rho_omega_atoms.merging(spectrum.levels[occupied], sign * weights[occupied])
+    continuum-diagonal atom at level i's energy."""
+    atoms = state.rho_omega_atoms + sign * np.real(np.diag(state.rho_d))
     return replace(state, rho_omega_atoms=atoms, basis=basis)
 
 
 def decompose_initial(state: GeneralizedState, spectrum: LiouvilleSpectrum) -> GeneralizedState:
     """Rewrite a free-basis state as eigenbasis coefficients.
 
-    The discrete occupations stay in place and the continuum diagonal gains
-    an atom of the same weight at each level energy; everything else is
-    already diagonal at this order.  Raises ``TraceViolation`` when the input
-    does not have unit trace.
+    The discrete occupations stay in place and the atom at each level energy
+    gains the same weight; everything else is already diagonal at this
+    order.  Raises ``TraceViolation`` when the input does not have unit trace.
     """
     _check_input(state, spectrum, BASIS_FREE, "decompose_initial expects a free-basis state")
     state.validate()
-    return _shift_level_atoms(state, spectrum, 1.0, BASIS_EIGEN)
+    return _shift_level_atoms(state, 1.0, BASIS_EIGEN)
 
 
 def recompose(state: GeneralizedState, spectrum: LiouvilleSpectrum) -> GeneralizedState:
     """Inverse of ``decompose_initial``: back to physical free-basis components."""
     _check_input(state, spectrum, BASIS_EIGEN, "recompose expects an eigen-basis state")
-    return _shift_level_atoms(state, spectrum, -1.0, BASIS_FREE)
+    return _shift_level_atoms(state, -1.0, BASIS_FREE)
 
 
 def evolve(state: GeneralizedState, spectrum: LiouvilleSpectrum, t: float) -> GeneralizedState:

@@ -53,8 +53,7 @@ def readout(setup: MeasurementSetup, spectrum: LiouvilleSpectrum):
     equilibrium, so any change to the evolution layer propagates here.
     """
     final = equilibrium(premeasure(setup, spectrum.grid), spectrum)
-    weights = final.rho_omega_atoms.weights_at(spectrum.levels)
-    return list(zip(spectrum.levels.tolist(), weights.tolist()))
+    return list(zip(spectrum.levels.tolist(), final.rho_omega_atoms.tolist()))
 
 
 def _ordered_eigenpairs(block: np.ndarray):
@@ -96,6 +95,9 @@ def csco_diagonalize(blocks):
         block = np.asarray(block, complex)
         if block.ndim != 2 or block.shape[0] != block.shape[1]:
             raise NonHermitianBlock(f"block {k} is not square: shape {block.shape}")
+        # first, so that a NaN cannot pass the comparison below
+        if not np.all(np.isfinite(block)):
+            raise NonHermitianBlock(f"block {k} is not finite")
         if np.max(np.abs(block - block.conj().T), initial=0.0) > _HERM_TOL:
             raise NonHermitianBlock(f"block {k} is not Hermitian")
         results.append(_ordered_eigenpairs(block))

@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .continuum import ATOM_TOL
 from .errors import (
     DegenerateLevels,
+    LevelIndexOutOfRange,
     LevelOutsideContinuum,
     ModelInvalid,
     NegativeScale,
@@ -28,6 +28,9 @@ from .errors import (
 COUPLING_KINDS = ("constant", "lorentzian-window", "gaussian-window", "tabulated")
 
 _SUPPORT_TOL = 1e-12
+# levels closer than this are one level: the perturbative formulas and the
+# one pointer atom per level need them distinct
+LEVEL_SEPARATION = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +73,7 @@ class CouplingProfile:
 class ModelSpec:
     """Discrete levels, continuum cutoff and coupling profile, checked on construction.
 
-    Levels must lie strictly inside (0, omega_max), more than ``ATOM_TOL``
+    Levels must lie strictly inside (0, omega_max), more than ``LEVEL_SEPARATION``
     apart; nondegenerate perturbation theory underlies every downstream
     formula.  ``coupling_scale`` is a dimensionless global multiplier on V.
     The coupling is stored resolved, so a ``dataclasses.replace`` that moves
@@ -101,9 +104,9 @@ class ModelSpec:
                 raise LevelOutsideContinuum(
                     f"level {omega_i} is not strictly inside (0, {self.omega_max})"
                 )
-        if np.any(np.diff(np.sort(self.levels)) <= ATOM_TOL):
-            raise DegenerateLevels(f"levels must be pairwise distinct, more than {ATOM_TOL:g} "
-                                   f"apart, got {self.levels.tolist()}")
+        if np.any(np.diff(np.sort(self.levels)) <= LEVEL_SEPARATION):
+            raise DegenerateLevels(f"levels must be pairwise distinct, more than "
+                                   f"{LEVEL_SEPARATION:g} apart, got {self.levels.tolist()}")
         if self.coupling_scale < 0:
             raise NegativeScale(f"coupling_scale must be >= 0, got {self.coupling_scale}")
         object.__setattr__(self, "coupling", _resolve_profile(self.coupling, self))
@@ -200,10 +203,16 @@ def _profile_values(profile: CouplingProfile, omega, i: int):
     return np.interp(om, profile.table_omega, profile.table_values[:, i])
 
 
+def check_index(i, count: int):
+    """Refuse anything but an integer in [0, count): a negative index would
+    silently wrap to the end, and any other would fail inside numpy."""
+    if not (isinstance(i, (int, np.integer)) and 0 <= i < count):
+        raise LevelIndexOutOfRange(f"index must be an integer in [0, {count}), got {i!r}")
+
+
 def coupling_at(spec: ModelSpec, omega, i: int):
     """Evaluate coupling_scale * V(omega, i); omega may be a scalar or array."""
-    if not 0 <= i < spec.n_levels:
-        raise IndexError(f"level index {i} out of range for {spec.n_levels} levels")
+    check_index(i, spec.n_levels)
     om = np.asarray(omega, float)
     if np.any(om < -_SUPPORT_TOL) or np.any(om > spec.omega_max + _SUPPORT_TOL):
         raise OutOfSupport(f"omega outside [0, {spec.omega_max}]")

@@ -35,7 +35,7 @@ import numpy as np
 
 from .continuum import ContinuumGrid, check_time
 from .errors import EigensolverFailure, FitFailure, InvalidState, RecurrenceWindowExceeded
-from .model import ModelSpec, coupling_at
+from .model import ModelSpec, check_index, coupling_at
 
 _ORTHO_TOL = 1e-10
 # survival samples per exponential fit, and the resonance fit's half-width
@@ -493,16 +493,25 @@ def evolve_pure(model: OracleModel, amplitudes, t: float, levels_only: bool = Fa
     return model.apply(evolved)
 
 
+def _level_row(model: OracleModel, i: int) -> np.ndarray:
+    """Q[i, :], level i's component of every eigenvector."""
+    check_index(i, model.n_levels)
+    return model.eigenvectors[i]
+
+
 def survival_probability(model: OracleModel, i: int, t: float) -> float:
     """|<i| exp(-i H t) |i>|^2 for level i."""
     _check_window(model, t)
-    c = model.eigenvectors[i, :]
+    c = _level_row(model, i)
     amplitude = np.sum(c * c * np.exp(-1j * model.eigenvalues * t))
     return float(np.abs(amplitude) ** 2)
 
 
 def coherence(model: OracleModel, i: int, j: int, amplitudes, t: float) -> complex:
-    """Density-matrix element rho_ij(t) of the evolved pure state."""
+    """Density-matrix element rho_ij(t) of the evolved pure state; i and j
+    index the levels, then the nodes."""
+    check_index(i, model.size)
+    check_index(j, model.size)
     psi = evolve_pure(model, amplitudes, t, levels_only=max(i, j) < model.n_levels)
     return complex(psi[i] * np.conj(psi[j]))
 
@@ -535,8 +544,17 @@ def fit_exponential_rate(times, values) -> float:
     """Least-squares decay rate of values ~ exp(-rate * t) on a log scale."""
     times = np.asarray(times, float)
     values = np.asarray(values, float)
-    if np.any(values <= 0):
-        raise FitFailure("exponential fit needs strictly positive values")
+    if times.ndim != 1 or times.shape != values.shape:
+        raise FitFailure(f"exponential fit needs one value per time, got shapes "
+                         f"{times.shape} and {values.shape}")
+    if not np.all(np.isfinite(times)):
+        raise FitFailure("exponential fit needs finite times")
+    # with one distinct time the slope is undetermined, and lstsq would
+    # return its minimum-norm guess
+    if len(np.unique(times)) < 2:
+        raise FitFailure("exponential fit needs at least two distinct times")
+    if not np.all((values > 0) & np.isfinite(values)):
+        raise FitFailure("exponential fit needs strictly positive finite values")
     design = np.column_stack([times, np.ones_like(times)])
     slope, _ = np.linalg.lstsq(design, np.log(values), rcond=None)[0]
     return float(-slope)
@@ -544,7 +562,7 @@ def fit_exponential_rate(times, values) -> float:
 
 def _spectral_quartiles(model: OracleModel, i: int):
     """Median and interquartile range of the spectral measure of level i."""
-    mass = model.eigenvectors[i, :] ** 2
+    mass = _level_row(model, i) ** 2
     cdf = np.cumsum(mass)
     cdf /= cdf[-1]
     q25, q50, q75 = np.interp([0.25, 0.5, 0.75], cdf, model.eigenvalues)
@@ -581,7 +599,7 @@ def resonance_center(model: OracleModel, i: int) -> float:
     weight (a decoupled level) there is no line to fit, and the eigenvalue
     carrying the level's largest weight is returned.
     """
-    mass = model.eigenvectors[i, :] ** 2
+    mass = _level_row(model, i) ** 2
     center0, iqr = _spectral_quartiles(model, i)
     energies = model.eigenvalues
     mask = (np.abs(energies - center0) < _WINDOW_IQR * iqr) & (mass > 0)

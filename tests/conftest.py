@@ -17,7 +17,6 @@ import pytest
 
 import pointersim
 from pointersim import (
-    AtomicMeasure,
     CouplingProfile,
     GeneralizedState,
     ModelSpec,
@@ -74,6 +73,8 @@ def random_valid_state(grid, spectrum, rng, with_cc=False):
     raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho_d = raw @ raw.conj().T
     rho_d /= np.trace(rho_d).real / 0.4          # discrete sector carries mass 0.4
+    atoms = np.zeros(n)
+    atoms[0] = 0.1                               # an atom at level 0's energy
     rho_iomega = 0.01 * (rng.normal(size=(n, m)) - 1j * rng.normal(size=(n, m)))
     rho_omegaomega = None
     if with_cc:
@@ -82,7 +83,7 @@ def random_valid_state(grid, spectrum, rng, with_cc=False):
     return GeneralizedState(
         grid=grid,
         rho_omega_regular=normalized_density(grid, mass=0.5),
-        rho_omega_atoms=AtomicMeasure(locations=[6.5], weights=[0.1]),
+        rho_omega_atoms=atoms,
         rho_d=rho_d,
         rho_iomega=rho_iomega,
         rho_omegaomega=rho_omegaomega,

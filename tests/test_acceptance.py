@@ -110,7 +110,7 @@ def test_criterion_5_exact_bookkeeping(single_level_model, grid_2000, spectrum_s
 
     def split(t):
         state = recompose(evolve(eigen, spectrum_single, t), spectrum_single)
-        return state.rho_d[0, 0].real, state.rho_omega_atoms.weights_at([1.0])[0]
+        return state.rho_d[0, 0].real, state.rho_omega_atoms[0]
 
     times = np.linspace(0.0, 4.0 / GAMMA_005, 100)
     occupied, transferred = np.array([split(t) for t in times]).T
@@ -153,7 +153,7 @@ def test_criterion_6_conservation_and_structure(grid_2000):
     eq0 = equilibrium(eigen, spectrum_small)
     eq_later = equilibrium(evolve(eigen, spectrum_small, 37.0), spectrum_small)
     assert np.array_equal(eq0.rho_omega_regular, eq_later.rho_omega_regular)
-    assert np.array_equal(eq0.rho_omega_atoms.weights, eq_later.rho_omega_atoms.weights)
+    assert np.array_equal(eq0.rho_omega_atoms, eq_later.rho_omega_atoms)
 
     for i in range(2):
         for j in range(2):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
-from pointersim import AtomicMeasure, build_grid, principal_value
+from pointersim import build_grid, principal_value
 from pointersim.continuum import resolvent_boundary
 from pointersim.errors import (
     DiscontinuousAtSingularity,
@@ -195,30 +195,3 @@ def test_resolvent_boundary_asymmetric_point():
     assert value.real == pytest.approx(np.log(9.0), abs=1e-8)
     assert value.imag == pytest.approx(np.pi)
 
-
-def test_atomic_measure_bookkeeping():
-    atoms = AtomicMeasure.empty()
-    atoms = atoms.merging([1.0], [0.3]).merging([2.0], [0.5]).merging([1.0], [0.2])
-    assert atoms.total() == pytest.approx(1.0)
-    at_one, at_two, at_three = atoms.weights_at([1.0, 2.0, 3.0])
-    assert at_one == pytest.approx(0.5)
-    assert at_two == pytest.approx(0.5)
-    assert at_three == 0.0
-    assert np.all(np.diff(atoms.locations) > 0)
-
-
-def test_atomic_measure_rejects_duplicate_locations():
-    with pytest.raises(InvalidState, match="distinct"):
-        AtomicMeasure(locations=[1.0, 1.0], weights=[0.5, 0.5])
-
-
-@pytest.mark.parametrize("locations", [[np.nan], [np.nan, np.nan], [np.inf]],
-                         ids=["nan", "two-nans", "inf"])
-def test_atomic_measure_rejects_non_finite_locations(locations):
-    with pytest.raises(InvalidState, match="atom locations must be finite"):
-        AtomicMeasure(locations=locations, weights=np.full(len(locations), 1.0 / len(locations)))
-
-
-def test_atomic_measure_rejects_mismatched_shapes():
-    with pytest.raises(InvalidState, match="shapes"):
-        AtomicMeasure(locations=[1.0, 2.0], weights=[0.5])

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pointersim import (
-    AtomicMeasure,
     GeneralizedState,
     MeasurementSetup,
     build_grid,
@@ -38,7 +37,7 @@ def spectrum(grid):
 
 def _state_with(grid, **overrides):
     m = grid.size
-    sectors = dict(grid=grid, rho_omega_regular=np.zeros(m), rho_omega_atoms=AtomicMeasure.empty(),
+    sectors = dict(grid=grid, rho_omega_regular=np.zeros(m), rho_omega_atoms=np.zeros(2),
                    rho_d=np.zeros((2, 2)), rho_iomega=np.zeros((2, m)))
     return GeneralizedState(**(sectors | overrides))
 
@@ -48,10 +47,11 @@ def _state_with(grid, **overrides):
     (lambda g: _state_with(g, rho_d=np.zeros((2, 3))), "square"),
     (lambda g: _state_with(g, rho_d=0.5), "square"),
     (lambda g: discrete_state(g, 0.5), "square"),
+    (lambda g: _state_with(g, rho_omega_atoms=np.zeros(3)), "rho_omega_atoms must have shape"),
     (lambda g: _state_with(g, rho_iomega=np.zeros((2, g.size + 1))), "mixed sectors must have shape"),
     (lambda g: _state_with(g, rho_omegaomega=np.zeros((3, 3))), "rho_omegaomega must have shape"),
 ], ids=["continuum-size", "non-square-discrete", "scalar-discrete", "scalar-discrete-state",
-        "mixed-shape", "continuum-block-size"])
+        "atom-count", "mixed-shape", "continuum-block-size"])
 def test_malformed_sectors_are_invalid_states(grid, make, match):
     with pytest.raises(InvalidState, match=match):
         make(grid)
@@ -68,7 +68,7 @@ def _break_density(state):
 
 
 def _break_atoms(state):
-    return replace(state, rho_omega_atoms=AtomicMeasure(locations=[5.0], weights=[-0.1]))
+    return replace(state, rho_omega_atoms=[0.0, -0.1])
 
 
 def _break_hermiticity(state):
@@ -122,7 +122,7 @@ def _nan_eigen_continuum(grid):
 
 
 def _nan_eigen_atom(grid):
-    return replace(zero_state(grid, 2), rho_omega_atoms=AtomicMeasure([1.0], [np.nan]), basis="eigen")
+    return replace(zero_state(grid, 2), rho_omega_atoms=[np.nan, 0.0], basis="eigen")
 
 
 @pytest.mark.parametrize("call, match", [
@@ -131,7 +131,7 @@ def _nan_eigen_atom(grid):
     (lambda g, s: evolve(discrete_state(g, np.diag([1.0, 0.0])), s, 1.0), "evolve expects"),
     (lambda g, s: equilibrium(_negative_eigen_continuum(g), s), "density must be >= 0"),
     (lambda g, s: equilibrium(_nan_eigen_continuum(g), s), "rho_omega_regular must be finite"),
-    (lambda g, s: equilibrium(_nan_eigen_atom(g), s), "atom weights must be finite"),
+    (lambda g, s: equilibrium(_nan_eigen_atom(g), s), "rho_omega_atoms must be finite"),
 ], ids=["decompose-basis", "recompose-basis", "evolve-basis", "equilibrium-sign",
         "equilibrium-nan", "equilibrium-nan-atom"])
 def test_evolution_input_errors_are_invalid_states(grid, spectrum, call, match):
@@ -153,12 +153,11 @@ def test_level_count_mismatch_is_an_invalid_state(grid, spectrum, call):
 
 # -- ownership: states are values ----------------------------------------------
 
-_SECTORS = ("rho_omega_regular", "rho_d", "rho_iomega", "rho_omegaomega")
+_SECTORS = ("rho_omega_regular", "rho_omega_atoms", "rho_d", "rho_iomega", "rho_omegaomega")
 
 
 def _sector_arrays(state):
-    arrays = [getattr(state, name) for name in _SECTORS if getattr(state, name) is not None]
-    return arrays + [state.rho_omega_atoms.locations, state.rho_omega_atoms.weights]
+    return [getattr(state, name) for name in _SECTORS if getattr(state, name) is not None]
 
 
 _TRANSFORMS = {
@@ -211,7 +210,7 @@ def test_evolve_shares_the_invariant_sectors(grid, spectrum):
     eigen = decompose_initial(random_valid_state(grid, spectrum, np.random.default_rng(9)), spectrum)
     evolved = evolve(eigen, spectrum, 3.0)
     assert np.shares_memory(evolved.rho_omega_regular, eigen.rho_omega_regular)
-    assert evolved.rho_omega_atoms is eigen.rho_omega_atoms
+    assert np.shares_memory(evolved.rho_omega_atoms, eigen.rho_omega_atoms)
 
 
 # -- absent sectors ------------------------------------------------------------
@@ -234,8 +233,7 @@ def test_absent_mixed_sectors_evolve_like_zero_ones(grid, spectrum):
         a = recompose(evolve(eigen_absent, spectrum, t), spectrum)
         e = recompose(evolve(eigen_explicit, spectrum, t), spectrum)
         assert a.rho_d.tobytes() == e.rho_d.tobytes()
-        assert a.rho_omega_atoms.locations.tobytes() == e.rho_omega_atoms.locations.tobytes()
-        assert a.rho_omega_atoms.weights.tobytes() == e.rho_omega_atoms.weights.tobytes()
+        assert a.rho_omega_atoms.tobytes() == e.rho_omega_atoms.tobytes()
         assert not np.any(e.rho_iomega)
 
 
@@ -245,7 +243,7 @@ def test_decompose_pure_discrete_level(grid, spectrum):
     state = discrete_state(grid, np.diag([1.0, 0.0])).validate()
     eigen = decompose_initial(state, spectrum)
     assert eigen.rho_d[0, 0] == 1.0
-    at_one, at_two = eigen.rho_omega_atoms.weights_at([1.0, 2.0])
+    at_one, at_two = eigen.rho_omega_atoms
     assert at_one == pytest.approx(1.0)
     assert at_two == 0.0
     assert np.all(eigen.rho_omega_regular == 0.0)
@@ -254,7 +252,7 @@ def test_decompose_pure_discrete_level(grid, spectrum):
 def test_decompose_mixed_diagonal(grid, spectrum):
     state = discrete_state(grid, np.diag([0.3, 0.7]))
     eigen = decompose_initial(state, spectrum)
-    at_one, at_two = eigen.rho_omega_atoms.weights_at([1.0, 2.0])
+    at_one, at_two = eigen.rho_omega_atoms
     assert at_one == pytest.approx(0.3)
     assert at_two == pytest.approx(0.7)
     assert np.real(np.diag(eigen.rho_d)).tolist() == [0.3, 0.7]
@@ -263,7 +261,7 @@ def test_decompose_mixed_diagonal(grid, spectrum):
 def test_decompose_purely_continuous_state_unchanged(grid, spectrum):
     state = continuous_state(grid, normalized_density(grid), n_levels=2)
     eigen = decompose_initial(state, spectrum)
-    assert len(eigen.rho_omega_atoms.locations) == 0
+    assert not np.any(eigen.rho_omega_atoms)
     assert np.array_equal(eigen.rho_omega_regular, state.rho_omega_regular)
 
 
@@ -279,78 +277,59 @@ def test_recompose_inverts_decompose(grid, spectrum):
     back = recompose(decompose_initial(state, spectrum), spectrum)
     assert back.basis == "free"
     assert np.allclose(back.rho_d, state.rho_d)
-    assert back.rho_omega_atoms.weights_at([1.0])[0] == pytest.approx(0.0, abs=1e-15)
+    assert back.rho_omega_atoms == pytest.approx(state.rho_omega_atoms, abs=1e-15)
     assert back.trace() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_round_trip_merges_onto_an_atom_at_a_level_energy(grid, spectrum):
-    state = replace(discrete_state(grid, np.diag([0.3, 0.5])),
-                    rho_omega_atoms=AtomicMeasure(locations=[1.0, 6.5], weights=[0.15, 0.05]))
+    state = replace(discrete_state(grid, np.diag([0.3, 0.5])), rho_omega_atoms=[0.15, 0.05])
     eigen = decompose_initial(state.validate(), spectrum)
-    assert eigen.rho_omega_atoms.locations.tolist() == [1.0, 2.0, 6.5]
-    assert eigen.rho_omega_atoms.weights_at([1.0])[0] == pytest.approx(0.45, abs=1e-15)
+    assert eigen.rho_omega_atoms == pytest.approx([0.45, 0.55], abs=1e-15)
     back = recompose(eigen, spectrum)
-    assert back.rho_omega_atoms.locations.tolist() == [1.0, 2.0, 6.5]
-    assert back.rho_omega_atoms.weights == pytest.approx([0.15, 0.0, 0.05], abs=1e-15)
+    assert back.rho_omega_atoms == pytest.approx([0.15, 0.05], abs=1e-15)
     assert back.trace() == pytest.approx(1.0, abs=1e-12)
 
 
-# The sequential fold and the per-location scan that the vectorized
-# ``AtomicMeasure.merging`` and ``weights_at`` replaced, kept as references.
+# The sequential per-level fold that the vectorized ``_shift_level_atoms``
+# replaced, kept as a reference: like the location merge before it, it
+# leaves the atom of an empty level untouched.
 
-def _fold_reference(atoms, levels, rho_d, sign):
-    locations, weights = np.array(atoms.locations), np.array(atoms.weights)
-    for i, level in enumerate(levels):
+def _fold_reference(atoms, rho_d, sign):
+    folded = np.array(atoms)
+    for i in range(len(folded)):
         weight = float(np.real(rho_d[i, i]))
-        if weight == 0.0:
-            continue
-        hit = np.abs(locations - level) <= 1e-12
-        if np.any(hit):
-            weights = weights.copy()
-            weights[hit] += sign * weight
-        else:
-            locations = np.append(locations, level)
-            weights = np.append(weights, sign * weight)
-            order = np.argsort(locations)
-            locations, weights = locations[order], weights[order]
-    return locations, weights
-
-
-def _lookup_reference(atoms, probes):
-    return np.array([float(np.sum(atoms.weights[np.abs(atoms.locations - p) <= 1e-12]))
-                     for p in probes])
+        if weight != 0.0:
+            folded[i] += sign * weight
+    return folded
 
 
 _SIX_AMPLITUDES = [1.0, 1j] @ np.random.default_rng(17).normal(size=(2, 6))
 
 
 @pytest.mark.parametrize("levels, rho_d, prior", [
-    ([1.0, 2.0], np.diag([0.3, 0.7]), ([], [])),
-    ([1.0, 2.0], np.diag([0.3, 0.5]), ([1.0, 6.5], [0.15, 0.05])),
-    ([1.0, 2.0, 3.0], np.diag([0.4, 0.0, 0.6]), ([], [])),
-    ([1.0, 2.0], np.diag([0.3, 0.5]), ([6.5], [0.2])),
-    ([1.0], np.eye(1), ([], [])),
+    ([1.0, 2.0], np.diag([0.3, 0.7]), [0.0, 0.0]),
+    ([1.0, 2.0], np.diag([0.3, 0.5]), [0.15, 0.05]),
+    ([1.0, 2.0, 3.0], np.diag([0.4, 0.0, 0.6]), [0.0, 0.0, 0.0]),
+    ([1.0, 2.0, 3.0], np.diag([0.3, 0.0, 0.5]), [0.0, 0.2, 0.0]),
+    ([1.0], np.eye(1), [0.0]),
     ([1.0, 2.0, 3.0, 4.5, 6.0, 7.5],
      np.outer(_SIX_AMPLITUDES.conj(), _SIX_AMPLITUDES) / np.sum(np.abs(_SIX_AMPLITUDES) ** 2),
-     ([], [])),
+     np.zeros(6)),
 ], ids=["no-prior-atoms", "atom-at-a-level", "zero-occupation", "far-atom", "one-level",
         "six-levels"])
 def test_atom_merge_and_lookup_match_the_sequential_references(grid, levels, rho_d, prior):
+    # every atom sits at a level, so the readout is the atom array itself.
+    # far-atom: the prior atom sits far from every occupied level, at the one
+    # level no occupation folds onto, and must come through untouched
     spectrum = liouville_spectrum(make_constant_model(levels, 0.1), grid)
-    state = replace(discrete_state(grid, rho_d), rho_omega_atoms=AtomicMeasure(*prior))
+    state = replace(discrete_state(grid, rho_d), rho_omega_atoms=prior)
     eigen = decompose_initial(state, spectrum)
-    locations, weights = _fold_reference(state.rho_omega_atoms, levels, state.rho_d, 1.0)
-    assert eigen.rho_omega_atoms.locations.tobytes() == locations.tobytes()
-    assert eigen.rho_omega_atoms.weights.tobytes() == weights.tobytes()
-    probes = np.concatenate([levels, np.add(levels, 5e-13), np.add(levels, 5e-10),
-                             [0.5, 6.5, 9.0]])
+    assert eigen.rho_omega_atoms.tobytes() == _fold_reference(prior, rho_d, 1.0).tobytes()
     for t in (0.0, 3.0, 40.0):
         evolved = evolve(eigen, spectrum, t)
         back = recompose(evolved, spectrum).rho_omega_atoms
-        locations, weights = _fold_reference(evolved.rho_omega_atoms, levels, evolved.rho_d, -1.0)
-        assert back.locations.tobytes() == locations.tobytes()
-        assert back.weights.tobytes() == weights.tobytes()
-        assert back.weights_at(probes).tobytes() == _lookup_reference(back, probes).tobytes()
+        reference = _fold_reference(evolved.rho_omega_atoms, evolved.rho_d, -1.0)
+        assert back.tobytes() == reference.tobytes()
 
 
 # -- time evolution --------------------------------------------------------------
@@ -388,7 +367,7 @@ def test_continuum_diagonal_sector_is_invariant(grid, spectrum):
     for t in (0.0, 3.0, 250.0):
         evolved = evolve(eigen, spectrum, t)
         assert np.array_equal(evolved.rho_omega_regular, eigen.rho_omega_regular)
-        assert evolved.rho_omega_atoms.total() == eigen.rho_omega_atoms.total()
+        assert np.array_equal(evolved.rho_omega_atoms, eigen.rho_omega_atoms)
 
 
 def test_coherence_modulus_decays_at_mean_rate(grid, spectrum):
@@ -432,7 +411,7 @@ def test_mixed_sectors_follow_the_oracle(unit_model, grid_800, oracle_unit):
     rho_iomega = np.zeros((1, grid_800.size), complex)
     rho_iomega[0, k] = coherence(oracle_unit, 1 + k, 0, psi0, 0.0)
     state = GeneralizedState(grid=grid_800, rho_omega_regular=density,
-                             rho_omega_atoms=AtomicMeasure.empty(), rho_d=[[0.5]],
+                             rho_omega_atoms=[0.0], rho_d=[[0.5]],
                              rho_iomega=rho_iomega).validate()
     eigen = decompose_initial(state, spectrum)
 
@@ -476,7 +455,7 @@ def test_hermiticity_preserved_under_evolution(grid, spectrum):
 def test_equilibrium_of_pure_discrete_state(grid, spectrum):
     state = discrete_state(grid, np.diag([1.0, 0.0]))
     eq = equilibrium(state, spectrum)
-    at_one, at_two = eq.rho_omega_atoms.weights_at([1.0, 2.0])
+    at_one, at_two = eq.rho_omega_atoms
     assert at_one == pytest.approx(1.0)
     assert at_two == 0.0
     assert np.all(eq.rho_omega_regular == 0.0)
@@ -487,7 +466,7 @@ def test_equilibrium_of_mixed_state(grid, spectrum):
     state = replace(zero_state(grid, 2), rho_d=np.diag([0.5, 0.2]),
                     rho_omega_regular=normalized_density(grid, mass=0.3))
     eq = equilibrium(state.validate(), spectrum)
-    at_one, at_two = eq.rho_omega_atoms.weights_at([1.0, 2.0])
+    at_one, at_two = eq.rho_omega_atoms
     assert at_one == pytest.approx(0.5)
     assert at_two == pytest.approx(0.2)
     assert np.dot(grid.weights, eq.rho_omega_regular) == pytest.approx(0.3)
@@ -496,7 +475,7 @@ def test_equilibrium_of_mixed_state(grid, spectrum):
 def test_equilibrium_drops_coherences(grid, spectrum):
     state = discrete_state(grid, np.array([[0.5, 0.5], [0.5, 0.5]], complex))
     eq = equilibrium(state, spectrum)
-    at_one, at_two = eq.rho_omega_atoms.weights_at([1.0, 2.0])
+    at_one, at_two = eq.rho_omega_atoms
     assert at_one == pytest.approx(0.5)
     assert at_two == pytest.approx(0.5)
     assert eq.trace() == pytest.approx(1.0)
@@ -510,7 +489,7 @@ def test_equilibrium_keeps_only_the_continuum_diagonal(grid, spectrum):
     assert eq.rho_iomega is None and eq.rho_omegaomega is None
     assert not np.any(eq.rho_d) and eq.rho_d.shape == (2, 2)
     assert np.array_equal(eq.rho_omega_regular, eigen.rho_omega_regular)
-    assert np.array_equal(eq.rho_omega_atoms.weights, eigen.rho_omega_atoms.weights)
+    assert np.array_equal(eq.rho_omega_atoms, eigen.rho_omega_atoms)
 
 
 def test_equilibrium_is_idempotent_under_evolution(grid, spectrum):
@@ -521,14 +500,14 @@ def test_equilibrium_is_idempotent_under_evolution(grid, spectrum):
     for t in (1.0, 50.0):
         eq_t = equilibrium(evolve(eigen, spectrum, t), spectrum)
         assert np.array_equal(eq_t.rho_omega_regular, eq0.rho_omega_regular)
-        assert np.array_equal(eq_t.rho_omega_atoms.weights, eq0.rho_omega_atoms.weights)
+        assert np.array_equal(eq_t.rho_omega_atoms, eq0.rho_omega_atoms)
 
 
 def test_equilibrium_components_nonnegative(grid, spectrum):
     rng = np.random.default_rng(37)
     eq = equilibrium(random_valid_state(grid, spectrum, rng), spectrum)
     assert np.all(eq.rho_omega_regular >= 0.0)
-    assert np.all(eq.rho_omega_atoms.weights >= 0.0)
+    assert np.all(eq.rho_omega_atoms >= 0.0)
 
 
 # -- property: evolved discrete states stay physical -----------------------------
@@ -564,8 +543,7 @@ def test_evolved_discrete_states_stay_valid_and_conserve_each_level(rho_d, decay
     t = decay_times / float(np.min(spectrum.gamma))
     state = decompose_initial(discrete_state(spectrum.grid, rho_d), spectrum)
     physical = recompose(evolve(state, spectrum, t), spectrum).validate()
-    atoms = physical.rho_omega_atoms.weights_at(spectrum.levels)
-    level_total = np.real(np.diag(physical.rho_d)) + atoms
+    level_total = np.real(np.diag(physical.rho_d)) + physical.rho_omega_atoms
     assert np.max(np.abs(level_total - np.real(np.diag(rho_d)))) <= 1e-12
 
 

@@ -58,7 +58,7 @@ def test_setup_refuses_anything_but_a_finite_vector(amplitudes):
 
 
 def test_readout_separates_levels_just_above_the_atom_tolerance():
-    # 1e-10 apart: two atoms, and each level's lookup finds only its own
+    # 1e-10 apart: two levels, each with its own atom
     model = make_constant_model([1.0, 1.0 + 1e-10], 0.05)
     spectrum = liouville_spectrum(model, build_grid(10.0, 400, avoid=model.levels))
     pointer = readout(MeasurementSetup([0.6, 0.8]), spectrum)
@@ -95,8 +95,9 @@ def test_readout_is_phase_invariant(spectrum):
 def test_readout_equals_equilibrium_atoms(grid, spectrum):
     setup = MeasurementSetup([0.6, 0.8j])
     eq = equilibrium(premeasure(setup, grid), spectrum)
-    for level, probability in readout(setup, spectrum):
-        assert probability == eq.rho_omega_atoms.weights_at([level])[0]
+    pointer = readout(setup, spectrum)
+    assert [level for level, _ in pointer] == spectrum.levels.tolist()
+    assert [probability for _, probability in pointer] == eq.rho_omega_atoms.tolist()
 
 
 def test_readout_agrees_with_oracle_mass_attribution(spectrum_two, oracle_two):
@@ -129,6 +130,14 @@ def test_csco_rejects_non_hermitian_block():
         csco_diagonalize([np.array([[0.0, 1.0], [0.0, 0.0]])])
     with pytest.raises(NonHermitianBlock):
         csco_diagonalize([np.zeros((2, 3))])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_csco_refuses_a_non_finite_block(bad):
+    # a NaN block would pass the Hermiticity comparison, an inf one warn in it
+    block = np.array([[0.5, bad], [bad, 0.5]])
+    with pytest.raises(NonHermitianBlock, match="block 1 is not finite"):
+        csco_diagonalize([np.eye(2), block])
 
 
 def test_csco_random_psd_blocks_preserve_structure():

@@ -15,6 +15,7 @@ from pointersim import (
 )
 from pointersim.errors import (
     DegenerateLevels,
+    LevelIndexOutOfRange,
     LevelOutsideContinuum,
     ModelInvalid,
     NegativeScale,
@@ -133,6 +134,14 @@ def test_bad_level_index_rejected():
         coupling_at(spec, 1.0, 3)
 
 
+@pytest.mark.parametrize("i", [-1, 2], ids=["minus-one", "count"])
+def test_coupling_at_refuses_a_level_index_out_of_range(i):
+    # -1 would read the last level's coupling
+    spec = make_constant_model([1.0, 2.0], [0.1, 0.2])
+    with pytest.raises(LevelIndexOutOfRange, match=rf"integer in \[0, 2\), got {i}$"):
+        coupling_at(spec, 1.0, i)
+
+
 def test_json_round_trip(tmp_path):
     data = {
         "levels": [1.0, 2.0],
@@ -201,6 +210,8 @@ def test_fields_are_read_only_copies():
 @pytest.mark.parametrize("field, value, match", [
     ("levels", [[1.0]], "levels"),
     ("levels", "x", "levels"),
+    ("levels", [1.0, float("nan")], "levels"),
+    ("levels", [1.0, float("inf")], "levels"),
     ("omega_max", {"a": 1}, "omega_max"),
     ("coupling_scale", float("nan"), "coupling_scale"),
     ("amplitude", "x", "amplitude"),
@@ -208,8 +219,9 @@ def test_fields_are_read_only_copies():
     ("amplitude", [[0.05]], "amplitude"),
     ("amplitude", [0.05, 0.05, 0.05], "amplitude"),
     ("amplitude", 1e200, "non-finite"),
-], ids=["nested-levels", "string-levels", "object-omega-max", "nan-scale", "string-amplitude",
-        "object-amplitude", "nested-amplitude", "long-amplitude", "square-overflows"])
+], ids=["nested-levels", "string-levels", "nan-level", "inf-level", "object-omega-max",
+        "nan-scale", "string-amplitude", "object-amplitude", "nested-amplitude", "long-amplitude",
+        "square-overflows"])
 def test_malformed_fields_are_model_invalid(recwarn, field, value, match):
     data = {"levels": [1.0, 2.0], "omega_max": 10.0,
             "coupling": {"kind": "constant", "amplitude": 0.05}}

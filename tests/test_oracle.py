@@ -19,8 +19,8 @@ from pointersim import (
     resonance_center,
     survival_probability,
 )
-from pointersim.errors import (EigensolverFailure, FitFailure, InvalidState, NegativeTime,
-                               RecurrenceWindowExceeded)
+from pointersim.errors import (EigensolverFailure, FitFailure, InvalidState,
+                               LevelIndexOutOfRange, NegativeTime, RecurrenceWindowExceeded)
 from pointersim.model import coupling_at
 from .conftest import make_constant_model, scipy_modules_loaded_by
 
@@ -460,11 +460,66 @@ def test_probes_refuse_a_time_that_is_negative_or_not_finite(oracle_two, t):
             probe()
 
 
+@pytest.fixture(scope="module")
+def two_level_oracle():
+    return discretize(make_constant_model([1.0, 2.0], 0.1), build_grid(10.0, 200))
+
+
+# each probe with the count its index must stay below: the levels, or for
+# coherence the levels and then the nodes
+_INDEXED_PROBES = {
+    "survival_probability": (lambda o, i: survival_probability(o, i, 1.0), "n_levels"),
+    "fitted_decay_rate": (fitted_decay_rate, "n_levels"),
+    "resonance_center": (resonance_center, "n_levels"),
+    "coherence-first": (lambda o, i: coherence(o, i, 0, [0.6, 0.8], 1.0), "size"),
+    "coherence-second": (lambda o, i: coherence(o, 0, i, [0.6, 0.8], 1.0), "size"),
+}
+
+
+@pytest.mark.parametrize("bad", ["minus-one", "count", "fraction"])
+@pytest.mark.parametrize("probe, count", _INDEXED_PROBES.values(), ids=_INDEXED_PROBES.keys())
+def test_probes_refuse_an_index_out_of_range(two_level_oracle, probe, count, bad):
+    # -1 would wrap to the last level; the others would fail inside numpy
+    bound = getattr(two_level_oracle, count)
+    index = {"minus-one": -1, "count": bound, "fraction": 0.5}[bad]
+    with pytest.raises(LevelIndexOutOfRange, match=rf"in \[0, {bound}\), got {index}$") as raised:
+        probe(two_level_oracle, index)
+    assert isinstance(raised.value, IndexError)
+
+
+def test_probes_take_numpy_integer_indices(two_level_oracle):
+    oracle, last = two_level_oracle, two_level_oracle.size - 1
+    survival = survival_probability(oracle, 1, 1.0)
+    assert survival_probability(oracle, np.int64(1), 1.0) == survival
+    node = coherence(oracle, last, 0, [0.6, 0.8], 1.0)
+    assert coherence(oracle, np.int64(last), 0, [0.6, 0.8], 1.0) == node
+
+
 def test_fit_exponential_rate_recovers_exact_exponential():
     times = np.linspace(1.0, 50.0, 20)
     assert fit_exponential_rate(times, np.exp(-0.03 * times)) == pytest.approx(0.03, rel=1e-10)
     with pytest.raises(FitFailure, match="strictly positive"):
         fit_exponential_rate(times, np.zeros_like(times))
+
+
+_FIT_TIMES = np.linspace(1.0, 50.0, 20)
+_FIT_VALUES = np.exp(-0.03 * _FIT_TIMES)
+
+
+@pytest.mark.parametrize("times, values, match", [
+    (_FIT_TIMES, np.full(20, np.nan), "strictly positive finite values"),
+    (_FIT_TIMES, np.where(_FIT_TIMES > 40.0, np.nan, _FIT_VALUES), "strictly positive finite"),
+    (_FIT_TIMES, np.where(_FIT_TIMES > 40.0, np.inf, _FIT_VALUES), "strictly positive finite"),
+    (np.where(_FIT_TIMES > 40.0, np.nan, _FIT_TIMES), _FIT_VALUES, "finite times"),
+    (np.where(_FIT_TIMES > 40.0, np.inf, _FIT_TIMES), _FIT_VALUES, "finite times"),
+    (_FIT_TIMES, _FIT_VALUES[:-1], "one value per time"),
+    (_FIT_TIMES[:1], _FIT_VALUES[:1], "at least two distinct times"),
+    (np.full(20, 3.0), _FIT_VALUES, "at least two distinct times"),
+], ids=["nan-values", "one-nan-value", "inf-value", "nan-time", "inf-time", "length-mismatch",
+        "one-sample", "one-distinct-time"])
+def test_fit_exponential_rate_refuses_what_it_cannot_fit(times, values, match):
+    with pytest.raises(FitFailure, match=match):
+        fit_exponential_rate(times, values)
 
 
 def test_fit_window_of_a_level_without_spread_is_a_fit_failure():

@@ -40,7 +40,8 @@ def test_public_names_resolve():
     # removed names stay removed: each has one surviving way, or no reader at all
     for gone in ("eigenvector_corrections", "embed_discrete", "integrate", "model_to_dict",
                  "energy_distribution", "classical_profile", "ClassicalProfile",
-                 "EigenvectorCorrections", "diagonal_evolution", "EquilibriumState"):
+                 "EigenvectorCorrections", "diagonal_evolution", "EquilibriumState",
+                 "AtomicMeasure"):
         assert gone not in pointersim.__all__ and not hasattr(pointersim, gone)
     assert not hasattr(pointersim.spectrum, "EigenvectorCorrections")
     # the t -> infinity limit is a GeneralizedState, and recompose(evolve(...))
@@ -51,6 +52,8 @@ def test_public_names_resolve():
     for gone in ("lambda_continuum_discrete", "lambda_cc"):
         assert not hasattr(pointersim.LiouvilleSpectrum, gone), gone
     assert "rho_omegai" not in {f.name for f in dataclasses.fields(pointersim.GeneralizedState)}
+    # the pointer atoms are one weight per level on the state, not a measure
+    assert not hasattr(pointersim.continuum, "AtomicMeasure")
 
 
 def test_layout_names_resolve():
