@@ -7,7 +7,6 @@ A state is a functional over the observable slots
                                     one atom per level, at its energy
     (i w|   level-continuum         rho_iomega      (optional)
     (w i|   continuum-level         rho_iomega.conj(), never stored
-    (w w'|  continuum off-diagonal  rho_omegaomega  (optional, transient only)
 
 and lives in one of two bases.  ``basis == "free"`` means the components are
 physical occupations of the uncoupled observable basis.  ``decompose_initial``
@@ -19,20 +18,24 @@ anywhere else, so ``rho_omega_atoms`` is one weight per level.  ``evolve``
 then multiplies each sector by exp(i * lambda * t); the continuum diagonal has
 lambda identically zero, so the trace it carries is conserved exactly.
 
+The continuum off-diagonal (w w'| has no slot: every state the package builds
+has it zero, and it would only rephase as exp(i (w - w') t), so it carries
+nothing into the final pointer state.
+
 An optional sector that is ``None`` is identically zero, and every transform
 keeps it ``None``: a zero coefficient stays zero under exp(i * lambda * t), so
 evolving an absent sector costs nothing.  A physical state is Hermitian, so
 its (w i| slot is the conjugate of its (i w| slot in every basis and at every
 time; storing ``rho_iomega`` alone keeps the pair conjugate by construction.
-``zero_state``, ``discrete_state`` and ``continuous_state`` leave all three
-optional sectors absent, so the premeasured states of ``measurement`` carry
-no level-continuum array at all.
+``zero_state`` and ``discrete_state`` leave the optional sector absent, so
+the premeasured states of ``measurement`` carry no level-continuum array at
+all.
 
 States are values: a ``GeneralizedState`` never changes after construction.
 Its sectors are read-only views, and each state-to-state transform returns a
 ``dataclasses.replace`` of its input that shares every sector it leaves
-unchanged.  The constructor does not copy; ``discrete_state`` and
-``continuous_state`` copy the caller's array once.
+unchanged.  The constructor does not copy; ``discrete_state`` copies the
+caller's array once.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ BASIS_FREE = "free"
 BASIS_EIGEN = "eigen"
 
 _SECTOR_DTYPES = (("rho_omega_regular", float), ("rho_omega_atoms", float), ("rho_d", complex),
-                  ("rho_iomega", complex), ("rho_omegaomega", complex))
+                  ("rho_iomega", complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +72,6 @@ class GeneralizedState:
     rho_omega_atoms: np.ndarray
     rho_d: np.ndarray
     rho_iomega: np.ndarray | None = None
-    rho_omegaomega: np.ndarray | None = None
     basis: str = BASIS_FREE
 
     def __post_init__(self):
@@ -86,8 +88,6 @@ class GeneralizedState:
             raise InvalidState("rho_omega_atoms must have shape (n_levels,)")
         if self.rho_iomega is not None and self.rho_iomega.shape != (n, self.grid.size):
             raise InvalidState("mixed sectors must have shape (n_levels, grid size)")
-        if self.rho_omegaomega is not None and self.rho_omegaomega.shape != (self.grid.size,) * 2:
-            raise InvalidState("rho_omegaomega must have shape (grid size, grid size)")
 
     @property
     def n_levels(self) -> int:
@@ -107,11 +107,9 @@ class GeneralizedState:
             return cont + float(np.sum(np.real(np.diag(self.rho_d))))
 
     def hermiticity_defect(self) -> float:
-        """Largest deviation from Hermitian pairing across stored sectors."""
-        defect = float(np.max(np.abs(self.rho_d - self.rho_d.conj().T), initial=0.0))
-        if self.rho_omegaomega is not None:
-            defect = max(defect, float(np.max(np.abs(self.rho_omegaomega - self.rho_omegaomega.conj().T))))
-        return defect
+        """Largest deviation of ``rho_d`` from Hermitian; the mixed sectors
+        are a conjugate pair by construction."""
+        return float(np.max(np.abs(self.rho_d - self.rho_d.conj().T), initial=0.0))
 
     def validate(self) -> "GeneralizedState":
         """Check the physical-state invariants (free basis) and return self."""
@@ -125,7 +123,7 @@ class GeneralizedState:
         if np.any(self.rho_omega_atoms < -_SIGN_TOL):
             raise InvalidState("atom weights must be >= 0")
         if self.hermiticity_defect() > _HERM_TOL:
-            raise InvalidState("rho_d (and rho_omegaomega) must be Hermitian")
+            raise InvalidState("rho_d must be Hermitian")
         if np.any(np.real(np.diag(self.rho_d)) < -_SIGN_TOL):
             raise InvalidState("discrete occupations must be >= 0")
         tr = self.trace()
@@ -151,11 +149,6 @@ def discrete_state(grid: ContinuumGrid, rho_d) -> GeneralizedState:
     # the state checks that rho_d is square before it sizes the atoms by it;
     # shape[:1] does not fail on a scalar
     return replace(zero_state(grid, 0), rho_omega_atoms=np.zeros(rho_d.shape[:1]), rho_d=rho_d)
-
-
-def continuous_state(grid: ContinuumGrid, density, n_levels: int = 1) -> GeneralizedState:
-    """State with only the regular continuum diagonal occupied (a private copy)."""
-    return replace(zero_state(grid, n_levels), rho_omega_regular=np.array(density, float))
 
 
 def _check_input(state: GeneralizedState, spectrum: LiouvilleSpectrum, basis: str, message: str):
@@ -202,30 +195,22 @@ def evolve(state: GeneralizedState, spectrum: LiouvilleSpectrum, t: float) -> Ge
     check_time(t)
     _check_input(state, spectrum, BASIS_EIGEN,
                  "evolve expects eigen-basis coefficients; call decompose_initial first")
-    nodes = state.grid.nodes
-    rho_iomega, rho_omegaomega = state.rho_iomega, state.rho_omegaomega
+    rho_iomega = state.rho_iomega
     if rho_iomega is not None:
-        levels = np.arange(spectrum.n_levels)[:, None]
-        rho_iomega = rho_iomega * np.exp(1j * spectrum.lambda_discrete_continuum(levels, nodes) * t)
-    if rho_omegaomega is not None:
-        phase = np.exp(1j * nodes * t)
-        rho_omegaomega = rho_omegaomega * np.outer(phase, phase.conj())
-    return replace(
-        state,
-        rho_d=state.rho_d * np.exp(1j * spectrum.lambda_d * t),
-        rho_iomega=rho_iomega,
-        rho_omegaomega=rho_omegaomega,
-    )
+        lam = spectrum.lambda_discrete_continuum(state.grid.nodes)
+        rho_iomega = rho_iomega * np.exp(1j * lam * t)
+    return replace(state, rho_d=state.rho_d * np.exp(1j * spectrum.lambda_d * t),
+                   rho_iomega=rho_iomega)
 
 
 def equilibrium(state: GeneralizedState, spectrum: LiouvilleSpectrum) -> GeneralizedState:
     """The t -> infinity limit as a validated free-basis state.
 
     Every sector but the continuum diagonal carries an eigenvalue with
-    positive imaginary part or nonzero oscillation frequency, so the limit
-    keeps the eigen-basis continuum density and atoms and nothing else.  With
-    no discrete occupation left, the free and eigen bases agree.  The limit
-    is structural: large-t numerics never enter.
+    positive imaginary part, so the limit keeps the eigen-basis continuum
+    density and atoms and nothing else.  With no discrete occupation left,
+    the free and eigen bases agree.  The limit is structural: large-t
+    numerics never enter.
     """
     if state.basis == BASIS_FREE:
         state = decompose_initial(state, spectrum)

@@ -206,7 +206,8 @@ def _profile_values(profile: CouplingProfile, omega, i: int):
 def check_index(i, count: int):
     """Refuse anything but an integer in [0, count): a negative index would
     silently wrap to the end, and any other would fail inside numpy."""
-    if not (isinstance(i, (int, np.integer)) and 0 <= i < count):
+    # bool is an int subclass, but numpy reads True as a mask, not as level 1
+    if isinstance(i, bool) or not (isinstance(i, (int, np.integer)) and 0 <= i < count):
         raise LevelIndexOutOfRange(f"index must be an integer in [0, {count}), got {i!r}")
 
 
@@ -214,7 +215,8 @@ def coupling_at(spec: ModelSpec, omega, i: int):
     """Evaluate coupling_scale * V(omega, i); omega may be a scalar or array."""
     check_index(i, spec.n_levels)
     om = np.asarray(omega, float)
-    if np.any(om < -_SUPPORT_TOL) or np.any(om > spec.omega_max + _SUPPORT_TOL):
+    # written so that NaN, which fails every comparison, falls outside
+    if not np.all((om >= -_SUPPORT_TOL) & (om <= spec.omega_max + _SUPPORT_TOL)):
         raise OutOfSupport(f"omega outside [0, {spec.omega_max}]")
     value = spec.coupling_scale * _profile_values(spec.coupling, om, i)
     return float(value) if np.ndim(omega) == 0 else value

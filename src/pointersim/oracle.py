@@ -60,10 +60,6 @@ class OracleModel:
     steps: tuple[_FoldStep, ...]
 
     @property
-    def recurrence_time(self) -> float:
-        return self.grid.recurrence_time
-
-    @property
     def n_levels(self) -> int:
         return self.spec.n_levels
 
@@ -465,7 +461,7 @@ def _check_window(model: OracleModel, t: float):
     check_time(t)
     if t >= model.grid.valid_t_max:
         warnings.warn(
-            f"t = {t:g} is beyond half the recurrence time {model.recurrence_time:g}; "
+            f"t = {t:g} is beyond half the recurrence time {model.grid.recurrence_time:g}; "
             "the discretized dynamics is no longer a faithful decay",
             RecurrenceWindowExceeded,
             stacklevel=3,

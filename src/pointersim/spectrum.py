@@ -9,11 +9,11 @@ exp(i * lambda * t), so Im lambda >= 0 means damping):
                      + i (gamma_i + gamma_j) / 2        discrete block
     lambda(i, u')  = Omega_i - u' - delta_i + i gamma_i / 2   level-continuum
     lambda(u, i)   = -conj(lambda(i, u))                continuum-level, its conjugate
-    lambda(u, u')  = u - u'                             continuum-continuum, real
 
 ``LiouvilleSpectrum`` evaluates lambda_d and lambda(i, u') only: ``evolve``
-stores the (u, i) sector as the conjugate of the (i, u) one, and phases the
-(u, u') sector by an outer product of exp(i u t).
+stores the (u, i) sector as the conjugate of the (i, u) one.  The
+continuum-continuum eigenvalue u - u' is real, and no state stores a (u, u')
+sector for it to phase.
 
 The discrete diagonal is lambda_d[i, i] = i gamma_i, and the continuum
 diagonal eigenvalue is identically zero, which is what preserves the trace.
@@ -31,17 +31,19 @@ import numpy as np
 
 from .continuum import ContinuumGrid, principal_value
 from .errors import ModelInvalid
-from .model import ModelSpec, coupling_at
+from .model import ModelSpec, check_index, coupling_at
 
 
 def decay_rate(spec: ModelSpec, i: int) -> float:
     """Golden-rule width gamma_i = 2 pi V(Omega_i, i)^2 of level i."""
+    check_index(i, spec.n_levels)
     v = coupling_at(spec, spec.levels[i], i)
     return 2.0 * np.pi * v * v
 
 
 def level_shift(spec: ModelSpec, grid: ContinuumGrid, i: int) -> float:
     """Second-order shift delta_i = PV int V(w, i)^2 / (w - Omega_i) dw."""
+    check_index(i, spec.n_levels)
     return principal_value(lambda w: coupling_at(spec, w, i) ** 2, spec.levels[i], grid)
 
 
@@ -63,10 +65,13 @@ class LiouvilleSpectrum:
     def n_levels(self) -> int:
         return self.spec.n_levels
 
-    def lambda_discrete_continuum(self, i, u):
-        """Eigenvalue of the (i, u') sector, damped at gamma_i / 2 (i may be an index array)."""
-        re = self.levels[i] - np.asarray(u, float) - self.shift[i]
-        return re + 0.5j * self.gamma[i]
+    def lambda_discrete_continuum(self, u):
+        """Eigenvalues of the (i, u') sectors, damped at gamma_i / 2: row i of
+        the result, shape (N,) + shape(u), is level i's."""
+        u = np.asarray(u, float)
+        column = (slice(None),) + (None,) * u.ndim
+        re = self.levels[column] - u - self.shift[column]
+        return re + 0.5j * self.gamma[column]
 
 
 def liouville_spectrum(spec: ModelSpec, grid: ContinuumGrid) -> LiouvilleSpectrum:

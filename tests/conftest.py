@@ -66,7 +66,7 @@ def scipy_modules_loaded_by(code):
     return result.stdout.strip()
 
 
-def random_valid_state(grid, spectrum, rng, with_cc=False):
+def random_valid_state(grid, spectrum, rng):
     """Random state exercising every sector, with unit trace."""
     n = spectrum.n_levels
     m = grid.size
@@ -76,17 +76,12 @@ def random_valid_state(grid, spectrum, rng, with_cc=False):
     atoms = np.zeros(n)
     atoms[0] = 0.1                               # an atom at level 0's energy
     rho_iomega = 0.01 * (rng.normal(size=(n, m)) - 1j * rng.normal(size=(n, m)))
-    rho_omegaomega = None
-    if with_cc:
-        cc = 0.01 * (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
-        rho_omegaomega = cc + cc.conj().T
     return GeneralizedState(
         grid=grid,
         rho_omega_regular=normalized_density(grid, mass=0.5),
         rho_omega_atoms=atoms,
         rho_d=rho_d,
         rho_iomega=rho_iomega,
-        rho_omegaomega=rho_omegaomega,
     ).validate()
 
 

@@ -96,7 +96,7 @@ def test_criterion_3_level_shift(single_level_model, grid_2000, oracle_single):
 def test_criterion_4_pointer_basis_born_rule(oracle_two):
     amps = np.array([0.6, 0.8j])
     t = 5.0 / GAMMA_005
-    assert t < 0.5 * oracle_two.recurrence_time
+    assert t < oracle_two.grid.valid_t_max
     weights = pointer_weights(oracle_two, amps, t)
     assert weights[0] == pytest.approx(0.36, abs=0.05)
     assert weights[1] == pytest.approx(0.64, abs=0.05)

@@ -19,7 +19,7 @@ from pointersim import (
     recompose,
 )
 from pointersim.errors import InvalidState, NegativeTime, TraceViolation
-from pointersim.evolution import continuous_state, zero_state
+from pointersim.evolution import _SECTOR_DTYPES, zero_state
 from .conftest import make_constant_model, normalized_density, random_valid_state
 
 
@@ -42,6 +42,10 @@ def _state_with(grid, **overrides):
     return GeneralizedState(**(sectors | overrides))
 
 
+def _continuum_state(grid):
+    return replace(zero_state(grid, 2), rho_omega_regular=normalized_density(grid))
+
+
 @pytest.mark.parametrize("make, match", [
     (lambda g: _state_with(g, rho_omega_regular=np.zeros(g.size + 1)), "grid size"),
     (lambda g: _state_with(g, rho_d=np.zeros((2, 3))), "square"),
@@ -49,9 +53,8 @@ def _state_with(grid, **overrides):
     (lambda g: discrete_state(g, 0.5), "square"),
     (lambda g: _state_with(g, rho_omega_atoms=np.zeros(3)), "rho_omega_atoms must have shape"),
     (lambda g: _state_with(g, rho_iomega=np.zeros((2, g.size + 1))), "mixed sectors must have shape"),
-    (lambda g: _state_with(g, rho_omegaomega=np.zeros((3, 3))), "rho_omegaomega must have shape"),
 ], ids=["continuum-size", "non-square-discrete", "scalar-discrete", "scalar-discrete-state",
-        "atom-count", "mixed-shape", "continuum-block-size"])
+        "atom-count", "mixed-shape"])
 def test_malformed_sectors_are_invalid_states(grid, make, match):
     with pytest.raises(InvalidState, match=match):
         make(grid)
@@ -153,7 +156,7 @@ def test_level_count_mismatch_is_an_invalid_state(grid, spectrum, call):
 
 # -- ownership: states are values ----------------------------------------------
 
-_SECTORS = ("rho_omega_regular", "rho_omega_atoms", "rho_d", "rho_iomega", "rho_omegaomega")
+_SECTORS = tuple(name for name, _ in _SECTOR_DTYPES)
 
 
 def _sector_arrays(state):
@@ -170,7 +173,7 @@ _TRANSFORMS = {
 
 @pytest.mark.parametrize("transform", _TRANSFORMS.values(), ids=_TRANSFORMS.keys())
 def test_transforms_leave_their_input_unchanged(grid, spectrum, transform):
-    state = random_valid_state(grid, spectrum, np.random.default_rng(3), with_cc=True)
+    state = random_valid_state(grid, spectrum, np.random.default_rng(3))
     before = [np.array(a) for a in _sector_arrays(state)]
     transform(state, spectrum)
     assert all(np.array_equal(a, b) for a, b in zip(_sector_arrays(state), before, strict=True))
@@ -179,15 +182,12 @@ def test_transforms_leave_their_input_unchanged(grid, spectrum, transform):
 @pytest.mark.parametrize("build", [
     lambda g, s, state: state,
     lambda g, s, state: discrete_state(g, np.diag([1.0, 0.0])),
-    lambda g, s, state: continuous_state(g, normalized_density(g), n_levels=2),
     lambda g, s, state: decompose_initial(state, s),
     lambda g, s, state: recompose(decompose_initial(state, s), s),
     lambda g, s, state: evolve(decompose_initial(state, s), s, 3.0),
-], ids=["constructor", "discrete_state", "continuous_state", "decompose_initial", "recompose",
-        "evolve"])
+], ids=["constructor", "discrete_state", "decompose_initial", "recompose", "evolve"])
 def test_returned_states_are_read_only(grid, spectrum, build):
-    state = build(grid, spectrum, random_valid_state(grid, spectrum, np.random.default_rng(5),
-                                                     with_cc=True))
+    state = build(grid, spectrum, random_valid_state(grid, spectrum, np.random.default_rng(5)))
     for array in _sector_arrays(state):
         if array.size:
             with pytest.raises(ValueError):
@@ -198,12 +198,9 @@ def test_returned_states_are_read_only(grid, spectrum, build):
 
 def test_state_builders_copy_the_callers_array(grid):
     rho_d = np.diag([1.0, 0.0]).astype(complex)
-    density = normalized_density(grid)
-    discrete, continuous = discrete_state(grid, rho_d), continuous_state(grid, density)
+    discrete = discrete_state(grid, rho_d)
     rho_d[0, 0] = 0.0
-    density[:] = 0.0
     assert discrete.rho_d[0, 0] == 1.0
-    assert continuous.trace() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_evolve_shares_the_invariant_sectors(grid, spectrum):
@@ -259,7 +256,7 @@ def test_decompose_mixed_diagonal(grid, spectrum):
 
 
 def test_decompose_purely_continuous_state_unchanged(grid, spectrum):
-    state = continuous_state(grid, normalized_density(grid), n_levels=2)
+    state = _continuum_state(grid)
     eigen = decompose_initial(state, spectrum)
     assert not np.any(eigen.rho_omega_atoms)
     assert np.array_equal(eigen.rho_omega_regular, state.rho_omega_regular)
@@ -344,25 +341,19 @@ def test_evolve_at_zero_time_is_identity(grid, spectrum):
 
 
 def test_evolve_matches_the_per_level_phases(grid, spectrum):
-    # the mixed sector is exponentiated as one block; row by row is the
-    # reference.  The continuum off-diagonal sector is phased by an outer
-    # product, checked against its own eigenvalue u - u'
-    state = random_valid_state(grid, spectrum, np.random.default_rng(13), with_cc=True)
+    # the mixed sector is exponentiated as one block; row by row is the reference
+    state = random_valid_state(grid, spectrum, np.random.default_rng(13))
     eigen = decompose_initial(state, spectrum)
-    u = grid.nodes
-    scale = np.max(np.abs(eigen.rho_omegaomega))
+    lam = spectrum.lambda_discrete_continuum(grid.nodes)
     for t in (0.7, 120.0):
         evolved = evolve(eigen, spectrum, t)
         for i in range(spectrum.n_levels):
-            iomega = eigen.rho_iomega[i] * np.exp(
-                1j * spectrum.lambda_discrete_continuum(i, u) * t)
+            iomega = eigen.rho_iomega[i] * np.exp(1j * lam[i] * t)
             assert np.array_equal(evolved.rho_iomega[i], iomega)
-        phased = eigen.rho_omegaomega * np.exp(1j * (u[:, None] - u[None, :]) * t)
-        assert np.max(np.abs(evolved.rho_omegaomega - phased)) <= 1e-12 * scale
 
 
 def test_continuum_diagonal_sector_is_invariant(grid, spectrum):
-    state = continuous_state(grid, normalized_density(grid), n_levels=2)
+    state = _continuum_state(grid)
     eigen = decompose_initial(state, spectrum)
     for t in (0.0, 3.0, 250.0):
         evolved = evolve(eigen, spectrum, t)
@@ -433,8 +424,8 @@ def test_evolve_requires_eigen_basis(grid, spectrum):
 
 def test_trace_preserved_for_random_states(grid, spectrum):
     rng = np.random.default_rng(23)
-    for k in range(5):
-        state = random_valid_state(grid, spectrum, rng, with_cc=(k == 0))
+    for _ in range(5):
+        state = random_valid_state(grid, spectrum, rng)
         eigen = decompose_initial(state, spectrum)
         for t in (0.1, 7.0, 300.0):
             physical = recompose(evolve(eigen, spectrum, t), spectrum)
@@ -443,7 +434,7 @@ def test_trace_preserved_for_random_states(grid, spectrum):
 
 def test_hermiticity_preserved_under_evolution(grid, spectrum):
     rng = np.random.default_rng(29)
-    state = random_valid_state(grid, spectrum, rng, with_cc=True)
+    state = random_valid_state(grid, spectrum, rng)
     eigen = decompose_initial(state, spectrum)
     for t in (0.5, 20.0):
         evolved = evolve(eigen, spectrum, t)
@@ -482,11 +473,11 @@ def test_equilibrium_drops_coherences(grid, spectrum):
 
 
 def test_equilibrium_keeps_only_the_continuum_diagonal(grid, spectrum):
-    state = random_valid_state(grid, spectrum, np.random.default_rng(41), with_cc=True)
+    state = random_valid_state(grid, spectrum, np.random.default_rng(41))
     eigen = decompose_initial(state, spectrum)
     eq = equilibrium(state, spectrum)
     assert eq.basis == "free"
-    assert eq.rho_iomega is None and eq.rho_omegaomega is None
+    assert eq.rho_iomega is None
     assert not np.any(eq.rho_d) and eq.rho_d.shape == (2, 2)
     assert np.array_equal(eq.rho_omega_regular, eigen.rho_omega_regular)
     assert np.array_equal(eq.rho_omega_atoms, eigen.rho_omega_atoms)
@@ -549,10 +540,10 @@ def test_evolved_discrete_states_stay_valid_and_conserve_each_level(rho_d, decay
 
 @settings(derandomize=True, deadline=None, database=None)
 @given(n_levels=st.integers(1, len(_PROPERTY_LEVELS)), seed=st.integers(0, 2 ** 32 - 1),
-       with_cc=st.booleans(), decay_times=st.floats(0.0, 10.0))
-def test_evolved_states_stay_valid_in_every_sector(n_levels, seed, with_cc, decay_times):
+       decay_times=st.floats(0.0, 10.0))
+def test_evolved_states_stay_valid_in_every_sector(n_levels, seed, decay_times):
     spectrum = _property_spectrum(n_levels)
-    state = random_valid_state(spectrum.grid, spectrum, np.random.default_rng(seed), with_cc)
+    state = random_valid_state(spectrum.grid, spectrum, np.random.default_rng(seed))
     t = decay_times / float(np.min(spectrum.gamma))
     physical = recompose(evolve(decompose_initial(state, spectrum), spectrum, t), spectrum)
     assert abs(physical.validate().trace() - 1.0) <= 1e-10

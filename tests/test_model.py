@@ -126,6 +126,10 @@ def test_out_of_support_rejected():
         coupling_at(spec, -0.5, 0)
     with pytest.raises(OutOfSupport):
         coupling_at(spec, 10.5, 0)
+    # NaN fails every comparison, so it must not pass as inside the support
+    for omega in (np.nan, np.array([1.0, np.nan])):
+        with pytest.raises(OutOfSupport):
+            coupling_at(spec, omega, 0)
 
 
 def test_bad_level_index_rejected():
@@ -134,9 +138,9 @@ def test_bad_level_index_rejected():
         coupling_at(spec, 1.0, 3)
 
 
-@pytest.mark.parametrize("i", [-1, 2], ids=["minus-one", "count"])
+@pytest.mark.parametrize("i", [-1, 2, True], ids=["minus-one", "count", "bool"])
 def test_coupling_at_refuses_a_level_index_out_of_range(i):
-    # -1 would read the last level's coupling
+    # -1 would read the last level's coupling, and True would be a numpy mask
     spec = make_constant_model([1.0, 2.0], [0.1, 0.2])
     with pytest.raises(LevelIndexOutOfRange, match=rf"integer in \[0, 2\), got {i}$"):
         coupling_at(spec, 1.0, i)

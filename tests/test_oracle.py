@@ -264,7 +264,7 @@ def test_non_finite_hamiltonian_is_an_eigensolver_failure(monkeypatch, unit_mode
 
 
 def test_recurrence_time_estimate(oracle_unit):
-    assert oracle_unit.recurrence_time == pytest.approx(2 * np.pi / (10.0 / 800), rel=1e-12)
+    assert oracle_unit.grid.recurrence_time == pytest.approx(2 * np.pi / (10.0 / 800), rel=1e-12)
 
 
 def test_second_order_shift_matches_direct_sum(unit_model, grid_800):
@@ -326,7 +326,7 @@ def test_unitarity_for_random_states(oracle_unit):
 
 def test_warning_beyond_recurrence_window(oracle_unit):
     with pytest.warns(RecurrenceWindowExceeded):
-        evolve_pure(oracle_unit, [1.0], 0.6 * oracle_unit.recurrence_time)
+        evolve_pure(oracle_unit, [1.0], 0.6 * oracle_unit.grid.recurrence_time)
 
 
 def test_survival_starts_at_one(oracle_unit):
@@ -476,12 +476,13 @@ _INDEXED_PROBES = {
 }
 
 
-@pytest.mark.parametrize("bad", ["minus-one", "count", "fraction"])
+@pytest.mark.parametrize("bad", ["minus-one", "count", "fraction", "bool"])
 @pytest.mark.parametrize("probe, count", _INDEXED_PROBES.values(), ids=_INDEXED_PROBES.keys())
 def test_probes_refuse_an_index_out_of_range(two_level_oracle, probe, count, bad):
-    # -1 would wrap to the last level; the others would fail inside numpy
+    # -1 would wrap to the last level, and numpy reads True as a mask; the
+    # others would fail inside numpy
     bound = getattr(two_level_oracle, count)
-    index = {"minus-one": -1, "count": bound, "fraction": 0.5}[bad]
+    index = {"minus-one": -1, "count": bound, "fraction": 0.5, "bool": True}[bad]
     with pytest.raises(LevelIndexOutOfRange, match=rf"in \[0, {bound}\), got {index}$") as raised:
         probe(two_level_oracle, index)
     assert isinstance(raised.value, IndexError)

@@ -48,10 +48,15 @@ def test_public_names_resolve():
     # is the one evolution of a diagonal state
     for gone in ("diagonal_evolution", "EquilibriumState"):
         assert not hasattr(pointersim.evolution, gone), gone
-    # the (w i| sector is rho_iomega.conj(), and (u, u') is phased by an outer product
+    # the (w i| sector is rho_iomega.conj(), and no (w w'| sector is stored
     for gone in ("lambda_continuum_discrete", "lambda_cc"):
         assert not hasattr(pointersim.LiouvilleSpectrum, gone), gone
-    assert "rho_omegai" not in {f.name for f in dataclasses.fields(pointersim.GeneralizedState)}
+    fields = {f.name for f in dataclasses.fields(pointersim.GeneralizedState)}
+    assert not fields & {"rho_omegai", "rho_omegaomega"}
+    # a continuum-only state is a replace of zero_state, and the recurrence
+    # time is read from the grid
+    assert not hasattr(pointersim.evolution, "continuous_state")
+    assert not hasattr(pointersim.OracleModel, "recurrence_time")
     # the pointer atoms are one weight per level on the state, not a measure
     assert not hasattr(pointersim.continuum, "AtomicMeasure")
 

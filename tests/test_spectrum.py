@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pointersim import build_grid, level_shift, liouville_spectrum
+from pointersim.errors import LevelIndexOutOfRange
 from pointersim.spectrum import decay_rate
 from .conftest import make_constant_model
 
@@ -80,7 +81,7 @@ def test_rates_and_shifts_scale_quadratically(grid):
 
 def test_discrete_continuum_eigenvalue_damps_at_half_rate(grid):
     spec = make_constant_model([1.0], 0.1)
-    lam = liouville_spectrum(spec, grid).lambda_discrete_continuum(0, 4.0)
+    lam = liouville_spectrum(spec, grid).lambda_discrete_continuum(4.0)[0]
     assert lam.imag == pytest.approx(decay_rate(spec, 0) / 2.0)
     assert lam.real == pytest.approx(1.0 - 4.0 - level_shift(spec, grid, 0))
 
@@ -88,7 +89,29 @@ def test_discrete_continuum_eigenvalue_damps_at_half_rate(grid):
 def test_mixed_eigenvalues_zero_coupling_reduce_to_detuning(grid):
     spec = make_constant_model([1.0], 0.1, scale=0.0)
     s = liouville_spectrum(spec, grid)
-    assert s.lambda_discrete_continuum(0, 4.0) == complex(-3.0, 0.0)
+    assert s.lambda_discrete_continuum(4.0)[0] == complex(-3.0, 0.0)
+
+
+def test_discrete_continuum_rows_match_the_per_level_formula():
+    # one row per level, with no index to wrap or overrun; each row is
+    # (Omega_i - u) - delta_i + i gamma_i / 2 bit for bit
+    s = liouville_spectrum(make_constant_model([1.0, 2.0], [0.05, 0.1]), build_grid(10.0, 200))
+    for u in (3.0, s.grid.nodes, s.grid.nodes.reshape(8, 25)):
+        rows = s.lambda_discrete_continuum(u)
+        assert rows.shape == (2,) + np.shape(u)
+        for i in range(2):
+            expected = (s.levels[i] - np.asarray(u)) - s.shift[i] + 0.5j * s.gamma[i]
+            assert rows[i].tobytes() == np.asarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("i", [-1, 2, True], ids=["minus-one", "count", "bool"])
+def test_rate_and_shift_refuse_a_level_index_out_of_range(grid, i):
+    # checked before the level energy is read: -1 would wrap to the last
+    # level, 2 would fail inside numpy, and numpy reads True as a mask
+    spec = make_constant_model([1.0, 2.0], [0.05, 0.1])
+    for rate_or_shift in (lambda: decay_rate(spec, i), lambda: level_shift(spec, grid, i)):
+        with pytest.raises(LevelIndexOutOfRange, match=rf"integer in \[0, 2\), got {i}$"):
+            rate_or_shift()
 
 
 def test_spectrum_container_matches_free_functions(grid):
