@@ -239,10 +239,10 @@ def run_spectrum(cfg: RunConfig):
 
 
 def _evolved(cfg: RunConfig, spec, state0):
-    """(t, physical state at t) for every configured time."""
-    for t in cfg.times.values():
-        t = float(t)
-        yield t, recompose(evolve(state0, spec, t), spec)
+    """The configured times and the physical states at them, as one stack
+    whose leading axis is time: one ``evolve`` and one ``recompose`` call."""
+    t = cfg.times.values()
+    return t, recompose(evolve(state0, spec, t), spec)
 
 
 def run_evolve(cfg: RunConfig):
@@ -253,15 +253,13 @@ def run_evolve(cfg: RunConfig):
     state0 = decompose_initial(_initial_state(cfg, grid), spec)
 
     n = spec.n_levels
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    iu, ju = np.triu_indices(n, k=1)
     columns = (["t"] + [f"occ_{i}" for i in range(n)] + [f"atom_{i}" for i in range(n)]
-               + [f"abs_coh_{i}_{j}" for i, j in pairs])
-    rows = []
-    for t, state in _evolved(cfg, spec, state0):
-        occ = [float(np.real(state.rho_d[i, i])) for i in range(n)]
-        coh = [float(np.abs(state.rho_d[i, j])) for i, j in pairs]
-        rows.append([t] + occ + state.rho_omega_atoms.tolist() + coh)
-    return [_write_csv(cfg.output_dir / "evolve.csv", "evolve", cfg, grid, columns, rows)]
+               + [f"abs_coh_{i}_{j}" for i, j in zip(iu, ju)])
+    t, states = _evolved(cfg, spec, state0)
+    occ = np.real(np.diagonal(states.rho_d, axis1=-2, axis2=-1))
+    rows = np.column_stack([t, occ, states.rho_omega_atoms, np.abs(states.rho_d[:, iu, ju])])
+    return [_write_csv(cfg.output_dir / "evolve.csv", "evolve", cfg, grid, columns, rows.tolist())]
 
 
 def run_compare(cfg: RunConfig):
@@ -312,7 +310,8 @@ def run_measure(cfg: RunConfig):
     if cfg.times is not None:
         state0 = decompose_initial(premeasure(setup, grid), spec)
         columns = ["t"] + [f"atom_{i}" for i in range(spec.n_levels)]
-        time_rows = [[t] + state.rho_omega_atoms.tolist() for t, state in _evolved(cfg, spec, state0)]
+        t, states = _evolved(cfg, spec, state0)
+        time_rows = np.column_stack([t, states.rho_omega_atoms]).tolist()
         tables.append(("measure_timeseries.csv", columns, time_rows))
     # every row exists before the first artifact is written, so a failure leaves none
     return [_write_csv(cfg.output_dir / name, "measure", cfg, grid, header, body)

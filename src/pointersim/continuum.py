@@ -33,10 +33,27 @@ _MIN_NODES = 16
 _GL_ORDER = 4
 
 
-def check_time(t: float):
-    """Refuse an evolution time that is negative, NaN or infinite."""
-    if not (np.isfinite(t) and t >= 0):
-        raise NegativeTime(f"evolution time must be finite and >= 0, got {t}")
+def check_time(t) -> np.ndarray:
+    """Evolution times ``t``, a real scalar or an array of any shape, as floats.
+
+    Refuses with ``NegativeTime`` any time that is not an integer or a float
+    (bool, complex, str, object and None), before any conversion, so that no
+    string is parsed as a time; then any that is negative, NaN or infinite.
+    The message names the first bad entry.
+    """
+    try:
+        times = np.asarray(t)
+    except ValueError as exc:  # numpy refuses a ragged sequence
+        raise NegativeTime("evolution time must be real, finite and >= 0, got a ragged "
+                           "sequence") from exc
+    if times.dtype.kind in "iuf":
+        bad = times[~(np.isfinite(times) & (times >= 0))]
+        if not bad.size:
+            return np.asarray(times, float)
+    else:
+        bad = times.ravel()
+    first = repr(bad[:1].tolist()[0]) if bad.size else f"an empty {times.dtype} array"
+    raise NegativeTime(f"evolution time must be real, finite and >= 0, got {first}")
 
 
 def read_only(values, dtype) -> np.ndarray:

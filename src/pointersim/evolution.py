@@ -31,6 +31,18 @@ time; storing ``rho_iomega`` alone keeps the pair conjugate by construction.
 the premeasured states of ``measurement`` carry no level-continuum array at
 all.
 
+Time is an array axis.  ``evolve`` takes a real scalar or an array of times
+and puts the time axes in front of every sector it phases: a stack holds
+``rho_d`` of shape ``t.shape + (N, N)``, ``rho_iomega``, when present, of
+shape ``t.shape + (N, M)``, and after ``recompose`` atoms of shape
+``t.shape + (N,)``; the continuum diagonal stays shared.  A scalar time gives
+a single state.  Every check of a ``GeneralizedState`` reads trailing shapes
+and acts per state: ``trace()`` and ``hermiticity_defect()`` return one value
+per state, and ``validate()`` refuses a stack if any state in it fails.  A
+stacked mixed sector costs T * N * M complex values (384 MB at T=1000, N=6,
+M=4000), so a caller evolving such a state picks how many times to stack;
+the CLI's states carry no mixed sector.
+
 States are values: a ``GeneralizedState`` never changes after construction.
 Its sectors are read-only views, and each state-to-state transform returns a
 ``dataclasses.replace`` of its input that shares every sector it leaves
@@ -81,38 +93,44 @@ class GeneralizedState:
                 object.__setattr__(self, name, read_only(value, dtype))
         if self.rho_omega_regular.shape != self.grid.nodes.shape:
             raise InvalidState("rho_omega_regular must match the grid size")
-        if self.rho_d.ndim != 2 or self.rho_d.shape[0] != self.rho_d.shape[1]:
-            raise InvalidState("rho_d must be square")
-        n = self.rho_d.shape[0]
-        if self.rho_omega_atoms.shape != (n,):
-            raise InvalidState("rho_omega_atoms must have shape (n_levels,)")
-        if self.rho_iomega is not None and self.rho_iomega.shape != (n, self.grid.size):
-            raise InvalidState("mixed sectors must have shape (n_levels, grid size)")
+        if self.rho_d.ndim < 2 or self.rho_d.shape[-2] != self.rho_d.shape[-1]:
+            raise InvalidState("rho_d must be square in its last two axes")
+        stack, n = self.rho_d.shape[:-2], self.rho_d.shape[-1]
+        if self.rho_omega_atoms.shape not in ((n,), stack + (n,)):
+            raise InvalidState("rho_omega_atoms must have shape (n_levels,), "
+                               "after the leading axes of rho_d if any")
+        if self.rho_iomega is not None and self.rho_iomega.shape not in (
+                (n, self.grid.size), stack + (n, self.grid.size)):
+            raise InvalidState("mixed sectors must have shape (n_levels, grid size), "
+                               "after the leading axes of rho_d if any")
 
     @property
     def n_levels(self) -> int:
-        return self.rho_d.shape[0]
+        return self.rho_d.shape[-1]
 
-    def trace(self) -> float:
-        """Physical trace carried by the state in its current basis.
+    def trace(self) -> float | np.ndarray:
+        """Physical trace carried by each state in its current basis: a float,
+        or one value per state of a stack.
 
         In the eigen basis the discrete coefficients pair with traceless
         duals, so only the continuum diagonal contributes.
         """
         with np.errstate(over="ignore"):  # an overflowing trace is inf: TraceViolation
-            cont = (float(np.dot(self.grid.weights, self.rho_omega_regular))
-                    + float(np.sum(self.rho_omega_atoms)))
-            if self.basis == BASIS_EIGEN:
-                return cont
-            return cont + float(np.sum(np.real(np.diag(self.rho_d))))
+            total = (float(np.dot(self.grid.weights, self.rho_omega_regular))
+                     + np.sum(self.rho_omega_atoms, axis=-1))
+            if self.basis != BASIS_EIGEN:
+                total = total + np.sum(np.real(_diagonal(self.rho_d)), axis=-1)
+        return _per_state(total)
 
-    def hermiticity_defect(self) -> float:
-        """Largest deviation of ``rho_d`` from Hermitian; the mixed sectors
-        are a conjugate pair by construction."""
-        return float(np.max(np.abs(self.rho_d - self.rho_d.conj().T), initial=0.0))
+    def hermiticity_defect(self) -> float | np.ndarray:
+        """Largest deviation of ``rho_d`` from Hermitian, per state; the mixed
+        sectors are a conjugate pair by construction."""
+        adjoint = np.swapaxes(self.rho_d, -2, -1).conj()
+        return _per_state(np.max(np.abs(self.rho_d - adjoint), axis=(-2, -1), initial=0.0))
 
     def validate(self) -> "GeneralizedState":
-        """Check the physical-state invariants (free basis) and return self."""
+        """Check the physical-state invariants (free basis) and return self;
+        a stack is refused if any state in it fails."""
         # first, so that no NaN slips past a comparison and no inf warns below
         for name, _ in _SECTOR_DTYPES:
             value = getattr(self, name)
@@ -122,14 +140,26 @@ class GeneralizedState:
             raise InvalidState("continuum diagonal density must be >= 0")
         if np.any(self.rho_omega_atoms < -_SIGN_TOL):
             raise InvalidState("atom weights must be >= 0")
-        if self.hermiticity_defect() > _HERM_TOL:
+        if np.any(self.hermiticity_defect() > _HERM_TOL):
             raise InvalidState("rho_d must be Hermitian")
-        if np.any(np.real(np.diag(self.rho_d)) < -_SIGN_TOL):
+        if np.any(np.real(_diagonal(self.rho_d)) < -_SIGN_TOL):
             raise InvalidState("discrete occupations must be >= 0")
-        tr = self.trace()
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise TraceViolation(f"state trace is {tr!r}, expected 1 within {_TRACE_TOL}")
+        tr = np.ravel(self.trace())
+        off = np.abs(tr - 1.0) > _TRACE_TOL
+        if np.any(off):
+            raise TraceViolation(f"state trace is {float(tr[off][0])!r}, "
+                                 f"expected 1 within {_TRACE_TOL}")
         return self
+
+
+def _diagonal(matrices: np.ndarray) -> np.ndarray:
+    """The diagonal of each matrix in the last two axes."""
+    return np.diagonal(matrices, axis1=-2, axis2=-1)
+
+
+def _per_state(values: np.ndarray) -> float | np.ndarray:
+    """A plain float for a single state, else one value per state."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def zero_state(grid: ContinuumGrid, n_levels: int) -> GeneralizedState:
@@ -162,7 +192,7 @@ def _check_input(state: GeneralizedState, spectrum: LiouvilleSpectrum, basis: st
 def _shift_level_atoms(state: GeneralizedState, sign: float, basis: str) -> GeneralizedState:
     """``state`` in ``basis`` with sign * rho_d[i, i] added to the
     continuum-diagonal atom at level i's energy."""
-    atoms = state.rho_omega_atoms + sign * np.real(np.diag(state.rho_d))
+    atoms = state.rho_omega_atoms + sign * np.real(_diagonal(state.rho_d))
     return replace(state, rho_omega_atoms=atoms, basis=basis)
 
 
@@ -184,23 +214,40 @@ def recompose(state: GeneralizedState, spectrum: LiouvilleSpectrum) -> Generaliz
     return _shift_level_atoms(state, -1.0, BASIS_FREE)
 
 
-def evolve(state: GeneralizedState, spectrum: LiouvilleSpectrum, t: float) -> GeneralizedState:
+def evolve(state: GeneralizedState, spectrum: LiouvilleSpectrum, t) -> GeneralizedState:
     """Multiply every present sector coefficient by its exp(i * lambda * t).
 
-    The continuum diagonal (rate zero) and its atoms are shared with the
-    input, so the trace is conserved identically for all t.  Absent sectors
-    stay absent.  The (w i| slot, ``rho_iomega.conj()``, thereby evolves with
-    -conj(lambda(i, w)) and damps at gamma_i / 2 like its partner.
+    ``t`` is a real scalar or a real array of times.  Its axes lead every
+    evolved sector: ``rho_d`` gets shape ``t.shape + (N, N)`` and
+    ``rho_iomega``, when present, ``t.shape + (N, M)``; a scalar gives a
+    single state.  The continuum diagonal (rate zero) and its atoms are
+    shared with the input, so the trace is conserved identically for all t.
+    Absent sectors stay absent.  The (w i| slot, ``rho_iomega.conj()``,
+    thereby evolves with -conj(lambda(i, w)) and damps at gamma_i / 2 like
+    its partner.
+
+    A stacked mixed sector holds T * N * M complex values, 384 MB at
+    T=1000, N=6, M=4000.  States without one, as ``discrete_state`` and
+    ``premeasure`` build them and the CLI evolves them, cost T * N * N.  The
+    caller picks how many times to evolve at once.  A stack that cannot be allocated raises
+    ``InvalidState`` naming its shape.
     """
-    check_time(t)
+    t = check_time(t)
     _check_input(state, spectrum, BASIS_EIGEN,
                  "evolve expects eigen-basis coefficients; call decompose_initial first")
+    if t.ndim and state.rho_d.ndim > 2:
+        raise InvalidState("evolve takes many times for a single state, or one time for a stack")
     rho_iomega = state.rho_iomega
-    if rho_iomega is not None:
-        lam = spectrum.lambda_discrete_continuum(state.grid.nodes)
-        rho_iomega = rho_iomega * np.exp(1j * lam * t)
-    return replace(state, rho_d=state.rho_d * np.exp(1j * spectrum.lambda_d * t),
-                   rho_iomega=rho_iomega)
+    try:
+        if rho_iomega is not None:
+            lam = spectrum.lambda_discrete_continuum(state.grid.nodes)
+            rho_iomega = rho_iomega * np.exp(1j * lam * t[..., None, None])
+        rho_d = state.rho_d * np.exp(1j * spectrum.lambda_d * t[..., None, None])
+    except MemoryError as exc:
+        largest = state.rho_d if state.rho_iomega is None else state.rho_iomega
+        raise InvalidState(f"an evolved stack of shape {t.shape + largest.shape[-2:]} "
+                           "does not fit in memory") from exc
+    return replace(state, rho_d=rho_d, rho_iomega=rho_iomega)
 
 
 def equilibrium(state: GeneralizedState, spectrum: LiouvilleSpectrum) -> GeneralizedState:

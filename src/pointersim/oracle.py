@@ -34,7 +34,8 @@ from functools import partial
 import numpy as np
 
 from .continuum import ContinuumGrid, check_time
-from .errors import EigensolverFailure, FitFailure, InvalidState, RecurrenceWindowExceeded
+from .errors import (EigensolverFailure, FitFailure, InvalidState, RecurrenceWindowExceeded,
+                     SimulationError)
 from .model import ModelSpec, check_index, coupling_at
 
 _ORTHO_TOL = 1e-10
@@ -458,7 +459,10 @@ def _pole_sum(poles, g2, origin, offset):
 
 
 def _check_window(model: OracleModel, t: float):
-    check_time(t)
+    """Refuse a time that is not one real, finite t >= 0; warn past ``valid_t_max``."""
+    times = check_time(t)
+    if times.ndim:
+        raise SimulationError(f"oracle probes take one time, got an array of shape {times.shape}")
     if t >= model.grid.valid_t_max:
         warnings.warn(
             f"t = {t:g} is beyond half the recurrence time {model.grid.recurrence_time:g}; "

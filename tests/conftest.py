@@ -41,8 +41,9 @@ def normalized_density(grid, mass=1.0):
 
 
 class NumpyWithoutMemory:
-    """numpy whose constructors of grid nodes and time grids fail as a huge
-    allocation does, so no test has to attempt one."""
+    """numpy whose constructors of grid nodes and time grids, and whose
+    ``exp`` of an evolved stack, fail as a huge allocation does, so no test
+    has to attempt one."""
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -51,7 +52,7 @@ class NumpyWithoutMemory:
     def arange(*args, **kwargs):
         raise MemoryError("Unable to allocate 745. GiB")
 
-    linspace = geomspace = arange
+    linspace = geomspace = exp = arange
 
 
 def scipy_modules_loaded_by(code):

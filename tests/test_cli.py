@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pointersim.cli
+from pointersim import (MeasurementSetup, build_grid, decompose_initial, evolve,
+                        liouville_spectrum, load_model, premeasure, recompose)
 from pointersim.cli import main
 from pointersim.continuum import GRID_SCHEMES
 from pointersim.model import COUPLING_KINDS
@@ -132,6 +135,59 @@ def test_measure_time_resolved_weights(tmp_path):
     gamma = 2 * np.pi * 0.05 ** 2
     last = rows[-1]
     assert float(last[1]) == pytest.approx(0.36 * (1 - np.exp(-gamma * float(last[0]))), rel=1e-10)
+
+
+_AMPLITUDES = [[0.5, 0.1], [0.2, -0.6], [0.3, 0.4]]
+_SERIES_TIMES = {"t_start": 0.5, "t_end": 300.0, "samples": 23, "spacing": "log"}
+
+
+def _series_config(tmp_path):
+    write_model(tmp_path, levels=(1.0, 2.5, 4.0))
+    pairs = (np.asarray(_AMPLITUDES) / np.linalg.norm(_AMPLITUDES)).tolist()
+    return write_config(tmp_path, times=_SERIES_TIMES, initial={"amplitudes": pairs},
+                        amplitudes=pairs), pairs
+
+
+def test_time_series_rows_match_per_time_library_calls(tmp_path):
+    # the CLI evolves every time in one stack; each row is rebuilt here from
+    # one evolve and one recompose at that time alone
+    config, pairs = _series_config(tmp_path)
+    assert main(["evolve", "--config", str(config)]) == 0
+    assert main(["measure", "--config", str(config)]) == 0
+    model = load_model(tmp_path / "model.json")
+    grid = build_grid(model.omega_max, 200, avoid=model.levels)
+    spec = liouville_spectrum(model, grid)
+    amplitudes = np.asarray(pairs) @ [1.0, 1j]
+    state0 = decompose_initial(premeasure(MeasurementSetup(amplitudes), grid), spec)
+    levels_ij = [(i, j) for i in range(3) for j in range(i + 1, 3)]
+    evolve_rows, measure_rows = [], []
+    for t in np.geomspace(0.5, 300.0, 23):
+        state = recompose(evolve(state0, spec, float(t)), spec)
+        atoms = [repr(float(a)) for a in state.rho_omega_atoms]
+        occ = [repr(float(np.real(state.rho_d[i, i]))) for i in range(3)]
+        coh = [repr(float(np.abs(state.rho_d[i, j]))) for i, j in levels_ij]
+        evolve_rows.append([repr(float(t))] + occ + atoms + coh)
+        measure_rows.append([repr(float(t))] + atoms)
+    assert read_artifact(tmp_path / "out" / "evolve.csv")[2] == evolve_rows
+    assert read_artifact(tmp_path / "out" / "measure_timeseries.csv")[2] == measure_rows
+
+
+def test_time_series_evolve_all_times_in_one_call(tmp_path, monkeypatch):
+    calls = {"evolve": 0, "recompose": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(pointersim.cli, name, counting(name, getattr(pointersim.cli, name)))
+    config, _ = _series_config(tmp_path)
+    for command in ("evolve", "measure"):
+        calls.update(evolve=0, recompose=0)
+        assert main([command, "--config", str(config)]) == 0
+        assert calls == {"evolve": 1, "recompose": 1}, command
 
 
 def test_artifacts_are_deterministic(tmp_path):
@@ -338,6 +394,19 @@ def test_unallocatable_time_grid_fails_with_one_line(tmp_path, capsys, monkeypat
     assert main([command, "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "times.samples = 100000000000" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "measure"])
+def test_unallocatable_stack_fails_with_one_line(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr("pointersim.evolution.np", NumpyWithoutMemory())
+    write_model(tmp_path)
+    config = write_config(tmp_path, initial={"diagonal": [0.3, 0.7]},
+                          amplitudes=[[0.6, 0.0], [0.0, 0.8]], times={
+        "t_start": 1.0, "t_end": 10.0, "samples": 700, "spacing": "log"})
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "(700, 2, 2) does not fit in memory" in err
     assert not (tmp_path / "out").exists()
 
 

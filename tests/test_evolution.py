@@ -20,7 +20,8 @@ from pointersim import (
 )
 from pointersim.errors import InvalidState, NegativeTime, TraceViolation
 from pointersim.evolution import _SECTOR_DTYPES, zero_state
-from .conftest import make_constant_model, normalized_density, random_valid_state
+from .conftest import (NumpyWithoutMemory, make_constant_model, normalized_density,
+                       random_valid_state)
 
 
 @pytest.fixture(scope="module")
@@ -53,8 +54,14 @@ def _continuum_state(grid):
     (lambda g: discrete_state(g, 0.5), "square"),
     (lambda g: _state_with(g, rho_omega_atoms=np.zeros(3)), "rho_omega_atoms must have shape"),
     (lambda g: _state_with(g, rho_iomega=np.zeros((2, g.size + 1))), "mixed sectors must have shape"),
+    (lambda g: _state_with(g, rho_d=np.zeros((3, 2, 2)), rho_omega_atoms=np.zeros((4, 2))),
+     "rho_omega_atoms must have shape"),
+    (lambda g: _state_with(g, rho_d=np.zeros((3, 2, 2)), rho_iomega=np.zeros((4, 2, g.size))),
+     "mixed sectors must have shape"),
+    (lambda g: _state_with(g, rho_omega_atoms=np.zeros((3, 2))), "rho_omega_atoms must have shape"),
 ], ids=["continuum-size", "non-square-discrete", "scalar-discrete", "scalar-discrete-state",
-        "atom-count", "mixed-shape"])
+        "atom-count", "mixed-shape", "stacked-atoms-other-times", "stacked-mixed-other-times",
+        "stacked-atoms-single-state"])
 def test_malformed_sectors_are_invalid_states(grid, make, match):
     with pytest.raises(InvalidState, match=match):
         make(grid)
@@ -135,8 +142,10 @@ def _nan_eigen_atom(grid):
     (lambda g, s: equilibrium(_negative_eigen_continuum(g), s), "density must be >= 0"),
     (lambda g, s: equilibrium(_nan_eigen_continuum(g), s), "rho_omega_regular must be finite"),
     (lambda g, s: equilibrium(_nan_eigen_atom(g), s), "rho_omega_atoms must be finite"),
+    (lambda g, s: evolve(evolve(_eigen_state(g, s), s, [1.0, 2.0, 3.0]), s, [1.0, 2.0]),
+     "many times for a single state"),
 ], ids=["decompose-basis", "recompose-basis", "evolve-basis", "equilibrium-sign",
-        "equilibrium-nan", "equilibrium-nan-atom"])
+        "equilibrium-nan", "equilibrium-nan-atom", "evolve-stack-over-times"])
 def test_evolution_input_errors_are_invalid_states(grid, spectrum, call, match):
     with pytest.raises(InvalidState, match=match):
         call(grid, spectrum)
@@ -371,10 +380,27 @@ def test_coherence_modulus_decays_at_mean_rate(grid, spectrum):
 
 
 def test_negative_time_rejected(grid, spectrum):
+    # only integer and float times are times: a string is never parsed as one
     eigen = decompose_initial(discrete_state(grid, np.diag([1.0, 0.0])), spectrum)
-    for t in (-0.1, np.nan, np.inf):
-        with pytest.raises(NegativeTime, match="finite and >= 0"):
+    for t, first in ((-0.1, "-0.1"), (np.nan, "nan"), (np.inf, "inf"), ("1.0", "'1.0'"),
+                     (None, "None"), (1 + 0j, "(1+0j)"), (True, "True"),
+                     (np.array([1.0, np.nan, 2.0]), "nan"),
+                     (np.array([[1.0, 2.0], [-3.0, -4.0]]), "-3.0"),
+                     ([1.0, [2.0]], "a ragged sequence")):
+        with pytest.raises(NegativeTime, match="finite and >= 0") as refused:
             evolve(eigen, spectrum, t)
+        assert str(refused.value).endswith(f"got {first}")
+
+
+def test_unallocatable_stack_fails_with_one_line(grid, spectrum, monkeypatch):
+    eigen = decompose_initial(random_valid_state(grid, spectrum, np.random.default_rng(2)), spectrum)
+    monkeypatch.setattr("pointersim.evolution.np", NumpyWithoutMemory())
+    times = np.linspace(0.0, 1.0, 1000)
+    with pytest.raises(InvalidState, match=rf"\(1000, 2, {grid.size}\) does not fit in memory"):
+        evolve(eigen, spectrum, times)
+    without_mixed = replace(eigen, rho_iomega=None)
+    with pytest.raises(InvalidState, match=r"\(1000, 2, 2\) does not fit in memory"):
+        evolve(without_mixed, spectrum, times)
 
 
 def test_evolved_state_keeps_its_mixed_sectors_conjugate():
@@ -439,6 +465,77 @@ def test_hermiticity_preserved_under_evolution(grid, spectrum):
     for t in (0.5, 20.0):
         evolved = evolve(eigen, spectrum, t)
         assert evolved.hermiticity_defect() < 1e-12
+
+
+# -- stacks: time as a leading axis -------------------------------------------------
+
+def _stack_with_slice(stack, k, **sectors):
+    """``stack`` with slice k of each named sector replaced."""
+    changed = {}
+    for name, value in sectors.items():
+        array = np.array(getattr(stack, name))
+        array[k] = value
+        changed[name] = array
+    return replace(stack, **changed)
+
+
+def test_stack_checks_act_per_state(grid, spectrum):
+    state = discrete_state(grid, np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]]))
+    times = np.array([0.0, 5.0, 40.0])
+    stack = recompose(evolve(decompose_initial(state, spectrum), spectrum, times), spectrum)
+    assert stack.validate().trace().shape == (3,)
+    assert stack.trace() == pytest.approx(np.ones(3), abs=1e-12)
+    assert stack.hermiticity_defect().shape == (3,)
+    # one slice with a negative occupation
+    with pytest.raises(InvalidState, match="occupations must be >= 0"):
+        _stack_with_slice(stack, 1, rho_d=np.diag([-0.5, 1.5]),
+                          rho_omega_atoms=[0.0, 0.0]).validate()
+    # traces 0.5, 1.0 and 1.5 average to 1: only a per-state check refuses them
+    halves = _stack_with_slice(_stack_with_slice(stack, 0, rho_d=np.diag([0.25, 0.25]),
+                                                 rho_omega_atoms=[0.0, 0.0]),
+                               2, rho_d=np.diag([0.75, 0.75]), rho_omega_atoms=[0.0, 0.0])
+    assert halves.trace().tolist() == pytest.approx([0.5, 1.0, 1.5])
+    with pytest.raises(TraceViolation, match="state trace is 0.5,"):
+        halves.validate()
+    with pytest.raises(InvalidState, match="Hermitian"):
+        _stack_with_slice(stack, 2, rho_d=[[0.5, 0.1], [0.0, 0.5]]).validate()
+
+
+def _stacked(states, t_shape, sector):
+    arrays = [getattr(s, sector) for s in states]
+    return np.reshape(np.array(arrays), t_shape + getattr(states[0], sector).shape)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(n_levels=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1), mixed=st.booleans(),
+       t_shape=st.sampled_from([(0,), (), (5,), (2, 3)]), data=st.data())
+def test_stacked_evolution_equals_the_per_time_states(n_levels, seed, mixed, t_shape, data):
+    spectrum = _property_spectrum(n_levels)
+    state = random_valid_state(spectrum.grid, spectrum, np.random.default_rng(seed))
+    if not mixed:
+        state = replace(state, rho_iomega=None)
+    eigen = decompose_initial(state, spectrum)
+    decay_times = data.draw(st.lists(st.floats(0.0, 10.0), min_size=int(np.prod(t_shape)),
+                                     max_size=int(np.prod(t_shape))))
+    t = np.reshape(decay_times, t_shape) / float(np.min(spectrum.gamma))
+
+    evolved = evolve(eigen, spectrum, t)
+    physical = recompose(evolved, spectrum)
+    per_time = [evolve(eigen, spectrum, float(tk)) for tk in t.ravel()]
+    per_time_physical = [recompose(s, spectrum) for s in per_time]
+    assert evolved.rho_d.shape == t_shape + (n_levels, n_levels)
+    assert physical.rho_omega_atoms.shape == t_shape + (n_levels,)
+    assert np.shares_memory(evolved.rho_omega_atoms, eigen.rho_omega_atoms)
+    assert np.shares_memory(evolved.rho_omega_regular, eigen.rho_omega_regular)
+    stacked = ("rho_d",) + (("rho_iomega",) if mixed else ())
+    for stack, states, sectors in ((evolved, per_time, stacked),
+                                   (physical, per_time_physical, stacked + ("rho_omega_atoms",))):
+        for sector in sectors if states else ():
+            assert np.array_equal(getattr(stack, sector), _stacked(states, t_shape, sector))
+    assert (physical.rho_iomega is None) == (not mixed)
+    trace = physical.validate().trace()
+    assert np.shape(trace) == t_shape
+    assert np.all(np.abs(np.asarray(trace) - 1.0) <= 1e-10)
 
 
 # -- equilibrium -----------------------------------------------------------------

@@ -20,7 +20,8 @@ from pointersim import (
     survival_probability,
 )
 from pointersim.errors import (EigensolverFailure, FitFailure, InvalidState,
-                               LevelIndexOutOfRange, NegativeTime, RecurrenceWindowExceeded)
+                               LevelIndexOutOfRange, NegativeTime, RecurrenceWindowExceeded,
+                               SimulationError)
 from pointersim.model import coupling_at
 from .conftest import make_constant_model, scipy_modules_loaded_by
 
@@ -450,14 +451,28 @@ def test_evolve_pure_refuses_a_wrong_length_vector(oracle_two):
         evolve_pure(oracle_two, [1.0, 0.0, 0.0], 1.0)
 
 
-@pytest.mark.parametrize("t", [-0.1, np.nan, np.inf])
-def test_probes_refuse_a_time_that_is_negative_or_not_finite(oracle_two, t):
+def _probes(oracle, t):
     amplitudes = [0.6, 0.8]
-    for probe in (lambda: evolve_pure(oracle_two, amplitudes, t),
-                  lambda: survival_probability(oracle_two, 0, t),
-                  lambda: coherence(oracle_two, 0, 1, amplitudes, t)):
+    return (lambda: evolve_pure(oracle, amplitudes, t),
+            lambda: survival_probability(oracle, 0, t),
+            lambda: coherence(oracle, 0, 1, amplitudes, t),
+            lambda: pointer_weights(oracle, amplitudes, t))
+
+
+@pytest.mark.parametrize("t", [-0.1, np.nan, np.inf, "1.0", None, 1 + 0j, True, [1.0, [2.0]]])
+def test_probes_refuse_a_time_that_is_negative_or_not_finite(oracle_two, t):
+    # only integer and float times are times: a string is never parsed as one
+    for probe in _probes(oracle_two, t):
         with pytest.raises(NegativeTime, match="finite and >= 0"):
             probe()
+
+
+@pytest.mark.parametrize("t", [np.array([1.0, 2.0]), [3.0], np.zeros((2, 2))])
+def test_probes_take_one_time(oracle_two, t):
+    for probe in _probes(oracle_two, t):
+        with pytest.raises(SimulationError) as refused:
+            probe()
+        assert str(refused.value) == f"oracle probes take one time, got an array of shape {np.shape(t)}"
 
 
 @pytest.fixture(scope="module")
