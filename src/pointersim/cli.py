@@ -31,27 +31,12 @@ from .spectrum import liouville_spectrum
 _FLOAT_NOISE = 64 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    t_start: float
-    t_end: float
-    samples: int
-    spacing: str = "log"
-
-    def values(self) -> np.ndarray:
-        space = np.linspace if self.spacing == "linear" else np.geomspace
-        try:
-            return space(self.t_start, self.t_end, self.samples)
-        except MemoryError as exc:
-            raise ConfigParse(f"times.samples = {self.samples} times do not fit in memory") from exc
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # times is an array: no field-wise ==
 class RunConfig:
     model: ModelSpec
     grid_m: int
     grid_scheme: str
-    times: TimeGrid | None
+    times: np.ndarray | None
     output_dir: Path
     seed: int
     effective: dict
@@ -71,25 +56,36 @@ def _json_int(value, name: str, minimum: int = 0) -> int:
     return value
 
 
-def _parse_times(data) -> TimeGrid:
-    try:
-        grid = TimeGrid(
-            t_start=float(_require(data, "t_start")),
-            t_end=float(_require(data, "t_end")),
-            samples=_json_int(_require(data, "samples"), "times.samples", minimum=2),
-            spacing=str(data.get("spacing", "log")),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigParse(f"malformed 'times' block: {exc}") from exc
-    if not 0 <= grid.t_start < grid.t_end:
+def _json_float(value, name: str) -> float:
+    """A JSON number as a float; strings, booleans, null, lists and integers
+    beyond 64 bits are refused, never parsed."""
+    if isinstance(value, list) or np.asarray(value).dtype.kind not in "iuf":
+        raise ConfigParse(f"{name} must be a float or a 64-bit integer, got {value!r}")
+    return float(value)
+
+
+def _parse_times(data) -> np.ndarray:
+    """The configured evolution times: ``samples`` of them from ``t_start`` to
+    ``t_end``, linear or log spaced."""
+    if not isinstance(data, dict):
+        raise ConfigParse("'times' block must be a JSON object")
+    t_start = _json_float(_require(data, "t_start"), "times.t_start")
+    t_end = _json_float(_require(data, "t_end"), "times.t_end")
+    samples = _json_int(_require(data, "samples"), "times.samples", minimum=2)
+    spacing = str(data.get("spacing", "log"))
+    if not 0 <= t_start < t_end:
         raise ConfigParse("times must satisfy t_end > t_start >= 0")
-    if not np.isfinite(grid.t_end):
-        raise ConfigParse(f"times.t_end must be finite, got {grid.t_end!r}")
-    if grid.spacing not in ("linear", "log"):
-        raise ConfigParse(f"unknown times.spacing {grid.spacing!r}")
-    if grid.spacing == "log" and grid.t_start <= 0:
+    if not np.isfinite(t_end):
+        raise ConfigParse(f"times.t_end must be finite, got {t_end!r}")
+    if spacing not in ("linear", "log"):
+        raise ConfigParse(f"unknown times.spacing {spacing!r}")
+    if spacing == "log" and t_start <= 0:
         raise ConfigParse("log-spaced times need t_start > 0")
-    return grid
+    space = np.linspace if spacing == "linear" else np.geomspace
+    try:
+        return space(t_start, t_end, samples)
+    except MemoryError as exc:
+        raise ConfigParse(f"times.samples = {samples} times do not fit in memory") from exc
 
 
 def _parse_grid(data: dict) -> tuple[int, str]:
@@ -150,12 +146,6 @@ def config_hash(command: str, cfg: RunConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(path: Path, command: str, cfg: RunConfig, grid, columns, rows):
     # the recurrence horizon is a grid property; quoting it in every artifact
     # marks the window inside which oracle cross-checks are meaningful
@@ -164,13 +154,13 @@ def _write_csv(path: Path, command: str, cfg: RunConfig, grid, columns, rows):
         f"# config_hash: {config_hash(command, cfg)}",
         f"# grid_m: {cfg.grid_m}",
         f"# grid_scheme: {cfg.grid_scheme}",
-        f"# coupling_scale: {_fmt(cfg.model.coupling_scale)}",
+        f"# coupling_scale: {cfg.model.coupling_scale}",
         f"# seed: {cfg.seed}",
-        f"# recurrence_time: {_fmt(grid.recurrence_time)}",
-        f"# valid_t_max: {_fmt(grid.valid_t_max)}",
+        f"# recurrence_time: {grid.recurrence_time}",
+        f"# valid_t_max: {grid.valid_t_max}",
     ]
     lines.append(",".join(columns))
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += [",".join(map(str, row)) for row in rows]
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("\n".join(lines) + "\n")
@@ -189,9 +179,12 @@ def _level_values(raw, field: str, n_levels: int, pairs: bool = False) -> np.nda
     ``pairs``, returned as complex amplitudes."""
     shape = (n_levels, 2) if pairs else (n_levels,)
     try:
-        arr = np.asarray(raw, float)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(raw)
+    except ValueError as exc:  # numpy refuses a ragged list
         raise ConfigParse(f"malformed '{field}': {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise ConfigParse(f"'{field}' must hold only floats and 64-bit integers")
+    arr = np.asarray(arr, float)
     if arr.shape != shape:
         raise ConfigParse(f"'{field}' must have shape {shape}, one row per level; got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -241,8 +234,7 @@ def run_spectrum(cfg: RunConfig):
 def _evolved(cfg: RunConfig, spec, state0):
     """The configured times and the physical states at them, as one stack
     whose leading axis is time: one ``evolve`` and one ``recompose`` call."""
-    t = cfg.times.values()
-    return t, recompose(evolve(state0, spec, t), spec)
+    return cfg.times, recompose(evolve(state0, spec, cfg.times), spec)
 
 
 def run_evolve(cfg: RunConfig):
@@ -278,7 +270,7 @@ def run_compare(cfg: RunConfig):
     with warnings.catch_warnings():
         # beyond-horizon rows are computed anyway but flagged invalid below
         warnings.simplefilter("ignore", RecurrenceWindowExceeded)
-        for t in cfg.times.values():
+        for t in cfg.times:
             t = float(t)
             valid = int(t < grid.valid_t_max)
             for i in range(n):

@@ -32,11 +32,11 @@ the premeasured states of ``measurement`` carry no level-continuum array at
 all.
 
 Time is an array axis.  ``evolve`` takes a real scalar or an array of times
-and puts the time axes in front of every sector it phases: a stack holds
-``rho_d`` of shape ``t.shape + (N, N)``, ``rho_iomega``, when present, of
-shape ``t.shape + (N, M)``, and after ``recompose`` atoms of shape
-``t.shape + (N,)``; the continuum diagonal stays shared.  A scalar time gives
-a single state.  Every check of a ``GeneralizedState`` reads trailing shapes
+and puts the time axes in front of every per-state sector: a stack holds
+``rho_d`` of shape ``t.shape + (N, N)``, atoms of shape ``t.shape + (N,)``
+and ``rho_iomega``, when present, of shape ``t.shape + (N, M)``; only the
+continuum density ``rho_omega_regular`` is shared.  A scalar time gives a
+single state.  Every check of a ``GeneralizedState`` reads trailing shapes
 and acts per state: ``trace()`` and ``hermiticity_defect()`` return one value
 per state, and ``validate()`` refuses a stack if any state in it fails.  A
 stacked mixed sector costs T * N * M complex values (384 MB at T=1000, N=6,
@@ -75,8 +75,9 @@ _SECTOR_DTYPES = (("rho_omega_regular", float), ("rho_omega_atoms", float), ("rh
 class GeneralizedState:
     """Sector components of a generalized state on a fixed grid; immutable.
 
-    ``rho_omega_atoms[i]`` is the weight of the continuum-diagonal atom at
-    level i's energy.
+    ``rho_omega_atoms[..., i]`` is the weight of the continuum-diagonal atom
+    at level i's energy.  The atoms and ``rho_iomega`` have the leading axes
+    of ``rho_d``; ``rho_omega_regular`` is one density shared by a stack.
     """
 
     grid: ContinuumGrid
@@ -95,22 +96,21 @@ class GeneralizedState:
             raise InvalidState("rho_omega_regular must match the grid size")
         if self.rho_d.ndim < 2 or self.rho_d.shape[-2] != self.rho_d.shape[-1]:
             raise InvalidState("rho_d must be square in its last two axes")
-        stack, n = self.rho_d.shape[:-2], self.rho_d.shape[-1]
-        if self.rho_omega_atoms.shape not in ((n,), stack + (n,)):
-            raise InvalidState("rho_omega_atoms must have shape (n_levels,), "
-                               "after the leading axes of rho_d if any")
-        if self.rho_iomega is not None and self.rho_iomega.shape not in (
-                (n, self.grid.size), stack + (n, self.grid.size)):
-            raise InvalidState("mixed sectors must have shape (n_levels, grid size), "
-                               "after the leading axes of rho_d if any")
+        levels = self.rho_d.shape[:-1]
+        if self.rho_omega_atoms.shape != levels:
+            raise InvalidState(f"rho_omega_atoms must have shape {levels}, "
+                               f"got {self.rho_omega_atoms.shape}")
+        if self.rho_iomega is not None and self.rho_iomega.shape != levels + (self.grid.size,):
+            raise InvalidState(f"mixed sectors must have shape {levels + (self.grid.size,)}, "
+                               f"got {self.rho_iomega.shape}")
 
     @property
     def n_levels(self) -> int:
         return self.rho_d.shape[-1]
 
     def trace(self) -> float | np.ndarray:
-        """Physical trace carried by each state in its current basis: a float,
-        or one value per state of a stack.
+        """Physical trace carried by each state in its current basis: a float
+        (numpy's float64), or one value per state of a stack.
 
         In the eigen basis the discrete coefficients pair with traceless
         duals, so only the continuum diagonal contributes.
@@ -120,13 +120,13 @@ class GeneralizedState:
                      + np.sum(self.rho_omega_atoms, axis=-1))
             if self.basis != BASIS_EIGEN:
                 total = total + np.sum(np.real(_diagonal(self.rho_d)), axis=-1)
-        return _per_state(total)
+        return total
 
     def hermiticity_defect(self) -> float | np.ndarray:
         """Largest deviation of ``rho_d`` from Hermitian, per state; the mixed
         sectors are a conjugate pair by construction."""
         adjoint = np.swapaxes(self.rho_d, -2, -1).conj()
-        return _per_state(np.max(np.abs(self.rho_d - adjoint), axis=(-2, -1), initial=0.0))
+        return np.max(np.abs(self.rho_d - adjoint), axis=(-2, -1), initial=0.0)
 
     def validate(self) -> "GeneralizedState":
         """Check the physical-state invariants (free basis) and return self;
@@ -157,11 +157,6 @@ def _diagonal(matrices: np.ndarray) -> np.ndarray:
     return np.diagonal(matrices, axis1=-2, axis2=-1)
 
 
-def _per_state(values: np.ndarray) -> float | np.ndarray:
-    """A plain float for a single state, else one value per state."""
-    return float(values) if np.ndim(values) == 0 else values
-
-
 def zero_state(grid: ContinuumGrid, n_levels: int) -> GeneralizedState:
     """All-zero state container (not a valid physical state by itself); its
     optional sectors are absent."""
@@ -176,9 +171,7 @@ def zero_state(grid: ContinuumGrid, n_levels: int) -> GeneralizedState:
 def discrete_state(grid: ContinuumGrid, rho_d) -> GeneralizedState:
     """State with only the discrete block occupied (a private copy of rho_d)."""
     rho_d = np.array(rho_d, complex)
-    # the state checks that rho_d is square before it sizes the atoms by it;
-    # shape[:1] does not fail on a scalar
-    return replace(zero_state(grid, 0), rho_omega_atoms=np.zeros(rho_d.shape[:1]), rho_d=rho_d)
+    return replace(zero_state(grid, 0), rho_omega_atoms=np.zeros(rho_d.shape[:-1]), rho_d=rho_d)
 
 
 def _check_input(state: GeneralizedState, spectrum: LiouvilleSpectrum, basis: str, message: str):
@@ -220,8 +213,10 @@ def evolve(state: GeneralizedState, spectrum: LiouvilleSpectrum, t) -> Generaliz
     ``t`` is a real scalar or a real array of times.  Its axes lead every
     evolved sector: ``rho_d`` gets shape ``t.shape + (N, N)`` and
     ``rho_iomega``, when present, ``t.shape + (N, M)``; a scalar gives a
-    single state.  The continuum diagonal (rate zero) and its atoms are
-    shared with the input, so the trace is conserved identically for all t.
+    single state.  The continuum diagonal has rate zero: its density is
+    shared with the input and its atoms are a read-only broadcast of the
+    input's to ``rho_d.shape[:-1]``, so the trace is conserved identically
+    for all t.
     Absent sectors stay absent.  The (w i| slot, ``rho_iomega.conj()``,
     thereby evolves with -conj(lambda(i, w)) and damps at gamma_i / 2 like
     its partner.
@@ -247,11 +242,13 @@ def evolve(state: GeneralizedState, spectrum: LiouvilleSpectrum, t) -> Generaliz
         largest = state.rho_d if state.rho_iomega is None else state.rho_iomega
         raise InvalidState(f"an evolved stack of shape {t.shape + largest.shape[-2:]} "
                            "does not fit in memory") from exc
-    return replace(state, rho_d=rho_d, rho_iomega=rho_iomega)
+    atoms = np.broadcast_to(state.rho_omega_atoms, rho_d.shape[:-1])
+    return replace(state, rho_omega_atoms=atoms, rho_d=rho_d, rho_iomega=rho_iomega)
 
 
 def equilibrium(state: GeneralizedState, spectrum: LiouvilleSpectrum) -> GeneralizedState:
-    """The t -> infinity limit as a validated free-basis state.
+    """The t -> infinity limit of each state, as a validated free-basis state
+    or stack of the input's shape.
 
     Every sector but the continuum diagonal carries an eigenvalue with
     positive imaginary part, so the limit keeps the eigen-basis continuum
@@ -261,6 +258,5 @@ def equilibrium(state: GeneralizedState, spectrum: LiouvilleSpectrum) -> General
     """
     if state.basis == BASIS_FREE:
         state = decompose_initial(state, spectrum)
-    limit = replace(zero_state(state.grid, state.n_levels),
-                    rho_omega_regular=state.rho_omega_regular, rho_omega_atoms=state.rho_omega_atoms)
-    return limit.validate()
+    return replace(state, rho_d=np.zeros_like(state.rho_d), rho_iomega=None,
+                   basis=BASIS_FREE).validate()

@@ -128,11 +128,16 @@ class ModelSpec:
 
 
 def _numbers(name: str, value, max_ndim: int) -> np.ndarray:
-    """A read-only float copy of ``value`` with at most ``max_ndim`` dimensions."""
+    """A read-only float copy of ``value``, floats and 64-bit integers only,
+    with at most ``max_ndim`` dimensions; strings and booleans are refused,
+    never parsed."""
     try:
-        arr = np.array(value, float)
-    except (TypeError, ValueError, OverflowError) as exc:
+        raw = np.asarray(value)
+    except ValueError as exc:  # numpy refuses a ragged list
         raise ModelInvalid(f"'{name}' must be numeric: {exc}") from exc
+    if raw.dtype.kind not in "iuf":
+        raise ModelInvalid(f"'{name}' must hold only floats and 64-bit integers")
+    arr = np.array(raw, float)
     if arr.ndim > max_ndim:
         raise ModelInvalid(f"'{name}' has shape {arr.shape}, expected at most {max_ndim} dimensions")
     if not np.all(np.isfinite(arr)):

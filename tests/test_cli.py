@@ -201,6 +201,37 @@ def test_artifacts_are_deterministic(tmp_path):
     assert (out_a / "compare.csv").read_bytes() == (out_b / "compare.csv").read_bytes()
 
 
+_INTEGER_COLUMNS = {"i", "j", "valid"}
+
+
+@pytest.mark.parametrize("levels, scheme, times", [
+    ((1.0, 2.0), "uniform-midpoint", {"t_start": 0.5, "t_end": 50.0, "samples": 6, "spacing": "log"}),
+    ((1.0, 2.0, 3.5), "gauss-legendre-composite",
+     {"t_start": 0.0, "t_end": 40.0, "samples": 7, "spacing": "linear"}),
+], ids=["two-levels-log", "three-levels-linear"])
+def test_float_cells_are_shortest_round_trip_reprs(tmp_path, levels, scheme, times):
+    write_model(tmp_path, levels=levels)
+    zeros = [[0.0, 0.0]] * (len(levels) - 2)
+    config = write_config(tmp_path, grid={"m": 200, "scheme": scheme}, times=times,
+                          initial={"amplitudes": [[0.6, 0.0], [0.0, 0.8]] + zeros},
+                          amplitudes=[[0.0, 0.8], [0.6, 0.0]] + zeros)
+    for command in ("spectrum", "evolve", "compare", "measure"):
+        assert main([command, "--config", str(config)]) == 0
+    artifacts = sorted((tmp_path / "out").glob("*.csv"))
+    assert [a.name for a in artifacts] == ["compare.csv", "evolve.csv", "measure.csv",
+                                           "measure_timeseries.csv", "spectrum.csv"]
+    for artifact in artifacts:
+        meta, columns, rows = read_artifact(artifact)
+        for key in ("coupling_scale", "recurrence_time", "valid_t_max"):
+            assert repr(float(meta[key])) == meta[key], (artifact.name, key)
+        for row in rows:
+            for column, cell in zip(columns, row, strict=True):
+                if column in _INTEGER_COLUMNS:
+                    assert str(int(cell)) == cell, (artifact.name, column, cell)
+                elif column != "quantity":
+                    assert repr(float(cell)) == cell, (artifact.name, column, cell)
+
+
 def test_seed_override_changes_hash_and_content(tmp_path):
     write_model(tmp_path)
     config = write_config(tmp_path, times={
@@ -282,10 +313,20 @@ _TIMES = {"t_start": 0.5, "t_end": 5.0, "samples": 3, "spacing": "log"}
     ("measure", {"amplitudes": [[1e200, 0.0], [0.0, 0.0]]}),
     ("evolve", {"times": _TIMES, "initial": {"amplitudes": [[1e200, 0.0], [0.0, 0.0]]}}),
     ("evolve", {"times": _TIMES, "initial": {"diagonal": [1e308, 1e308]}}),
+    # only JSON numbers count as numbers: no string is parsed, no boolean read as 0 or 1
+    ("evolve", {"times": {**_TIMES, "t_start": True}, "initial": {"diagonal": [0.5, 0.5]}}),
+    ("evolve", {"times": {**_TIMES, "t_end": "50"}, "initial": {"diagonal": [0.5, 0.5]}}),
+    ("evolve", {"times": _TIMES, "initial": {"diagonal": ["1.0", False]}}),
+    ("measure", {"amplitudes": [["0.6", 0.0], [0.0, 0.8]]}),
+    # an integer literal past 64 bits is no float: it used to raise a bare OverflowError
+    ("evolve", {"times": {**_TIMES, "t_end": 10 ** 400}, "initial": {"diagonal": [0.5, 0.5]}}),
+    ("evolve", {"times": _TIMES, "initial": {"diagonal": [10 ** 400, 0]}}),
 ], ids=["short-diagonal", "short-initial-amplitudes", "long-amplitudes",
         "non-numeric-diagonal", "negative-diagonal", "initial-not-an-object",
         "string-seed", "fractional-seed", "negative-seed", "huge-amplitudes",
-        "huge-initial-amplitudes", "huge-diagonal"])
+        "huge-initial-amplitudes", "huge-diagonal", "bool-t-start", "string-t-end",
+        "string-and-bool-diagonal", "string-amplitude", "huge-integer-t-end",
+        "huge-integer-diagonal"])
 def test_malformed_level_inputs_fail_with_one_line(tmp_path, capsys, command, extra):
     write_model(tmp_path)
     config = write_config(tmp_path, **extra)
@@ -338,7 +379,14 @@ def test_non_finite_times_fail_with_one_line(tmp_path, capsys, command, t_end):
     ("amplitude", "x"),
     ("amplitude", {"a": 1}),
     ("amplitude", 1e200),
-], ids=["nested-levels", "string-amplitude", "object-amplitude", "overflowing-amplitude"])
+    # only JSON numbers count as numbers: no string is parsed, no boolean read as 0 or 1
+    ("levels", ["2.0", True, "3"]),
+    ("omega_max", "10"),
+    ("amplitude", "0.05"),
+    ("coupling_scale", True),
+], ids=["nested-levels", "string-amplitude", "object-amplitude", "overflowing-amplitude",
+        "string-and-bool-levels", "string-omega-max", "numeric-string-amplitude",
+        "bool-coupling-scale"])
 def test_malformed_model_fields_fail_with_one_line(tmp_path, capsys, field, value):
     model = write_model(tmp_path)
     data = json.loads(model.read_text())

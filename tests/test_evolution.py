@@ -56,12 +56,15 @@ def _continuum_state(grid):
     (lambda g: _state_with(g, rho_iomega=np.zeros((2, g.size + 1))), "mixed sectors must have shape"),
     (lambda g: _state_with(g, rho_d=np.zeros((3, 2, 2)), rho_omega_atoms=np.zeros((4, 2))),
      "rho_omega_atoms must have shape"),
-    (lambda g: _state_with(g, rho_d=np.zeros((3, 2, 2)), rho_iomega=np.zeros((4, 2, g.size))),
+    (lambda g: _state_with(g, rho_d=np.zeros((3, 2, 2)), rho_omega_atoms=np.zeros((3, 2)),
+                           rho_iomega=np.zeros((4, 2, g.size))),
      "mixed sectors must have shape"),
     (lambda g: _state_with(g, rho_omega_atoms=np.zeros((3, 2))), "rho_omega_atoms must have shape"),
+    (lambda g: _state_with(g, rho_d=np.zeros((3, 2, 2)), rho_iomega=None),
+     r"rho_omega_atoms must have shape \(3, 2\), got \(2,\)"),
 ], ids=["continuum-size", "non-square-discrete", "scalar-discrete", "scalar-discrete-state",
         "atom-count", "mixed-shape", "stacked-atoms-other-times", "stacked-mixed-other-times",
-        "stacked-atoms-single-state"])
+        "stacked-atoms-single-state", "shared-atoms-beside-a-stack"])
 def test_malformed_sectors_are_invalid_states(grid, make, match):
     with pytest.raises(InvalidState, match=match):
         make(grid)
@@ -525,7 +528,9 @@ def test_stacked_evolution_equals_the_per_time_states(n_levels, seed, mixed, t_s
     per_time_physical = [recompose(s, spectrum) for s in per_time]
     assert evolved.rho_d.shape == t_shape + (n_levels, n_levels)
     assert physical.rho_omega_atoms.shape == t_shape + (n_levels,)
-    assert np.shares_memory(evolved.rho_omega_atoms, eigen.rho_omega_atoms)
+    assert evolved.rho_omega_atoms.shape == t_shape + (n_levels,)
+    # a (0, N) view has no memory to share
+    assert np.shares_memory(evolved.rho_omega_atoms, eigen.rho_omega_atoms) or not t.size
     assert np.shares_memory(evolved.rho_omega_regular, eigen.rho_omega_regular)
     stacked = ("rho_d",) + (("rho_iomega",) if mixed else ())
     for stack, states, sectors in ((evolved, per_time, stacked),
@@ -578,6 +583,23 @@ def test_equilibrium_keeps_only_the_continuum_diagonal(grid, spectrum):
     assert not np.any(eq.rho_d) and eq.rho_d.shape == (2, 2)
     assert np.array_equal(eq.rho_omega_regular, eigen.rho_omega_regular)
     assert np.array_equal(eq.rho_omega_atoms, eigen.rho_omega_atoms)
+
+
+def test_equilibrium_of_a_stack_is_the_limit_of_each_state(grid, spectrum):
+    state = discrete_state(grid, np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]]))
+    eigen = decompose_initial(state, spectrum)
+    times = np.array([[0.0, 1.0, 5.0], [40.0, 300.0, 0.5]])
+    stack = recompose(evolve(eigen, spectrum, times), spectrum)
+    eq = equilibrium(stack, spectrum)
+    assert eq.basis == "free" and eq.rho_iomega is None
+    assert eq.rho_d.shape == (2, 3, 2, 2) and eq.rho_omega_atoms.shape == (2, 3, 2)
+    assert eq.validate().trace().shape == (2, 3)
+    for k in np.ndindex(times.shape):
+        single = recompose(evolve(eigen, spectrum, times[k]), spectrum)
+        expected = equilibrium(single, spectrum)
+        assert np.array_equal(eq.rho_d[k], expected.rho_d)
+        assert np.array_equal(eq.rho_omega_atoms[k], expected.rho_omega_atoms)
+        assert np.array_equal(eq.rho_omega_regular, expected.rho_omega_regular)
 
 
 def test_equilibrium_is_idempotent_under_evolution(grid, spectrum):

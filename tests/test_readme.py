@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import pointersim
+import pointersim.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -59,6 +60,8 @@ def test_public_names_resolve():
     assert not hasattr(pointersim.OracleModel, "recurrence_time")
     # the pointer atoms are one weight per level on the state, not a measure
     assert not hasattr(pointersim.continuum, "AtomicMeasure")
+    # a run's times are one array
+    assert not hasattr(pointersim.cli, "TimeGrid")
 
 
 def test_layout_names_resolve():
