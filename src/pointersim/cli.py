@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .continuum import GRID_SCHEMES, build_grid
+from .continuum import GRID_SCHEMES, build_grid, first_bool
 from .errors import ConfigParse, RecurrenceWindowExceeded, SimulationError
 from .evolution import decompose_initial, discrete_state, evolve, recompose
 from .measurement import MeasurementSetup, premeasure, readout
@@ -182,7 +182,7 @@ def _level_values(raw, field: str, n_levels: int, pairs: bool = False) -> np.nda
         arr = np.asarray(raw)
     except ValueError as exc:  # numpy refuses a ragged list
         raise ConfigParse(f"malformed '{field}': {exc}") from exc
-    if arr.dtype.kind not in "iuf":
+    if arr.dtype.kind not in "iuf" or first_bool(raw) is not None:
         raise ConfigParse(f"'{field}' must hold only floats and 64-bit integers")
     arr = np.asarray(arr, float)
     if arr.shape != shape:

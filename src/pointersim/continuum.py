@@ -37,8 +37,9 @@ def check_time(t) -> np.ndarray:
     """Evolution times ``t``, a real scalar or an array of any shape, as floats.
 
     Refuses with ``NegativeTime`` any time that is not an integer or a float
-    (bool, complex, str, object and None), before any conversion, so that no
-    string is parsed as a time; then any that is negative, NaN or infinite.
+    (bool, complex, str, object and None, and a bool inside a list), before
+    any conversion, so that no string is parsed as a time; then any that is
+    negative, NaN or infinite.
     The message names the first bad entry.
     """
     try:
@@ -46,6 +47,9 @@ def check_time(t) -> np.ndarray:
     except ValueError as exc:  # numpy refuses a ragged sequence
         raise NegativeTime("evolution time must be real, finite and >= 0, got a ragged "
                            "sequence") from exc
+    flag = first_bool(t)
+    if flag is not None:
+        raise NegativeTime(f"evolution time must be real, finite and >= 0, got {flag!r}")
     if times.dtype.kind in "iuf":
         bad = times[~(np.isfinite(times) & (times >= 0))]
         if not bad.size:
@@ -54,6 +58,23 @@ def check_time(t) -> np.ndarray:
         bad = times.ravel()
     first = repr(bad[:1].tolist()[0]) if bad.size else f"an empty {times.dtype} array"
     raise NegativeTime(f"evolution time must be real, finite and >= 0, got {first}")
+
+
+def first_bool(value):
+    """The first boolean in ``value``, a list or tuple walked entry by entry
+    at any depth, or None.
+
+    numpy reads a boolean among numbers as 0 or 1, so every reader of
+    numeric input refuses a list that holds one.  Arrays are not walked: a
+    numeric array holds no booleans.
+    """
+    if isinstance(value, (list, tuple)):
+        for entry in value:
+            flag = first_bool(entry)
+            if flag is not None:
+                return flag
+        return None
+    return value if isinstance(value, (bool, np.bool_)) else None
 
 
 def read_only(values, dtype) -> np.ndarray:

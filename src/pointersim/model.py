@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .continuum import first_bool
 from .errors import (
     DegenerateLevels,
     LevelIndexOutOfRange,
@@ -135,7 +136,7 @@ def _numbers(name: str, value, max_ndim: int) -> np.ndarray:
         raw = np.asarray(value)
     except ValueError as exc:  # numpy refuses a ragged list
         raise ModelInvalid(f"'{name}' must be numeric: {exc}") from exc
-    if raw.dtype.kind not in "iuf":
+    if raw.dtype.kind not in "iuf" or first_bool(value) is not None:
         raise ModelInvalid(f"'{name}' must hold only floats and 64-bit integers")
     arr = np.array(raw, float)
     if arr.ndim > max_ndim:

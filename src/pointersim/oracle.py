@@ -19,6 +19,13 @@ Q[:N, :] (all that survival probabilities, level coherences and spectral
 measures read) and each step's O(M) fold data, and must pass an
 orthonormality gate.
 
+Every chunked pass, those of the secular iteration and of the gate too, is
+split into contiguous row parts, one per CPU the process may run on, that
+run on a thread pool (``_in_parts``).  Parts end only at chunk boundaries,
+so each chunk meets the numpy and BLAS calls of a serial pass, and the
+eigenvalues, the level rows and every artifact do not depend on the CPU
+count.
+
 A finite grid is quasi-periodic: beyond roughly half the recurrence time
 (``ContinuumGrid.valid_t_max``), the nodes rephase and the dynamics stops
 mimicking irreversible decay.  Evolution past that horizon triggers a warning
@@ -27,9 +34,11 @@ and the corresponding runs must not be tagged valid.
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -250,14 +259,23 @@ class _FoldStep:
         return row[self.order]
 
     def forward(self, y: np.ndarray) -> np.ndarray:
-        """S @ y for columns y: rows (level, previous basis)."""
+        """S @ y for columns y: rows (level, previous basis).
+
+        Each row part of the roots adds its own partial sum; the partial sums
+        are added in part order.
+        """
         k = len(self.anchor)
         unsorted = np.empty_like(y)
         unsorted[self.order] = y
         weighted = self.norms[:, None] * unsorted[:k]
-        coupled = np.zeros((len(self.poles), y.shape[1]))
-        for rows, block in _chunks(k, len(self.poles)):
-            coupled += self._inverse_distances(rows, block).T @ weighted[rows]
+
+        def part(span: range) -> np.ndarray:
+            coupled = np.zeros((len(self.poles), y.shape[1]))
+            for rows, block in _chunks(span, len(self.poles)):
+                coupled += self._inverse_distances(rows, block).T @ weighted[rows]
+            return coupled
+
+        coupled = reduce(np.add, _in_parts(k, len(self.poles), part))
         out = np.empty((1 + len(self.active), y.shape[1]))
         out[0] = weighted.sum(axis=0)
         rest = out[1:]
@@ -271,8 +289,12 @@ class _FoldStep:
         rest = z[1:]
         coupled = self.coupling[:, None] * rest[self.active]
         unsorted = np.empty((len(self.order), z.shape[1]))
-        for rows, block in _chunks(k, len(self.poles)):
-            np.matmul(self._inverse_distances(rows, block), coupled, out=unsorted[rows])
+
+        def part(span: range):
+            for rows, block in _chunks(span, len(self.poles)):
+                np.matmul(self._inverse_distances(rows, block), coupled, out=unsorted[rows])
+
+        _in_parts(k, len(self.poles), part)
         unsorted[:k] += z[0]
         unsorted[:k] *= self.norms[:, None]
         unsorted[k:] = rest[~self.active]
@@ -294,23 +316,32 @@ class _FoldStep:
         g2 = self.coupling * self.coupling
         residual = np.empty(k)
         own = np.empty(k)
-        for rows, block, terms in _chunks(k, len(self.poles), scratch=2):
-            inverse = self._inverse_distances(rows, block)
-            np.multiply(g2, inverse, out=terms)
-            residual[rows] = ((self.anchor[rows] - self.level) + self.offset[rows]
-                              - terms.sum(axis=1))
-            own[rows] = self.norms[rows] ** 2 * (1.0 + np.einsum("ij,ij->i", terms, inverse)) - 1.0
+
+        def pole_part(span: range):
+            for rows, block, terms in _chunks(span, len(self.poles), scratch=2):
+                inverse = self._inverse_distances(rows, block)
+                np.multiply(g2, inverse, out=terms)
+                residual[rows] = ((self.anchor[rows] - self.level) + self.offset[rows]
+                                  - terms.sum(axis=1))
+                own[rows] = (self.norms[rows] ** 2 * (1.0 + np.einsum("ij,ij->i", terms, inverse))
+                             - 1.0)
+
+        _in_parts(k, len(self.poles), pole_part)
         residual = np.abs(residual)
         weights = np.column_stack([self.norms, self.norms * residual])
         sums = np.empty((k, 2))
-        for rows, gap, shift in _chunks(k, k, scratch=2):
-            np.subtract.outer(self.anchor[rows], self.anchor, out=gap)
-            gap += np.subtract.outer(self.offset[rows], self.offset, out=shift)
-            diagonal = (np.arange(gap.shape[0]), np.arange(k)[rows])
-            gap[diagonal] = 1.0
-            inverse = np.reciprocal(np.abs(gap, out=gap), out=gap)
-            inverse[diagonal] = 0.0
-            sums[rows] = inverse @ weights
+
+        def gap_part(span: range):
+            for rows, gap, shift in _chunks(span, k, scratch=2):
+                np.subtract.outer(self.anchor[rows], self.anchor, out=gap)
+                gap += np.subtract.outer(self.offset[rows], self.offset, out=shift)
+                diagonal = (np.arange(gap.shape[0]), np.arange(k)[rows])
+                gap[diagonal] = 1.0
+                inverse = np.reciprocal(np.abs(gap, out=gap), out=gap)
+                inverse[diagonal] = 0.0
+                sums[rows] = inverse @ weights
+
+        _in_parts(k, k, gap_part)
         return float(np.max(self.norms * (residual * sums[:, 0] + sums[:, 1]) + np.abs(own)))
 
 
@@ -330,18 +361,68 @@ def _fold(level: float, poles: np.ndarray, coupling: np.ndarray):
     return step, eigenvalues[order]
 
 
-def _chunks(count: int, width: int, scratch: int = 1):
-    """Row slices that keep a chunk-by-width block near _CHUNK_ELEMENTS, each
-    with ``scratch`` blocks of that shape.
+def _chunk_rows(width: int) -> int:
+    """Rows per chunk: a chunk-by-width block stays near _CHUNK_ELEMENTS."""
+    return max(1, _CHUNK_ELEMENTS // max(width, 1))
+
+
+def _chunks(span: range, width: int, scratch: int = 1):
+    """Row slices of ``span`` in chunks of ``_chunk_rows(width)`` rows, each
+    with ``scratch`` chunk-by-width blocks.
 
     The blocks are views of buffers that every chunk reuses, so a pass
     allocates (and page-faults) its scratch memory once, not once per chunk.
     """
-    step = max(1, _CHUNK_ELEMENTS // max(width, 1))
-    buffers = np.empty((scratch, min(step, count), width))
-    for start in range(0, count, step):
-        stop = min(start + step, count)
+    step = _chunk_rows(width)
+    buffers = np.empty((scratch, min(step, len(span)), width))
+    for start in range(span.start, span.stop, step):
+        stop = min(start + step, span.stop)
         yield (slice(start, stop), *buffers[:, : stop - start])
+
+
+# (process id, executor): a forked child starts a pool of its own
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_parts(count: int, width: int, work) -> list:
+    """``work(span)`` for contiguous row ranges that cover range(count), one
+    per CPU; their results in order.
+
+    A part starts only where a chunk of a serial walk over range(count)
+    starts, so its ``_chunks`` are that walk's chunks: every numpy and BLAS
+    call sees the block it sees serially, and no row depends on the CPU
+    count.  The parts run on a thread pool (numpy releases the GIL), each
+    under the caller's numpy error state, which does not reach other
+    threads by itself.  A pass of one chunk runs inline.
+    """
+    global _POOL
+    step = _chunk_rows(width)
+    chunks = -(-count // step)
+    parts = min(chunks, _cpu_count())
+    if parts <= 1:
+        return [work(range(count))]
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != os.getpid():
+            # imported here: at the top it would slow down every import of the package
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL = os.getpid(), ThreadPoolExecutor(_cpu_count())
+        pool = _POOL[1]
+    errors = np.geterr()
+
+    def run(start: int, stop: int):
+        with np.errstate(**errors):
+            return work(range(start, stop))
+
+    edges = [min(count, step * (chunks * p // parts)) for p in range(parts + 1)]
+    return list(pool.map(run, edges[:-1], edges[1:]))
 
 
 def _distances(poles, anchor, offset, out):
@@ -445,16 +526,20 @@ def _pole_sum(poles, g2, origin, offset):
     sums = np.empty(len(offset))
     slopes = np.empty(len(offset))
     magnitude = np.empty(len(offset))
-    for rows, distance, terms in _chunks(len(offset), len(poles), scratch=2):
-        _distances(poles, poles[origin[rows]], offset[rows], distance)
-        own = (np.arange(distance.shape[0]), origin[rows])
-        distance[own] = 1.0
-        inverse = np.reciprocal(distance, out=distance)
-        inverse[own] = 0.0
-        np.multiply(g2, inverse, out=terms)
-        sums[rows] = terms.sum(axis=1)
-        slopes[rows] = np.einsum("ij,ij->i", terms, inverse)
-        magnitude[rows] = np.abs(terms, out=terms).sum(axis=1)
+
+    def part(span: range):
+        for rows, distance, terms in _chunks(span, len(poles), scratch=2):
+            _distances(poles, poles[origin[rows]], offset[rows], distance)
+            own = (np.arange(distance.shape[0]), origin[rows])
+            distance[own] = 1.0
+            inverse = np.reciprocal(distance, out=distance)
+            inverse[own] = 0.0
+            np.multiply(g2, inverse, out=terms)
+            sums[rows] = terms.sum(axis=1)
+            slopes[rows] = np.einsum("ij,ij->i", terms, inverse)
+            magnitude[rows] = np.abs(terms, out=terms).sum(axis=1)
+
+    _in_parts(len(offset), len(poles), part)
     return sums, slopes, magnitude
 
 

@@ -55,15 +55,17 @@ class NumpyWithoutMemory:
     linspace = geomspace = exp = arange
 
 
-def scipy_modules_loaded_by(code):
-    """Sorted names of the scipy modules loaded after ``code`` runs in a fresh
-    interpreter that imports this package's sources."""
+def modules_loaded_by(code, prefix):
+    """Sorted names of the modules in package ``prefix`` (say "scipy" or
+    "concurrent.futures") loaded after ``code`` runs in a fresh interpreter
+    that imports this package's sources."""
     src = str(Path(pointersim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code += ("\nimport sys\nprint(sorted(m for m in sys.modules"
+             f" if m == {prefix!r} or m.startswith({prefix + '.'!r})))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, env=env, check=True)
+                            text=True, env=env, check=True, timeout=120)
     return result.stdout.strip()
 
 

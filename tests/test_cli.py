@@ -15,7 +15,7 @@ from pointersim import (MeasurementSetup, build_grid, decompose_initial, evolve,
 from pointersim.cli import main
 from pointersim.continuum import GRID_SCHEMES
 from pointersim.model import COUPLING_KINDS
-from .conftest import NumpyWithoutMemory, scipy_modules_loaded_by
+from .conftest import NumpyWithoutMemory, modules_loaded_by
 
 
 def write_model(tmp_path, levels=(1.0, 2.0), amplitude=0.05, scale=1.0):
@@ -318,6 +318,9 @@ _TIMES = {"t_start": 0.5, "t_end": 5.0, "samples": 3, "spacing": "log"}
     ("evolve", {"times": {**_TIMES, "t_end": "50"}, "initial": {"diagonal": [0.5, 0.5]}}),
     ("evolve", {"times": _TIMES, "initial": {"diagonal": ["1.0", False]}}),
     ("measure", {"amplitudes": [["0.6", 0.0], [0.0, 0.8]]}),
+    ("evolve", {"times": _TIMES, "initial": {"diagonal": [1.0, False]}}),
+    ("evolve", {"times": _TIMES, "initial": {"amplitudes": [[0.6, 0.0], [0.8, False]]}}),
+    ("measure", {"amplitudes": [[0.0, 0.0], [True, 0.0]]}),
     # an integer literal past 64 bits is no float: it used to raise a bare OverflowError
     ("evolve", {"times": {**_TIMES, "t_end": 10 ** 400}, "initial": {"diagonal": [0.5, 0.5]}}),
     ("evolve", {"times": _TIMES, "initial": {"diagonal": [10 ** 400, 0]}}),
@@ -325,7 +328,8 @@ _TIMES = {"t_start": 0.5, "t_end": 5.0, "samples": 3, "spacing": "log"}
         "non-numeric-diagonal", "negative-diagonal", "initial-not-an-object",
         "string-seed", "fractional-seed", "negative-seed", "huge-amplitudes",
         "huge-initial-amplitudes", "huge-diagonal", "bool-t-start", "string-t-end",
-        "string-and-bool-diagonal", "string-amplitude", "huge-integer-t-end",
+        "string-and-bool-diagonal", "string-amplitude", "bool-among-diagonal",
+        "bool-in-initial-amplitude", "bool-in-amplitude", "huge-integer-t-end",
         "huge-integer-diagonal"])
 def test_malformed_level_inputs_fail_with_one_line(tmp_path, capsys, command, extra):
     write_model(tmp_path)
@@ -384,9 +388,10 @@ def test_non_finite_times_fail_with_one_line(tmp_path, capsys, command, t_end):
     ("omega_max", "10"),
     ("amplitude", "0.05"),
     ("coupling_scale", True),
+    ("levels", [2.0, True]),
 ], ids=["nested-levels", "string-amplitude", "object-amplitude", "overflowing-amplitude",
         "string-and-bool-levels", "string-omega-max", "numeric-string-amplitude",
-        "bool-coupling-scale"])
+        "bool-coupling-scale", "bool-among-levels"])
 def test_malformed_model_fields_fail_with_one_line(tmp_path, capsys, field, value):
     model = write_model(tmp_path)
     data = json.loads(model.read_text())
@@ -488,7 +493,7 @@ def test_output_dir_on_a_regular_file_fails_with_one_line(tmp_path, capsys, belo
 def test_import_leaves_scipy_optimize_unloaded():
     # importing scipy costs more than the rest of the package import, and the
     # package never needs it
-    assert scipy_modules_loaded_by("import pointersim; from pointersim import cli") == "[]"
+    assert modules_loaded_by("import pointersim; from pointersim import cli", "scipy") == "[]"
 
 
 # -- fuzz: model and config dicts, one field at a time gone wrong --------------

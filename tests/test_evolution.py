@@ -387,6 +387,7 @@ def test_negative_time_rejected(grid, spectrum):
     eigen = decompose_initial(discrete_state(grid, np.diag([1.0, 0.0])), spectrum)
     for t, first in ((-0.1, "-0.1"), (np.nan, "nan"), (np.inf, "inf"), ("1.0", "'1.0'"),
                      (None, "None"), (1 + 0j, "(1+0j)"), (True, "True"),
+                     ([1.0, True], "True"), ([(0.5, 1.0), [2.0, False]], "False"),
                      (np.array([1.0, np.nan, 2.0]), "nan"),
                      (np.array([[1.0, 2.0], [-3.0, -4.0]]), "-3.0"),
                      ([1.0, [2.0]], "a ragged sequence")):

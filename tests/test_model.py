@@ -223,9 +223,12 @@ def test_fields_are_read_only_copies():
     ("amplitude", [[0.05]], "amplitude"),
     ("amplitude", [0.05, 0.05, 0.05], "amplitude"),
     ("amplitude", 1e200, "non-finite"),
+    # numpy would read a boolean among numbers as 0 or 1
+    ("levels", [2.0, True], "levels"),
+    ("amplitude", [0.05, False], "amplitude"),
 ], ids=["nested-levels", "string-levels", "nan-level", "inf-level", "object-omega-max",
         "nan-scale", "string-amplitude", "object-amplitude", "nested-amplitude", "long-amplitude",
-        "square-overflows"])
+        "square-overflows", "bool-among-levels", "bool-among-amplitudes"])
 def test_malformed_fields_are_model_invalid(recwarn, field, value, match):
     data = {"levels": [1.0, 2.0], "omega_max": 10.0,
             "coupling": {"kind": "constant", "amplitude": 0.05}}

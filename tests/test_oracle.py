@@ -1,4 +1,7 @@
+import json
+import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,15 +18,17 @@ from pointersim import (
     fit_exponential_rate,
     fitted_decay_rate,
     level_shift,
+    load_model,
     pointer_weights,
     resonance_center,
     survival_probability,
 )
+from pointersim.cli import main
 from pointersim.errors import (EigensolverFailure, FitFailure, InvalidState,
                                LevelIndexOutOfRange, NegativeTime, RecurrenceWindowExceeded,
                                SimulationError)
 from pointersim.model import coupling_at
-from .conftest import make_constant_model, scipy_modules_loaded_by
+from .conftest import make_constant_model, modules_loaded_by
 
 
 @pytest.fixture(scope="module")
@@ -218,7 +223,121 @@ def test_discretize_loads_no_scipy():
             "spec = ModelSpec(levels=[1.0, 2.0], omega_max=10.0,\n"
             "                 coupling=CouplingProfile.constant(0.05))\n"
             "assert discretize(spec, build_grid(10.0, 64)).size == 66")
-    assert scipy_modules_loaded_by(code) == "[]"
+    assert modules_loaded_by(code, "scipy") == "[]"
+
+
+def test_import_and_small_grids_start_no_thread_pool():
+    assert modules_loaded_by("import pointersim", "concurrent.futures") == "[]"
+    # with two CPUs claimed, an M=64 pass is still one chunk, run inline
+    code = ("import threading\n"
+            "import pointersim.oracle\n"
+            "from pointersim import CouplingProfile, ModelSpec, build_grid, discretize\n"
+            "pointersim.oracle._cpu_count = lambda: 2\n"
+            "spec = ModelSpec(levels=[1.0, 2.0], omega_max=10.0,\n"
+            "                 coupling=CouplingProfile.constant(0.05))\n"
+            "discretize(spec, build_grid(10.0, 64))\n"
+            "assert threading.active_count() == 1")
+    assert modules_loaded_by(code, "concurrent.futures") == "[]"
+
+
+def test_a_forked_child_runs_its_own_passes():
+    # the parent's pool threads do not exist in a forked child; the alarm
+    # ends a child that waits for them anyway
+    code = ("import os, signal\n"
+            "import pointersim.oracle\n"
+            "from pointersim import CouplingProfile, ModelSpec, build_grid, discretize\n"
+            "pointersim.oracle._cpu_count = lambda: 2\n"
+            "spec = ModelSpec(levels=[1.0], omega_max=10.0,\n"
+            "                 coupling=CouplingProfile.constant(0.05))\n"
+            "grid = build_grid(10.0, 800)\n"
+            "parent = discretize(spec, grid).eigenvalues\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(30)\n"
+            "    os._exit(0 if (discretize(spec, grid).eigenvalues == parent).all() else 1)\n"
+            "_, status = os.waitpid(pid, 0)\n"
+            "assert os.waitstatus_to_exitcode(status) == 0, status")
+    assert modules_loaded_by(code, "concurrent.futures") != "[]"
+
+
+_MODEL_FILES = {
+    "two-level-tabulated-zeros": {
+        "levels": [3.0, 5.0], "omega_max": 10.0,
+        "coupling": {"kind": "tabulated", "omega": [0.0, 2.0, 4.0, 6.0, 8.0, 10.0],
+                     "values": [[0.0, 0.0], [0.1, 0.0], [0.0, 0.08], [-0.1, 0.0], [0.0, 0.05],
+                                [0.0, 0.0]]}},
+    "six-level-constant": {
+        "levels": [1.0, 2.0, 3.0, 4.5, 6.0, 7.5], "omega_max": 10.0,
+        "coupling": {"kind": "constant", "amplitude": 0.05}},
+}
+
+
+@pytest.mark.parametrize("case", list(_MODEL_FILES))
+def test_results_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, case):
+    (tmp_path / "model.json").write_text(json.dumps(_MODEL_FILES[case]))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": "model.json", "grid": {"m": 800, "scheme": "uniform-midpoint"}, "seed": 3,
+        "times": {"t_start": 1.0, "t_end": 200.0, "samples": 6, "spacing": "linear"}}))
+    spec = load_model(tmp_path / "model.json")
+    grid = build_grid(spec.omega_max, 800, avoid=spec.levels)
+    # at M=800 a pass has 10 chunks: a part that starts past row 0 is a
+    # second part
+    starts = []
+    chunks = pointersim.oracle._chunks
+
+    def recording(span, *args, **kwargs):
+        starts.append(span.start)
+        return chunks(span, *args, **kwargs)
+
+    monkeypatch.setattr(pointersim.oracle, "_chunks", recording)
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(pointersim.oracle, "_cpu_count", lambda: cpus)
+        starts.clear()
+        model = discretize(spec, grid)
+        out = tmp_path / f"cpus-{cpus}"
+        assert main(["compare", "--config", str(config), "--out", str(out)]) == 0
+        runs[cpus] = (model, (out / "compare.csv").read_bytes(), max(starts))
+    (serial, serial_csv, serial_start), (parted, parted_csv, parted_start) = runs[1], runs[2]
+    assert serial_start == 0 and parted_start > 0
+    assert np.array_equal(serial.eigenvalues, parted.eigenvalues)
+    assert np.array_equal(serial.eigenvectors, parted.eigenvectors)
+    assert serial_csv == parted_csv
+
+
+def test_more_parts_than_cores_write_every_row(monkeypatch, two_level_model, grid_800):
+    monkeypatch.setattr(pointersim.oracle, "_cpu_count", lambda: 1)
+    serial = discretize(two_level_model, grid_800)
+    probe = np.cos(np.arange(serial.size))
+    # a pool of its own with eight workers, switching threads as often as it can
+    monkeypatch.setattr(pointersim.oracle, "_POOL", None)
+    monkeypatch.setattr(pointersim.oracle, "_cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parted = discretize(two_level_model, grid_800)
+        applied = parted.apply(probe)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(serial.eigenvalues, parted.eigenvalues)
+    assert np.array_equal(serial.eigenvectors, parted.eigenvectors)
+    # the forward pass adds one partial sum per part, in part order
+    assert np.max(np.abs(applied - serial.apply(probe))) < 1e-13
+
+
+def test_parts_keep_the_callers_numpy_error_state(monkeypatch, two_level_model, grid_800):
+    # two equal roots put a zero gap into the Gram pass; the gate ignores the
+    # division by it, in every part, and fails on the NaN it leads to
+    monkeypatch.setattr(pointersim.oracle, "_cpu_count", lambda: 2)
+    model = discretize(two_level_model, grid_800)
+    step = model.steps[-1]
+    anchor, offset = step.anchor.copy(), step.offset.copy()
+    anchor[401], offset[401] = anchor[400], offset[400]
+    mutant = replace(model, steps=model.steps[:-1] + (replace(step, anchor=anchor, offset=offset),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not mutant.orthonormality_defect() <= 1e-10
 
 
 def test_secular_iteration_cap_is_an_eigensolver_failure(monkeypatch, unit_model):
@@ -459,7 +578,8 @@ def _probes(oracle, t):
             lambda: pointer_weights(oracle, amplitudes, t))
 
 
-@pytest.mark.parametrize("t", [-0.1, np.nan, np.inf, "1.0", None, 1 + 0j, True, [1.0, [2.0]]])
+@pytest.mark.parametrize("t", [-0.1, np.nan, np.inf, "1.0", None, 1 + 0j, True, [1.0, [2.0]],
+                               [1.0, True]])
 def test_probes_refuse_a_time_that_is_negative_or_not_finite(oracle_two, t):
     # only integer and float times are times: a string is never parsed as one
     for probe in _probes(oracle_two, t):
