@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     DiscontinuousAtSingularity,
     InvalidGrid,
+    InvalidState,
     NegativeTime,
     NonFiniteValue,
     SingularityOutsideSupport,
@@ -58,6 +59,28 @@ def check_time(t) -> np.ndarray:
         bad = times.ravel()
     first = repr(bad[:1].tolist()[0]) if bad.size else f"an empty {times.dtype} array"
     raise NegativeTime(f"evolution time must be real, finite and >= 0, got {first}")
+
+
+def check_amplitudes(values) -> np.ndarray:
+    """A complex copy of ``values``, which must hold finite integers, floats
+    and complex numbers only.
+
+    Anything else raises ``InvalidState`` before any conversion: a boolean
+    (a bool inside a list too), a string, None or another object, a ragged
+    list, NaN or an infinity.
+    """
+    try:
+        raw = np.asarray(values)
+    except ValueError as exc:  # numpy refuses a ragged sequence
+        raise InvalidState("amplitudes must be finite numbers, got a ragged sequence") from exc
+    flag = first_bool(values)
+    if flag is not None or raw.dtype.kind not in "iufc":
+        got = repr(flag) if flag is not None else f"{raw.dtype} entries"
+        raise InvalidState(f"amplitudes must be finite numbers, got {got}")
+    amplitudes = np.array(raw, complex)
+    if not np.all(np.isfinite(amplitudes)):
+        raise InvalidState("amplitudes must be finite numbers, got NaN or an infinity")
+    return amplitudes
 
 
 def first_bool(value):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuum import ContinuumGrid, read_only
+from .continuum import ContinuumGrid, check_amplitudes, read_only
 from .errors import InvalidState, NonHermitianBlock, NotNormalized
 from .evolution import GeneralizedState, discrete_state, equilibrium
 from .spectrum import LiouvilleSpectrum
@@ -30,9 +30,9 @@ class MeasurementSetup:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        a = read_only(np.atleast_1d(np.array(self.amplitudes, complex)), complex)
-        if a.ndim != 1 or not np.all(np.isfinite(a)):
-            raise InvalidState(f"amplitudes must be a finite 1-d vector, got shape {a.shape}")
+        a = read_only(np.atleast_1d(check_amplitudes(self.amplitudes)), complex)
+        if a.ndim != 1:
+            raise InvalidState(f"amplitudes must be a 1-d vector, got shape {a.shape}")
         with np.errstate(over="ignore"):  # an overflowing norm is inf: NotNormalized
             total = float(np.sum(np.abs(a) ** 2))
         if abs(total - 1.0) > _NORM_TOL:

@@ -41,8 +41,9 @@ from dataclasses import dataclass
 from functools import partial, reduce
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .continuum import ContinuumGrid, check_time
+from .continuum import ContinuumGrid, check_amplitudes, check_time
 from .errors import (EigensolverFailure, FitFailure, InvalidState, RecurrenceWindowExceeded,
                      SimulationError)
 from .model import ModelSpec, check_index, coupling_at
@@ -215,13 +216,21 @@ def discretize(spec: ModelSpec, grid: ContinuumGrid) -> OracleModel:
 # an underflowing g_k^2 would leave its gap without a sign change.  A root is
 # kept as an offset d from its nearer pole p, so x - w_k = (w_p - w_k) + d
 # stays accurate to full relative precision however close x is to w_p, and d
-# solves F(d) = d * f(w_p + d), which has no pole at d = 0.  The eigenvector
-# of root x_n is c_n (1, g_k / (x_n - w_k)), with c_n the norm that makes it
-# a unit vector, so a product with the step's eigenvectors is a Cauchy matrix
-# product that never needs them stored.
+# solves F(d) = d * f(w_p + d), which has no pole at d = 0.  Every exact
+# evaluation of f sums over all k poles, an O(k^2) Cauchy pass, so the solve
+# makes as few as it can: one at the gap midpoints, whose sums also feed a
+# cheap near-field start model, then two Newton passes over every root and
+# short ones over the few left.  The eigenvector of root x_n is
+# c_n (1, g_k / (x_n - w_k)), with c_n the norm that makes it a unit vector,
+# so a product with the step's eigenvectors is a Cauchy matrix product that
+# never needs them stored.
 
 _EPS = np.finfo(float).eps
 _SECULAR_MAX_ITER = 64
+# the start model: poles taken exactly on each side of a root's gap, and
+# its Newton steps
+_NEAR_POLES = 16
+_MODEL_STEPS = 2
 # roots are handled in row chunks of about 64k matrix elements (512 kB), so
 # no M x M temporary exists while solving or applying a step
 _CHUNK_ELEMENTS = 1 << 16
@@ -436,11 +445,19 @@ def _secular_roots(level: float, poles: np.ndarray, g2: np.ndarray):
     """Roots of f, ascending, each as its nearer pole plus an offset, and the
     norms c_n of their eigenvectors.
 
-    A vectorized safeguarded Newton iteration on F(d) = d * f(w_p + d): every
-    root keeps a bracket on which f changes sign, and a Newton step that
-    leaves it is replaced by bisection.  The last iteration's pole sums give
-    each norm, 1 / c_n^2 = 1 + sum_k g_k^2 / (x_n - w_k)^2.  Without poles the
-    one root is the level itself.
+    One exact pass at the gap midpoints picks each interior root's half-gap
+    bracket and its pole.  Its sums also seed the root's start: the gap's
+    two poles exact and the rest frozen at the midpoint give a first guess,
+    which ``_near_field_start`` refines in O(k B) on a model with the 2B
+    nearest poles exact and the far field linear.  Then a vectorized
+    safeguarded Newton iteration on F(d) = d * f(w_p + d) runs, one exact
+    pass per iteration: every root keeps a bracket on which f changes sign,
+    and a Newton step that leaves it is replaced by bisection.  From the
+    near-field start, the second iteration finds almost every root converged,
+    so a fold step makes three exact passes over every root.  The last
+    iteration's pole sums give each norm,
+    1 / c_n^2 = 1 + sum_k g_k^2 / (x_n - w_k)^2.  Without poles the one root
+    is the level itself.
     """
     k = len(poles)
     if k == 0:
@@ -460,7 +477,7 @@ def _secular_roots(level: float, poles: np.ndarray, g2: np.ndarray):
         # gap's midpoint says which half holds the root, hence its pole
         half = 0.5 * np.diff(poles)
         left = np.arange(k - 1)
-        others, _, _ = _pole_sum(poles, g2, left, half)
+        others, squares, _ = _pole_sum(poles, g2, left, half)
         f_mid = (poles[left] + half - level) - (others + g2[left] / half)
         lower_half = f_mid >= 0
         origin[1:k] = np.where(lower_half, left, left + 1)
@@ -473,7 +490,9 @@ def _secular_roots(level: float, poles: np.ndarray, g2: np.ndarray):
                          _two_pole_root(c, g2[left], g2[left + 1], 2 * half),
                          -_two_pole_root(-c, g2[left + 1], g2[left], 2 * half))
         inside = (guess > lo[1:k]) & (guess < hi[1:k])
-        offset[1:k] = np.where(inside, guess, 0.5 * (lo[1:k] + hi[1:k]))
+        offset[1:k] = _near_field_start(
+            level, poles, g2, half, (others, squares), origin[1:k],
+            np.where(inside, guess, 0.5 * (lo[1:k] + hi[1:k])), lo[1:k], hi[1:k])
 
     base = poles[origin] - level
     norms = np.empty(k + 1)
@@ -506,6 +525,65 @@ def _secular_roots(level: float, poles: np.ndarray, g2: np.ndarray):
         f"in {_SECULAR_MAX_ITER} iterations")
 
 
+def _near_field_start(level, poles, g2, half, at_mid, origin, offset, lo, hi):
+    """Start offsets of the interior roots, refined on a near-field model of f in O(k B).
+
+    Row i holds the root in the gap between poles i and i + 1, at ``offset``
+    from its pole ``origin``, inside its bracket (lo, hi).  The model keeps
+    the 2B poles nearest the gap exact, B = ``_NEAR_POLES`` on each side and
+    fewer at the grid's ends.  The rest, the far field, enters to first order
+    about the gap's midpoint m: its sum of g_k^2 / (x - w_k) is S - T (x - m),
+    with S and T its sums of g_k^2 / (m - w_k) and g_k^2 / (m - w_k)^2.  They
+    are ``at_mid``, the midpoint pass's sums over every pole but pole i, less
+    their near part.  ``_MODEL_STEPS`` Newton steps on the model's F(d)
+    follow; a step is taken only when it is finite and inside the bracket.
+    """
+    k = len(poles)
+    offset = offset.copy()
+    width = 2 * _NEAR_POLES
+    # row i holds poles i-B+1 .. i+B, so columns B-1 and B are the gap's own
+    # two; past the grid's ends the windows read padding poles of no weight
+    at = sliding_window_view(np.pad(poles, _NEAR_POLES, mode="edge"), width)[1:k]
+    weight = sliding_window_view(np.pad(g2, _NEAR_POLES), width)[1:k]
+    # the model only proposes steps: one that overflows or divides by zero
+    # is not finite, and is not taken
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for rows, inverse, terms in _chunks(range(k - 1), width, scratch=2):
+            gap = np.arange(rows.start, rows.stop)
+            own = origin[rows]
+            middle = half[rows]
+            near = (at[rows], weight[rows], inverse, terms)
+            mid_sums, mid_squares = _near_sums(*near, poles[gap], middle, _NEAR_POLES - 1)
+            far = at_mid[0][rows] - mid_sums
+            far_squares = at_mid[1][rows] - mid_squares
+            # x - midpoint is d - half from the gap's left pole, d + half from its right one
+            base = (poles[own] - level) - far + far_squares * np.where(own == gap, -middle, middle)
+            column = _NEAR_POLES - 1 + (own - gap)
+            d, low, high = offset[rows], lo[rows], hi[rows]
+            for _ in range(_MODEL_STEPS):
+                sums, squares = _near_sums(*near, poles[own], d, column)
+                reduced = base + d - sums + far_squares * d
+                value = d * reduced - g2[own]
+                slope = reduced + d * (1.0 + squares + far_squares)
+                step = d - value / slope
+                # NaN and infinite steps fail the comparisons too
+                d = np.where((step > low) & (step < high), step, d)
+            offset[rows] = d
+    return offset
+
+
+def _near_sums(at, weight, inverse, terms, anchor, offset, own):
+    """sum_j weight_nj / (x_n - at_nj) and sum_j weight_nj / (x_n - at_nj)^2
+    over every column j but ``own``, for x_n = anchor_n + offset_n, with the
+    scratch blocks ``inverse`` and ``terms``."""
+    np.subtract(anchor[:, None], at, out=inverse)
+    inverse += offset[:, None]
+    np.reciprocal(inverse, out=inverse)
+    inverse[np.arange(len(anchor)), own] = 0.0
+    np.multiply(weight, inverse, out=terms)
+    return terms.sum(axis=1), np.einsum("ij,ij->i", terms, inverse)
+
+
 def _two_pole_root(c, own, far, gap):
     """Distance t in (0, gap) from the own pole to the root of c - own/t - far/(t - gap)."""
     # c t^2 - (c gap + own + far) t + own gap = 0, each root in its stable form
@@ -522,6 +600,7 @@ def _pole_sum(poles, g2, origin, offset):
 
     For roots x_n = w_origin(n) + offset_n, returns sum g_k^2 / (x_n - w_k),
     sum g_k^2 / (x_n - w_k)^2 and sum |g_k^2 / (x_n - w_k)| with k != origin(n).
+    Since g_k^2 >= 0, each is a matrix-vector product with g^2.
     """
     sums = np.empty(len(offset))
     slopes = np.empty(len(offset))
@@ -534,10 +613,9 @@ def _pole_sum(poles, g2, origin, offset):
             distance[own] = 1.0
             inverse = np.reciprocal(distance, out=distance)
             inverse[own] = 0.0
-            np.multiply(g2, inverse, out=terms)
-            sums[rows] = terms.sum(axis=1)
-            slopes[rows] = np.einsum("ij,ij->i", terms, inverse)
-            magnitude[rows] = np.abs(terms, out=terms).sum(axis=1)
+            sums[rows] = inverse @ g2
+            magnitude[rows] = np.abs(inverse, out=terms) @ g2
+            slopes[rows] = np.multiply(inverse, inverse, out=terms) @ g2
 
     _in_parts(len(offset), len(poles), part)
     return sums, slopes, magnitude
@@ -563,9 +641,10 @@ def evolve_pure(model: OracleModel, amplitudes, t: float, levels_only: bool = Fa
     Returns the full (levels, nodes) vector, or with ``levels_only`` the N
     level amplitudes alone.  Level amplitudes in and levels out read only the
     level rows, O(N (N + M)); a full vector either way costs N Cauchy passes.
+    Amplitudes that are not finite numbers raise ``InvalidState``.
     """
     _check_window(model, t)
-    psi = np.asarray(amplitudes, complex)
+    psi = check_amplitudes(amplitudes)
     if psi.shape == (model.n_levels,):
         coefficients = _by_real_columns(partial(np.matmul, model.eigenvectors.T), psi)
     elif psi.shape == (model.size,):

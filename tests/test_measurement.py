@@ -50,8 +50,9 @@ def test_premeasure_rejects_unnormalized():
         MeasurementSetup([1.0, 1.0])
 
 
-@pytest.mark.parametrize("amplitudes", [[[0.6], [0.8]], [0.6, np.nan]],
-                         ids=["column", "non-finite"])
+# numpy would read the booleans as (1, 0), a normalized vector
+@pytest.mark.parametrize("amplitudes", [[[0.6], [0.8]], [0.6, np.nan], [True, False], ["a", "b"]],
+                         ids=["column", "non-finite", "bool", "string"])
 def test_setup_refuses_anything_but_a_finite_vector(amplitudes):
     with pytest.raises(InvalidState):
         MeasurementSetup(amplitudes)

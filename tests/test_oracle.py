@@ -114,6 +114,16 @@ _CROSS_CHECK_CASES = {
     # the chain of Cauchy passes is six steps deep
     "six-level-constant": (_constant([1.0, 2.0, 3.0, 4.5, 6.0, 7.5], 0.05), 400,
                            "uniform-midpoint"),
+    # fewer poles than the start model's near field, each coupling many gaps
+    # wide: the model's far field is empty and its window overhangs both ends
+    "near-field-wider-than-grid": (ModelSpec(levels=[0.5, 0.75], omega_max=1.0,
+                                             coupling=CouplingProfile.constant(-1.0),
+                                             coupling_scale=3.0),
+                                   16, "uniform-midpoint"),
+    "near-field-wider-than-gauss-legendre-grid": (ModelSpec(levels=[0.2, 0.4, 0.9], omega_max=1.0,
+                                                            coupling=CouplingProfile.constant(1.5),
+                                                            coupling_scale=2.0),
+                                                  24, "gauss-legendre-composite"),
 }
 
 
@@ -202,6 +212,31 @@ def test_broken_fold_data_fails_the_gate_and_the_materialized_check(case, mutati
     assert not mutant.orthonormality_defect() <= 1e-10
     gram, decomposition = _materialized_defects(mutant)
     assert not (gram <= 1e-10 and decomposition <= 1e-12)
+
+
+@pytest.mark.parametrize("case", ["constant-uniform", "two-level-constant"])
+def test_secular_solve_makes_three_full_passes_per_fold_step(monkeypatch, case):
+    # the midpoint pass and two Newton passes over every root; the near-field
+    # start leaves later passes a few stragglers
+    pole_sum, secular_roots = pointersim.oracle._pole_sum, pointersim.oracle._secular_roots
+    rows = []
+
+    def counted_roots(*args):
+        rows.append([])
+        return secular_roots(*args)
+
+    def counted_sum(poles, g2, origin, offset):
+        rows[-1].append(len(offset))
+        return pole_sum(poles, g2, origin, offset)
+
+    monkeypatch.setattr(pointersim.oracle, "_secular_roots", counted_roots)
+    monkeypatch.setattr(pointersim.oracle, "_pole_sum", counted_sum)
+    model = _cross_check_model(case)
+    assert len(rows) == model.n_levels
+    for step, counts in zip(model.steps, rows):
+        roots = len(step.anchor)
+        assert counts[:3] == [roots - 2, roots, roots]
+        assert sum(count >= roots / 2 for count in counts) <= 3, counts
 
 
 def test_discretize_keeps_level_rows_only(unit_model):
@@ -576,6 +611,31 @@ def _probes(oracle, t):
             lambda: survival_probability(oracle, 0, t),
             lambda: coherence(oracle, 0, 1, amplitudes, t),
             lambda: pointer_weights(oracle, amplitudes, t))
+
+
+_AMPLITUDE_PROBES = {
+    "evolve_pure": lambda oracle, amplitudes: evolve_pure(oracle, amplitudes, 1.0),
+    "coherence": lambda oracle, amplitudes: coherence(oracle, 0, 1, amplitudes, 1.0),
+    "pointer_weights": lambda oracle, amplitudes: pointer_weights(oracle, amplitudes, 1.0),
+}
+
+
+@pytest.mark.parametrize("amplitudes, got", [
+    ([np.nan, 0.8], "NaN or an infinity"),
+    ([np.inf, 0.0], "NaN or an infinity"),
+    ([1.0, None], "object entries"),
+    (["a", "b"], "<U1 entries"),
+    ([True, False], "True"),
+    ([0.6, np.bool_(False)], repr(np.bool_(False))),
+    ([1.0, [0.0]], "a ragged sequence"),
+], ids=["nan", "inf", "none", "strings", "bools", "numpy-bool", "ragged"])
+@pytest.mark.parametrize("probe", _AMPLITUDE_PROBES.values(), ids=_AMPLITUDE_PROBES.keys())
+def test_probes_refuse_amplitudes_that_are_not_finite_numbers(oracle_two, probe, amplitudes, got):
+    # numpy would give NaNs, a RuntimeWarning or a bare ValueError, and read
+    # the booleans as (1, 0)
+    with pytest.raises(InvalidState) as refused:
+        probe(oracle_two, amplitudes)
+    assert str(refused.value) == f"amplitudes must be finite numbers, got {got}"
 
 
 @pytest.mark.parametrize("t", [-0.1, np.nan, np.inf, "1.0", None, 1 + 0j, True, [1.0, [2.0]],
