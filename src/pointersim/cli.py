@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .continuum import GRID_SCHEMES, build_grid, first_bool
+from ._inputs import is_integer, read_numbers
+from .continuum import GRID_SCHEMES, build_grid
 from .errors import ConfigParse, RecurrenceWindowExceeded, SimulationError
 from .evolution import decompose_initial, discrete_state, evolve, recompose
 from .measurement import MeasurementSetup, premeasure, readout
@@ -50,18 +51,18 @@ def _require(data: dict, key: str):
 
 def _json_int(value, name: str, minimum: int = 0) -> int:
     """A JSON integer >= minimum; fractions are refused, never truncated."""
-    # bool is an int subclass, but true/false is no count
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+    if not is_integer(value) or value < minimum:
         raise ConfigParse(f"{name} must be an integer >= {minimum}, got {value!r}")
     return value
 
 
 def _json_float(value, name: str) -> float:
-    """A JSON number as a float; strings, booleans, null, lists and integers
-    beyond 64 bits are refused, never parsed."""
-    if isinstance(value, list) or np.asarray(value).dtype.kind not in "iuf":
-        raise ConfigParse(f"{name} must be a float or a 64-bit integer, got {value!r}")
-    return float(value)
+    """A finite JSON number as a float; strings, booleans, null, lists and
+    integers beyond 64 bits are refused, never parsed."""
+    number = repr(value) if isinstance(value, list) else read_numbers(value)
+    if isinstance(number, str):
+        raise ConfigParse(f"{name} must be a finite float or a 64-bit integer, got {number}")
+    return float(number)
 
 
 def _parse_times(data) -> np.ndarray:
@@ -75,8 +76,6 @@ def _parse_times(data) -> np.ndarray:
     spacing = str(data.get("spacing", "log"))
     if not 0 <= t_start < t_end:
         raise ConfigParse("times must satisfy t_end > t_start >= 0")
-    if not np.isfinite(t_end):
-        raise ConfigParse(f"times.t_end must be finite, got {t_end!r}")
     if spacing not in ("linear", "log"):
         raise ConfigParse(f"unknown times.spacing {spacing!r}")
     if spacing == "log" and t_start <= 0:
@@ -178,17 +177,11 @@ def _level_values(raw, field: str, n_levels: int, pairs: bool = False) -> np.nda
     """One finite number per level from a config list; [re, im] pairs when
     ``pairs``, returned as complex amplitudes."""
     shape = (n_levels, 2) if pairs else (n_levels,)
-    try:
-        arr = np.asarray(raw)
-    except ValueError as exc:  # numpy refuses a ragged list
-        raise ConfigParse(f"malformed '{field}': {exc}") from exc
-    if arr.dtype.kind not in "iuf" or first_bool(raw) is not None:
-        raise ConfigParse(f"'{field}' must hold only floats and 64-bit integers")
-    arr = np.asarray(arr, float)
+    arr = read_numbers(raw)
+    if isinstance(arr, str):
+        raise ConfigParse(f"'{field}' must be finite floats or 64-bit integers, got {arr}")
     if arr.shape != shape:
         raise ConfigParse(f"'{field}' must have shape {shape}, one row per level; got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigParse(f"'{field}' entries must be finite")
     return arr[:, 0] + 1j * arr[:, 1] if pairs else arr
 
 

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._inputs import is_integer, read_numbers
 from .errors import (
     DiscontinuousAtSingularity,
     InvalidGrid,
-    InvalidState,
-    NegativeTime,
     NonFiniteValue,
     SingularityOutsideSupport,
     TooFewNodes,
@@ -32,79 +31,6 @@ GRID_SCHEMES = ("uniform-midpoint", "gauss-legendre-composite")
 
 _MIN_NODES = 16
 _GL_ORDER = 4
-
-
-def check_time(t) -> np.ndarray:
-    """Evolution times ``t``, a real scalar or an array of any shape, as floats.
-
-    Refuses with ``NegativeTime`` any time that is not an integer or a float
-    (bool, complex, str, object and None, and a bool inside a list), before
-    any conversion, so that no string is parsed as a time; then any that is
-    negative, NaN or infinite.
-    The message names the first bad entry.
-    """
-    try:
-        times = np.asarray(t)
-    except ValueError as exc:  # numpy refuses a ragged sequence
-        raise NegativeTime("evolution time must be real, finite and >= 0, got a ragged "
-                           "sequence") from exc
-    flag = first_bool(t)
-    if flag is not None:
-        raise NegativeTime(f"evolution time must be real, finite and >= 0, got {flag!r}")
-    if times.dtype.kind in "iuf":
-        bad = times[~(np.isfinite(times) & (times >= 0))]
-        if not bad.size:
-            return np.asarray(times, float)
-    else:
-        bad = times.ravel()
-    first = repr(bad[:1].tolist()[0]) if bad.size else f"an empty {times.dtype} array"
-    raise NegativeTime(f"evolution time must be real, finite and >= 0, got {first}")
-
-
-def check_amplitudes(values) -> np.ndarray:
-    """A complex copy of ``values``, which must hold finite integers, floats
-    and complex numbers only.
-
-    Anything else raises ``InvalidState`` before any conversion: a boolean
-    (a bool inside a list too), a string, None or another object, a ragged
-    list, NaN or an infinity.
-    """
-    try:
-        raw = np.asarray(values)
-    except ValueError as exc:  # numpy refuses a ragged sequence
-        raise InvalidState("amplitudes must be finite numbers, got a ragged sequence") from exc
-    flag = first_bool(values)
-    if flag is not None or raw.dtype.kind not in "iufc":
-        got = repr(flag) if flag is not None else f"{raw.dtype} entries"
-        raise InvalidState(f"amplitudes must be finite numbers, got {got}")
-    amplitudes = np.array(raw, complex)
-    if not np.all(np.isfinite(amplitudes)):
-        raise InvalidState("amplitudes must be finite numbers, got NaN or an infinity")
-    return amplitudes
-
-
-def first_bool(value):
-    """The first boolean in ``value``, a list or tuple walked entry by entry
-    at any depth, or None.
-
-    numpy reads a boolean among numbers as 0 or 1, so every reader of
-    numeric input refuses a list that holds one.  Arrays are not walked: a
-    numeric array holds no booleans.
-    """
-    if isinstance(value, (list, tuple)):
-        for entry in value:
-            flag = first_bool(entry)
-            if flag is not None:
-                return flag
-        return None
-    return value if isinstance(value, (bool, np.bool_)) else None
-
-
-def read_only(values, dtype) -> np.ndarray:
-    """A read-only view of ``values`` as ``dtype``; no copy when the dtype matches."""
-    view = np.asarray(values, dtype).view()
-    view.flags.writeable = False
-    return view
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,10 +85,17 @@ def build_grid(omega_max: float, m: int, scheme: str = "uniform-midpoint",
         Energies no node may coincide with (the discrete levels).  An
         offending node is shifted by half the local spacing and logged.
     """
+    if not is_integer(m):
+        raise InvalidGrid(f"m must be an integer, got {m!r}")
     if m < _MIN_NODES:
         raise TooFewNodes(f"need at least {_MIN_NODES} nodes, got {m}")
-    if omega_max <= 0 or not np.isfinite(omega_max):
-        raise InvalidGrid(f"omega_max must be positive and finite, got {omega_max}")
+    cutoff = read_numbers(omega_max)
+    if isinstance(cutoff, str) or cutoff.ndim or cutoff <= 0:
+        culprit = cutoff if isinstance(cutoff, str) else repr(omega_max)
+        raise InvalidGrid(f"omega_max must be a positive finite number, got {culprit}")
+    targets = read_numbers(avoid)
+    if isinstance(targets, str):
+        raise InvalidGrid(f"avoid must be finite numbers, got {targets}")
 
     try:
         if scheme == "uniform-midpoint":
@@ -182,7 +115,7 @@ def build_grid(omega_max: float, m: int, scheme: str = "uniform-midpoint",
     except MemoryError as exc:
         raise InvalidGrid(f"grid.m = {m} nodes do not fit in memory") from exc
 
-    for target in np.atleast_1d(np.asarray(avoid, float)):
+    for target in np.atleast_1d(targets):
         hit = np.flatnonzero(np.isclose(nodes, target, rtol=0.0, atol=1e-12))
         for k in hit:
             step = weights[k] / 2
@@ -244,10 +177,11 @@ def principal_value(f, singularity: float, grid: ContinuumGrid) -> float:
     """
     if not callable(f):
         raise TypeError("principal_value needs a callable integrand")
-    if not 0.0 < singularity < grid.omega_max:
+    at = read_numbers(singularity)
+    if isinstance(at, str) or at.ndim or not 0.0 < at < grid.omega_max:
+        culprit = at if isinstance(at, str) else repr(singularity)
         raise SingularityOutsideSupport(
-            f"singularity {singularity} not strictly inside (0, {grid.omega_max})"
-        )
+            f"singularity must be a number strictly inside (0, {grid.omega_max}), got {culprit}")
     f_at = float(f(singularity))
     if not np.isfinite(f_at):
         raise NonFiniteValue("integrand is not finite at the singularity")

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuum import ContinuumGrid, check_amplitudes, read_only
+from ._inputs import check_amplitudes, read_numbers, read_only
+from .continuum import ContinuumGrid
 from .errors import InvalidState, NonHermitianBlock, NotNormalized
 from .evolution import GeneralizedState, discrete_state, equilibrium
 from .spectrum import LiouvilleSpectrum
@@ -92,12 +93,12 @@ def csco_diagonalize(blocks):
     """
     results = []
     for k, block in enumerate(blocks):
-        block = np.asarray(block, complex)
+        # finite first, so that a NaN cannot pass the comparison below
+        block = read_numbers(block, complex)
+        if isinstance(block, str):
+            raise NonHermitianBlock(f"block {k} is not finite or not numeric, got {block}")
         if block.ndim != 2 or block.shape[0] != block.shape[1]:
             raise NonHermitianBlock(f"block {k} is not square: shape {block.shape}")
-        # first, so that a NaN cannot pass the comparison below
-        if not np.all(np.isfinite(block)):
-            raise NonHermitianBlock(f"block {k} is not finite")
         if np.max(np.abs(block - block.conj().T), initial=0.0) > _HERM_TOL:
             raise NonHermitianBlock(f"block {k} is not Hermitian")
         results.append(_ordered_eigenpairs(block))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .continuum import first_bool
+from ._inputs import is_integer, read_numbers
 from .errors import (
     DegenerateLevels,
     LevelIndexOutOfRange,
@@ -129,20 +129,14 @@ class ModelSpec:
 
 
 def _numbers(name: str, value, max_ndim: int) -> np.ndarray:
-    """A read-only float copy of ``value``, floats and 64-bit integers only,
-    with at most ``max_ndim`` dimensions; strings and booleans are refused,
-    never parsed."""
-    try:
-        raw = np.asarray(value)
-    except ValueError as exc:  # numpy refuses a ragged list
-        raise ModelInvalid(f"'{name}' must be numeric: {exc}") from exc
-    if raw.dtype.kind not in "iuf" or first_bool(value) is not None:
-        raise ModelInvalid(f"'{name}' must hold only floats and 64-bit integers")
-    arr = np.array(raw, float)
+    """A read-only float copy of ``value``, finite floats and 64-bit integers
+    only, with at most ``max_ndim`` dimensions; strings and booleans are
+    refused, never parsed."""
+    arr = read_numbers(value)
+    if isinstance(arr, str):
+        raise ModelInvalid(f"'{name}' must be finite floats or 64-bit integers, got {arr}")
     if arr.ndim > max_ndim:
         raise ModelInvalid(f"'{name}' has shape {arr.shape}, expected at most {max_ndim} dimensions")
-    if not np.all(np.isfinite(arr)):
-        raise ModelInvalid(f"'{name}' contains non-finite entries")
     arr.flags.writeable = False
     return arr
 
@@ -196,8 +190,7 @@ def _resolve_profile(profile: CouplingProfile, spec: ModelSpec) -> CouplingProfi
     return CouplingProfile(kind="tabulated", table_omega=om, table_values=vals)
 
 
-def _profile_values(profile: CouplingProfile, omega, i: int):
-    om = np.asarray(omega, float)
+def _profile_values(profile: CouplingProfile, om: np.ndarray, i: int):
     if profile.kind == "constant":
         return np.broadcast_to(profile.amplitude[i], om.shape).copy() if om.ndim else profile.amplitude[i]
     if profile.kind == "gaussian-window":
@@ -212,20 +205,20 @@ def _profile_values(profile: CouplingProfile, omega, i: int):
 def check_index(i, count: int):
     """Refuse anything but an integer in [0, count): a negative index would
     silently wrap to the end, and any other would fail inside numpy."""
-    # bool is an int subclass, but numpy reads True as a mask, not as level 1
-    if isinstance(i, bool) or not (isinstance(i, (int, np.integer)) and 0 <= i < count):
+    if not (is_integer(i) and 0 <= i < count):
         raise LevelIndexOutOfRange(f"index must be an integer in [0, {count}), got {i!r}")
 
 
 def coupling_at(spec: ModelSpec, omega, i: int):
     """Evaluate coupling_scale * V(omega, i); omega may be a scalar or array."""
     check_index(i, spec.n_levels)
-    om = np.asarray(omega, float)
-    # written so that NaN, which fails every comparison, falls outside
-    if not np.all((om >= -_SUPPORT_TOL) & (om <= spec.omega_max + _SUPPORT_TOL)):
-        raise OutOfSupport(f"omega outside [0, {spec.omega_max}]")
+    om = read_numbers(omega)
+    outside = isinstance(om, str) or (om < -_SUPPORT_TOL) | (om > spec.omega_max + _SUPPORT_TOL)
+    if np.count_nonzero(outside):
+        culprit = om if isinstance(om, str) else repr(om[outside][0].item())
+        raise OutOfSupport(f"omega must be finite numbers in [0, {spec.omega_max}], got {culprit}")
     value = spec.coupling_scale * _profile_values(spec.coupling, om, i)
-    return float(value) if np.ndim(omega) == 0 else value
+    return float(value) if om.ndim == 0 else value
 
 
 # -- JSON model files --------------------------------------------------------

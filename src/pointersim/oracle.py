@@ -43,7 +43,8 @@ from functools import partial, reduce
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .continuum import ContinuumGrid, check_amplitudes, check_time
+from ._inputs import check_amplitudes, check_time, read_numbers
+from .continuum import ContinuumGrid
 from .errors import (EigensolverFailure, FitFailure, InvalidState, RecurrenceWindowExceeded,
                      SimulationError)
 from .model import ModelSpec, check_index, coupling_at
@@ -484,11 +485,13 @@ def _secular_roots(level: float, poles: np.ndarray, g2: np.ndarray):
         lo[1:k] = np.where(lower_half, 0.0, -half)
         hi[1:k] = np.where(lower_half, half, 0.0)
         # first guess: the gap's two poles exact, the rest frozen at the
-        # midpoint, c - g_l^2 / (x - w_l) - g_r^2 / (x - w_r) = 0
-        c = f_mid + (g2[left] - g2[left + 1]) / half
-        guess = np.where(lower_half,
-                         _two_pole_root(c, g2[left], g2[left + 1], 2 * half),
-                         -_two_pole_root(-c, g2[left + 1], g2[left], 2 * half))
+        # midpoint, c - g_l^2 / (x - w_l) - g_r^2 / (x - w_r) = 0; it is only
+        # a start, so an overflow in it just fails the bracket test below
+        with np.errstate(all="ignore"):
+            c = f_mid + (g2[left] - g2[left + 1]) / half
+            guess = np.where(lower_half,
+                             _two_pole_root(c, g2[left], g2[left + 1], 2 * half),
+                             -_two_pole_root(-c, g2[left + 1], g2[left], 2 * half))
         inside = (guess > lo[1:k]) & (guess < hi[1:k])
         offset[1:k] = _near_field_start(
             level, poles, g2, half, (others, squares), origin[1:k],
@@ -706,18 +709,19 @@ def pointer_weights(model: OracleModel, amplitudes, t: float) -> np.ndarray:
 
 def fit_exponential_rate(times, values) -> float:
     """Least-squares decay rate of values ~ exp(-rate * t) on a log scale."""
-    times = np.asarray(times, float)
-    values = np.asarray(values, float)
+    times, values = read_numbers(times), read_numbers(values)
+    if isinstance(times, str):
+        raise FitFailure(f"exponential fit needs finite times, got {times}")
+    if isinstance(values, str):
+        raise FitFailure(f"exponential fit needs strictly positive finite values, got {values}")
     if times.ndim != 1 or times.shape != values.shape:
         raise FitFailure(f"exponential fit needs one value per time, got shapes "
                          f"{times.shape} and {values.shape}")
-    if not np.all(np.isfinite(times)):
-        raise FitFailure("exponential fit needs finite times")
     # with one distinct time the slope is undetermined, and lstsq would
     # return its minimum-norm guess
     if len(np.unique(times)) < 2:
         raise FitFailure("exponential fit needs at least two distinct times")
-    if not np.all((values > 0) & np.isfinite(values)):
+    if not np.all(values > 0):
         raise FitFailure("exponential fit needs strictly positive finite values")
     design = np.column_stack([times, np.ones_like(times)])
     slope, _ = np.linalg.lstsq(design, np.log(values), rcond=None)[0]
@@ -748,7 +752,7 @@ def fitted_decay_rate(model: OracleModel, i: int, t_min: float | None = None,
             raise FitFailure(f"level {i} does not decay; no exponential window exists")
         t_min = 0.1 / iqr if t_min is None else t_min
         t_max = 2.0 / iqr if t_max is None else t_max
-    times = np.linspace(t_min, t_max, _FIT_SAMPLES)
+    times = np.linspace(check_time(t_min), check_time(t_max), _FIT_SAMPLES)
     values = [survival_probability(model, i, t) for t in times]
     return fit_exponential_rate(times, values)
 

@@ -56,7 +56,16 @@ def test_unknown_scheme_rejected():
     # uniform nodes 0.5, ..., 15.5: the last node is pushed down onto the
     # one shifted up before it
     ((16.0, 16), {"avoid": [14.5, 15.5]}),
-], ids=["zero-cutoff", "infinite-cutoff", "colliding-shifts"])
+    # no string is parsed as a number, no boolean read as 1, no count truncated
+    (("10", 64), {}),
+    ((True, 64), {}),
+    ((10.0, 64.5), {}),
+    ((10.0, "64"), {}),
+    ((10.0, True), {}),
+    ((10.0, 64), {"avoid": ["x"]}),
+    ((10.0, 64), {"avoid": [1.0, [2.0]]}),
+], ids=["zero-cutoff", "infinite-cutoff", "colliding-shifts", "string-cutoff", "bool-cutoff",
+        "fractional-count", "string-count", "bool-count", "string-avoid", "ragged-avoid"])
 def test_malformed_grid_is_an_invalid_grid(args, kwargs):
     with pytest.raises(InvalidGrid):
         build_grid(*args, **kwargs)
@@ -113,7 +122,7 @@ def test_pv_sine_matches_special_function_identity():
 
 def test_pv_singularity_outside_support_rejected():
     grid = build_grid(10.0, 100)
-    for bad in (0.0, -1.0, 10.0, 11.0):
+    for bad in (0.0, -1.0, 10.0, 11.0, np.nan, "5.0", True, [5.0]):
         with pytest.raises(SingularityOutsideSupport):
             principal_value(lambda w: np.ones_like(np.asarray(w, float)), bad, grid)
 

@@ -52,6 +52,9 @@ def _continuum_state(grid):
     (lambda g: _state_with(g, rho_d=np.zeros((2, 3))), "square"),
     (lambda g: _state_with(g, rho_d=0.5), "square"),
     (lambda g: discrete_state(g, 0.5), "square"),
+    (lambda g: discrete_state(g, [[1.0, 0.0], [0.0]]), "finite numbers, got a ragged sequence"),
+    (lambda g: discrete_state(g, [["1", "0"], ["0", "0"]]), "finite numbers, got '1'"),
+    (lambda g: discrete_state(g, [[True, False], [False, False]]), "got True"),
     (lambda g: _state_with(g, rho_omega_atoms=np.zeros(3)), "rho_omega_atoms must have shape"),
     (lambda g: _state_with(g, rho_iomega=np.zeros((2, g.size + 1))), "mixed sectors must have shape"),
     (lambda g: _state_with(g, rho_d=np.zeros((3, 2, 2)), rho_omega_atoms=np.zeros((4, 2))),
@@ -63,7 +66,8 @@ def _continuum_state(grid):
     (lambda g: _state_with(g, rho_d=np.zeros((3, 2, 2)), rho_iomega=None),
      r"rho_omega_atoms must have shape \(3, 2\), got \(2,\)"),
 ], ids=["continuum-size", "non-square-discrete", "scalar-discrete", "scalar-discrete-state",
-        "atom-count", "mixed-shape", "stacked-atoms-other-times", "stacked-mixed-other-times",
+        "ragged-discrete-state", "string-discrete-state", "bool-discrete-state", "atom-count",
+        "mixed-shape", "stacked-atoms-other-times", "stacked-mixed-other-times",
         "stacked-atoms-single-state", "shared-atoms-beside-a-stack"])
 def test_malformed_sectors_are_invalid_states(grid, make, match):
     with pytest.raises(InvalidState, match=match):
@@ -390,7 +394,10 @@ def test_negative_time_rejected(grid, spectrum):
                      ([1.0, True], "True"), ([(0.5, 1.0), [2.0, False]], "False"),
                      (np.array([1.0, np.nan, 2.0]), "nan"),
                      (np.array([[1.0, 2.0], [-3.0, -4.0]]), "-3.0"),
-                     ([1.0, [2.0]], "a ragged sequence")):
+                     ([1.0, [2.0]], "a ragged sequence"),
+                     # numpy casts these lists to object and to str: the
+                     # refusal names the entry itself, not the first one
+                     ([1.0, None], "None"), ([2.0, "x"], "'x'")):
         with pytest.raises(NegativeTime, match="finite and >= 0") as refused:
             evolve(eigen, spectrum, t)
         assert str(refused.value).endswith(f"got {first}")

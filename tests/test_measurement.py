@@ -133,10 +133,12 @@ def test_csco_rejects_non_hermitian_block():
         csco_diagonalize([np.zeros((2, 3))])
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, "0.5", True, [0.5]],
+                         ids=["nan", "inf", "string", "bool", "ragged"])
 def test_csco_refuses_a_non_finite_block(bad):
-    # a NaN block would pass the Hermiticity comparison, an inf one warn in it
-    block = np.array([[0.5, bad], [bad, 0.5]])
+    # a NaN block would pass the Hermiticity comparison, an inf one warn in
+    # it; no string is parsed as a number, no boolean read as 0 or 1
+    block = [[0.5, bad], [bad, 0.5]]
     with pytest.raises(NonHermitianBlock, match="block 1 is not finite"):
         csco_diagonalize([np.eye(2), block])
 

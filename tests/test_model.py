@@ -126,8 +126,9 @@ def test_out_of_support_rejected():
         coupling_at(spec, -0.5, 0)
     with pytest.raises(OutOfSupport):
         coupling_at(spec, 10.5, 0)
-    # NaN fails every comparison, so it must not pass as inside the support
-    for omega in (np.nan, np.array([1.0, np.nan])):
+    # NaN fails every comparison, so it must not pass as inside the support;
+    # a string is never parsed as a frequency, nor a boolean read as 0 or 1
+    for omega in (np.nan, np.array([1.0, np.nan]), [1.0, [2.0]], "5.0", True):
         with pytest.raises(OutOfSupport):
             coupling_at(spec, omega, 0)
 

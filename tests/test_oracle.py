@@ -184,6 +184,16 @@ def test_materialized_eigenvectors_are_orthonormal_and_decompose_h(case):
     assert gram <= model.orthonormality_defect() + 8 * np.finfo(float).eps
 
 
+def test_a_huge_coupling_passes_the_gate_without_a_warning():
+    # the two-pole start squares a coefficient near 1e200; it is only a
+    # start, so an overflow there must neither warn nor reach the roots
+    spec = ModelSpec(levels=[5.0], omega_max=10.0, coupling=CouplingProfile.constant(1e100))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = discretize(spec, build_grid(10.0, 64))
+    assert model.orthonormality_defect() <= pointersim.oracle._ORTHO_TOL
+
+
 def _mutated_last_step(model, mutation):
     """The model with one entry of its last fold step's data broken."""
     step = model.steps[-1]
@@ -621,10 +631,10 @@ _AMPLITUDE_PROBES = {
 
 
 @pytest.mark.parametrize("amplitudes, got", [
-    ([np.nan, 0.8], "NaN or an infinity"),
-    ([np.inf, 0.0], "NaN or an infinity"),
-    ([1.0, None], "object entries"),
-    (["a", "b"], "<U1 entries"),
+    ([np.nan, 0.8], "nan"),
+    ([np.inf, 0.0], "inf"),
+    ([1.0, None], "None"),
+    (["a", "b"], "'a'"),
     ([True, False], "True"),
     ([0.6, np.bool_(False)], repr(np.bool_(False))),
     ([1.0, [0.0]], "a ragged sequence"),
@@ -645,6 +655,10 @@ def test_probes_refuse_a_time_that_is_negative_or_not_finite(oracle_two, t):
     for probe in _probes(oracle_two, t):
         with pytest.raises(NegativeTime, match="finite and >= 0"):
             probe()
+    # either end of a fit window; None asks for the default end instead
+    for window in ((t, 5.0), (0.5, t)) if t is not None else ():
+        with pytest.raises(NegativeTime, match="finite and >= 0"):
+            fitted_decay_rate(oracle_two, 0, *window)
 
 
 @pytest.mark.parametrize("t", [np.array([1.0, 2.0]), [3.0], np.zeros((2, 2))])
@@ -711,8 +725,14 @@ _FIT_VALUES = np.exp(-0.03 * _FIT_TIMES)
     (_FIT_TIMES, _FIT_VALUES[:-1], "one value per time"),
     (_FIT_TIMES[:1], _FIT_VALUES[:1], "at least two distinct times"),
     (np.full(20, 3.0), _FIT_VALUES, "at least two distinct times"),
+    # no string is parsed as a number, no boolean read as 0 or 1
+    ([1.0, [2.0]], [1.0, 0.5], "finite times, got a ragged sequence"),
+    (["1", "2"], [1.0, 0.5], "finite times, got '1'"),
+    ([False, True], [1.0, 0.5], "finite times, got False"),
+    ([1.0, 2.0], ["1", 0.5], "positive finite values, got '1'"),
 ], ids=["nan-values", "one-nan-value", "inf-value", "nan-time", "inf-time", "length-mismatch",
-        "one-sample", "one-distinct-time"])
+        "one-sample", "one-distinct-time", "ragged-times", "string-times", "bool-times",
+        "string-value"])
 def test_fit_exponential_rate_refuses_what_it_cannot_fit(times, values, match):
     with pytest.raises(FitFailure, match=match):
         fit_exponential_rate(times, values)

@@ -58,8 +58,11 @@ def test_public_names_resolve():
     # time is read from the grid
     assert not hasattr(pointersim.evolution, "continuous_state")
     assert not hasattr(pointersim.OracleModel, "recurrence_time")
-    # the pointer atoms are one weight per level on the state, not a measure
-    assert not hasattr(pointersim.continuum, "AtomicMeasure")
+    # the pointer atoms are one weight per level on the state, not a measure;
+    # the numeric-input rule lives in one private module, so the continuum
+    # module holds grids and integrals only
+    for gone in ("AtomicMeasure", "first_bool", "check_time", "check_amplitudes", "read_only"):
+        assert not hasattr(pointersim.continuum, gone), gone
     # a run's times are one array
     assert not hasattr(pointersim.cli, "TimeGrid")
 
