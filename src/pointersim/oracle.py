@@ -17,7 +17,10 @@ N chunked Cauchy passes, O(N M^2) time and O(M) memory per column.  The
 returned ``OracleModel`` holds the ascending eigenvalues, the N level rows
 Q[:N, :] (all that survival probabilities, level coherences and spectral
 measures read) and each step's O(M) fold data, and must pass an
-orthonormality gate.
+orthonormality gate.  The gate costs two Cauchy passes per fold step: a
+probe's forward pass, which gathers from the same blocks the pole sums each
+step's Gram bound needs, and the probe's transpose.  That bound's sums over
+pairs of roots are bounded from above in O(M log M), never computed in full.
 
 Every chunked pass, those of the secular iteration and of the gate too, is
 split into contiguous row parts, one per CPU the process may run on, that
@@ -85,16 +88,16 @@ class OracleModel:
 
         Takes a vector or a matrix of columns, real or complex.
         """
-        return _by_real_columns(self._forward, coefficients)
+        return _by_real_columns(self._forward, _numeric("coefficients", coefficients))
 
     def apply_transpose(self, vectors) -> np.ndarray:
         """Q^T @ vectors: (levels, nodes) components to eigenbasis coefficients."""
-        return _by_real_columns(self._backward, vectors)
+        return _by_real_columns(self._backward, _numeric("vectors", vectors))
 
-    def _forward(self, y: np.ndarray) -> np.ndarray:
+    def _forward(self, y: np.ndarray, gram_bounds: list | None = None) -> np.ndarray:
         levels = np.empty((self.n_levels, y.shape[1]))
         for s in reversed(range(self.n_levels)):
-            y = self.steps[s].forward(y)
+            y = self.steps[s].forward(y, gram_bounds)
             levels[s] = y[0]
             y = y[1:]
         return np.concatenate([levels, y])
@@ -114,24 +117,43 @@ class OracleModel:
           composed: Q_s = P diag(1, Q_{s-1}) S_s for a row permutation P, so
           in the spectral norm, which bounds every entry,
           ||Q_s^T Q_s - I|| <= b_s + (1 + b_s) ||Q_{s-1}^T Q_{s-1} - I||;
+          1 plus the composed bound is the product of every 1 + b_s, so the
+          steps compose in any order;
         - max |L L^T - I_N| over the stored level rows L;
         - for the fixed probe x_j = cos(j): max |Q^T (Q x) - x| and the
           eigen-equation residual max |H (Q x) - Q (E x)| / max |E|.
+
+        Each b_s needs the pole sums of the step's stored roots, and the
+        probe's forward pass gathers them from the inverse-distance blocks it
+        builds anyway, so a fold step costs the gate two Cauchy passes: that
+        forward pass and the probe's transpose.
         """
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            probe = np.cos(np.arange(self.size))
+            gram_bounds = []
+            states = self._forward(np.column_stack([probe, self.eigenvalues * probe]), gram_bounds)
             bound = 0.0
-            for step in self.steps:
-                own = step.gram_bound()
+            for own in gram_bounds:
                 bound = own + (1.0 + own) * bound
             rows = self.eigenvectors
             level_gram = rows @ rows.T - np.eye(self.n_levels)
-            probe = np.cos(np.arange(self.size))
-            states = self.apply(np.column_stack([probe, self.eigenvalues * probe]))
             round_trip = self.apply_transpose(states[:, 0]) - probe
             residual = _hamiltonian_times(self.spec, self.grid, states[:, 0]) - states[:, 1]
             scale = np.max(np.abs(self.eigenvalues))
             return float(np.max([bound, np.max(np.abs(level_gram)),
                                  np.max(np.abs(round_trip)), np.max(np.abs(residual)) / scale]))
+
+
+def _numeric(field: str, x) -> np.ndarray:
+    """x as an array, refused with ``InvalidState`` unless its dtype holds numbers.
+
+    Only the dtype is read, so an array is neither copied nor walked: a
+    string or a bool is refused where numpy would parse or count it.
+    """
+    x = np.asarray(x)
+    if x.dtype.kind not in "iufc":
+        raise InvalidState(f"{field} must be real or complex numbers, got an array of {x.dtype}")
+    return x
 
 
 def _by_real_columns(linear, x) -> np.ndarray:
@@ -268,21 +290,30 @@ class _FoldStep:
         row[: len(self.anchor)] = self.norms
         return row[self.order]
 
-    def forward(self, y: np.ndarray) -> np.ndarray:
+    def forward(self, y: np.ndarray, gram_bounds: list | None = None) -> np.ndarray:
         """S @ y for columns y: rows (level, previous basis).
 
         Each row part of the roots adds its own partial sum; the partial sums
-        are added in part order.
+        are added in part order.  Given a list ``gram_bounds``, the pass also
+        sums g_k^2 / (x_n - w_k) and g_k^2 / (x_n - w_k)^2 for every root from
+        the same inverse-distance blocks, and appends the step's
+        ``gram_bound``.
         """
         k = len(self.anchor)
         unsorted = np.empty_like(y)
         unsorted[self.order] = y
         weighted = self.norms[:, None] * unsorted[:k]
+        g2 = self.coupling * self.coupling
+        pole_sums = np.empty((2, k))
 
         def part(span: range) -> np.ndarray:
             coupled = np.zeros((len(self.poles), y.shape[1]))
             for rows, block in _chunks(span, len(self.poles)):
-                coupled += self._inverse_distances(rows, block).T @ weighted[rows]
+                inverse = self._inverse_distances(rows, block)
+                coupled += inverse.T @ weighted[rows]
+                if gram_bounds is not None:
+                    pole_sums[0, rows] = inverse @ g2
+                    pole_sums[1, rows] = np.square(inverse, out=inverse) @ g2
             return coupled
 
         coupled = reduce(np.add, _in_parts(k, len(self.poles), part))
@@ -291,6 +322,8 @@ class _FoldStep:
         rest = out[1:]
         rest[self.active] = self.coupling[:, None] * coupled
         rest[~self.active] = unsorted[k:]
+        if gram_bounds is not None:
+            gram_bounds.append(self.gram_bound(*pole_sums))
         return out
 
     def transpose(self, z: np.ndarray) -> np.ndarray:
@@ -310,49 +343,70 @@ class _FoldStep:
         unsorted[k:] = rest[~self.active]
         return unsorted[self.order]
 
-    def gram_bound(self) -> float:
-        """An upper bound on every entry and on the spectral norm of S^T S - I.
+    def gram_bound(self, sums: np.ndarray, squares: np.ndarray) -> float:
+        """An upper bound on every entry and on the spectral norm of S^T S - I,
+        from each root's pole sums of g_k^2 / (x_n - w_k) and of its square.
 
         It is the largest row sum of an entrywise bound on |S^T S - I|,
         which bounds the spectral norm too, S^T S being symmetric.  By
         partial fractions, two roots' columns have the inner product
         c_n c_m (f(x_n) - f(x_m)) / (x_n - x_m) exactly, so with each root's
-        secular residual f recomputed here from the stored roots the pair is
-        bounded by c_n c_m (|f(x_n)| + |f(x_m)|) / |x_n - x_m|.  A root's
-        own entry is c_n^2 (1 + sum_k g_k^2 / (x_n - w_k)^2) - 1, and a
-        deflated pole's unit vector is orthogonal to every other column.
+        secular residual f from ``sums``, which ``forward`` computes from the
+        stored roots, the pair is bounded by
+        c_n c_m (|f(x_n)| + |f(x_m)|) / |x_n - x_m|.  The row sums over m of
+        c_m / |x_n - x_m| and c_m |f(x_m)| / |x_n - x_m| are bounded from
+        above in O(k log k) by ``_gap_sums``.  A root's own entry is
+        c_n^2 (1 + sum_k g_k^2 / (x_n - w_k)^2) - 1, and a deflated pole's
+        unit vector is orthogonal to every other column.
         """
-        k = len(self.anchor)
-        g2 = self.coupling * self.coupling
-        residual = np.empty(k)
-        own = np.empty(k)
+        residual = np.abs((self.anchor - self.level) + self.offset - sums)
+        own = self.norms ** 2 * (1.0 + squares) - 1.0
+        gaps = _gap_sums(self.anchor, self.offset,
+                         np.column_stack([self.norms, self.norms * residual]))
+        return float(np.max(self.norms * (residual * gaps[:, 0] + gaps[:, 1]) + np.abs(own)))
 
-        def pole_part(span: range):
-            for rows, block, terms in _chunks(span, len(self.poles), scratch=2):
-                inverse = self._inverse_distances(rows, block)
-                np.multiply(g2, inverse, out=terms)
-                residual[rows] = ((self.anchor[rows] - self.level) + self.offset[rows]
-                                  - terms.sum(axis=1))
-                own[rows] = (self.norms[rows] ** 2 * (1.0 + np.einsum("ij,ij->i", terms, inverse))
-                             - 1.0)
 
-        _in_parts(k, len(self.poles), pole_part)
-        residual = np.abs(residual)
-        weights = np.column_stack([self.norms, self.norms * residual])
-        sums = np.empty((k, 2))
+def _gap_sums(anchor: np.ndarray, offset: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Upper bounds on sum_{m != n} weights_m / |x_n - x_m|, one row per root
+    x_n = anchor_n + offset_n and one column per column of ``weights`` >= 0,
+    in log2(k) vectorized O(k) levels.
 
-        def gap_part(span: range):
-            for rows, gap, shift in _chunks(span, k, scratch=2):
-                np.subtract.outer(self.anchor[rows], self.anchor, out=gap)
-                gap += np.subtract.outer(self.offset[rows], self.offset, out=shift)
-                diagonal = (np.arange(gap.shape[0]), np.arange(k)[rows])
-                gap[diagonal] = 1.0
-                inverse = np.reciprocal(np.abs(gap, out=gap), out=gap)
-                inverse[diagonal] = 0.0
-                sums[rows] = inverse @ weights
-
-        _in_parts(k, k, gap_part)
-        return float(np.max(self.norms * (residual * sums[:, 0] + sums[:, 1]) + np.abs(own)))
+    The roots must ascend: the bounds are NaN unless every adjacent
+    difference is > 0.  Each root starts from its exact nearest neighbour on
+    each side.  Each level doubles the roots a bound covers on each side of
+    root j: the new far half is the window of the root at the end of the old
+    one, and the smaller of two bounds on its sum is added.  One is its
+    total weight over the distance from root j to its nearest root; the
+    other is that end root's own bound over it, whose distances are
+    shorter.  The first is tight when the window is narrow next to its
+    distance from root j, the second when its weight lies far beyond its
+    first root, as around the outlying roots of a strong coupling.  Totals
+    are sums of non-negative terms, so none cancels as a difference of
+    prefix sums would.
+    """
+    k = len(anchor)
+    # x_{j+1} - x_j
+    gap = (np.diff(anchor) + np.diff(offset))[:, None]
+    if not np.all(gap > 0):
+        return np.full_like(weights, np.nan)
+    # for root j, the roots j + 1 .. j + span (ahead) and j - span .. j - 1
+    # (behind), cut at both ends: their total weight and a bound on the sum
+    # over distances from root j
+    ahead_weight, behind_weight = np.zeros_like(weights), np.zeros_like(weights)
+    ahead_weight[:-1], behind_weight[1:] = weights[1:], weights[:-1]
+    ahead, behind = np.zeros_like(weights), np.zeros_like(weights)
+    ahead[:-1], behind[1:] = weights[1:] / gap, weights[:-1] / gap
+    span = 1
+    while span < k - 1:
+        rows = k - 1 - span
+        # x_{j+span+1} - x_j
+        distance = ((anchor[span + 1:] - anchor[:rows]) + (offset[span + 1:] - offset[:rows]))[:, None]
+        ahead[:rows] += np.minimum(ahead_weight[span:-1] / distance, ahead[span:-1])
+        behind[span + 1:] += np.minimum(behind_weight[1:rows + 1] / distance, behind[1:rows + 1])
+        ahead_weight[:rows] += ahead_weight[span:-1]
+        behind_weight[span + 1:] += behind_weight[1:rows + 1]
+        span *= 2
+    return ahead + behind
 
 
 def _fold(level: float, poles: np.ndarray, coupling: np.ndarray):

@@ -29,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._inputs import read_numbers
 from .continuum import ContinuumGrid, principal_value
-from .errors import ModelInvalid
+from .errors import ModelInvalid, OutOfSupport
 from .model import ModelSpec, check_index, coupling_at
 
 
@@ -67,8 +68,13 @@ class LiouvilleSpectrum:
 
     def lambda_discrete_continuum(self, u):
         """Eigenvalues of the (i, u') sectors, damped at gamma_i / 2: row i of
-        the result, shape (N,) + shape(u), is level i's."""
-        u = np.asarray(u, float)
+        the result, shape (N,) + shape(u), is level i's.
+
+        Energies ``u`` that are not finite real numbers raise ``OutOfSupport``.
+        """
+        u = read_numbers(u)
+        if isinstance(u, str):
+            raise OutOfSupport(f"u must be finite real numbers, got {u}")
         column = (slice(None),) + (None,) * u.ndim
         re = self.levels[column] - u - self.shift[column]
         return re + 0.5j * self.gamma[column]

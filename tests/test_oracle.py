@@ -194,6 +194,14 @@ def test_a_huge_coupling_passes_the_gate_without_a_warning():
     assert model.orthonormality_defect() <= pointersim.oracle._ORTHO_TOL
 
 
+def _swapped(step, n, names):
+    """Copies of the step's per-root entries ``names``, with roots n and n + 1 swapped."""
+    changed = {name: getattr(step, name).copy() for name in names}
+    for values in changed.values():
+        values[[n, n + 1]] = values[[n + 1, n]]
+    return changed
+
+
 def _mutated_last_step(model, mutation):
     """The model with one entry of its last fold step's data broken."""
     step = model.steps[-1]
@@ -206,6 +214,8 @@ def _mutated_last_step(model, mutation):
     elif mutation == "moved-root":
         changed = {"offset": step.offset.copy()}
         changed["offset"][n] += 1e-6 * (step.poles[n] - step.poles[n - 1])
+    elif mutation == "swapped-roots":
+        changed = _swapped(step, n, ("anchor", "offset"))
     else:
         # the roots depend on g^2 only: they stay those of the unflipped coupling
         changed = {"coupling": step.coupling.copy()}
@@ -213,7 +223,8 @@ def _mutated_last_step(model, mutation):
     return replace(model, steps=model.steps[:-1] + (replace(step, **changed),))
 
 
-@pytest.mark.parametrize("mutation", ["nan-norm", "moved-root", "flipped-coupling"])
+@pytest.mark.parametrize("mutation", ["nan-norm", "moved-root", "swapped-roots",
+                                      "flipped-coupling"])
 @pytest.mark.parametrize("case", ["constant-uniform", "two-level-constant"])
 def test_broken_fold_data_fails_the_gate_and_the_materialized_check(case, mutation):
     model = _cross_check_model(case)
@@ -247,6 +258,87 @@ def test_secular_solve_makes_three_full_passes_per_fold_step(monkeypatch, case):
         roots = len(step.anchor)
         assert counts[:3] == [roots - 2, roots, roots]
         assert sum(count >= roots / 2 for count in counts) <= 3, counts
+
+
+@pytest.mark.parametrize("case", ["constant-uniform", "two-level-constant"])
+def test_roots_out_of_order_make_the_gram_bound_nan(case):
+    # the bound on the sums over pairs of roots reads the roots as ascending,
+    # so it fails closed on roots that are not, although every column is
+    # still a unit eigenvector
+    step = _cross_check_model(case).steps[-1]
+    swapped = replace(step, **_swapped(step, int(np.argmax(step.norms)), ("anchor", "offset", "norms")))
+    probe = np.ones((1 + len(step.active), 1))
+    for mutant, finite in ((step, True), (swapped, False)):
+        bounds = []
+        mutant.forward(probe, bounds)
+        assert len(bounds) == 1
+        assert (bounds[0] <= 1e-10) == finite and np.isnan(bounds[0]) != finite
+
+
+def _exact_gap_sums(anchor, offset, weights):
+    """sum_{m != n} weights_m / |x_n - x_m| over every pair of roots."""
+    distance = np.subtract.outer(anchor, anchor) + np.subtract.outer(offset, offset)
+    np.fill_diagonal(distance, np.inf)
+    return (1.0 / np.abs(distance)) @ weights
+
+
+@pytest.mark.parametrize("case", list(_CROSS_CHECK_CASES))
+def test_gap_sums_bound_the_exact_pairwise_sums(monkeypatch, case):
+    model = _cross_check_model(case)
+    gap_sums = pointersim.oracle._gap_sums
+    seen = []
+
+    def recording(anchor, offset, weights):
+        sums = gap_sums(anchor, offset, weights)
+        seen.append((sums, _exact_gap_sums(anchor, offset, weights)))
+        return sums
+
+    monkeypatch.setattr(pointersim.oracle, "_gap_sums", recording)
+    defect = model.orthonormality_defect()
+    assert len(seen) == model.n_levels
+    # up to the rounding of the two sums
+    for sums, exact in seen:
+        assert np.all(sums >= exact * (1 - 1e-13))
+    # the gate with the exact sums: the bound can only have grown
+    monkeypatch.setattr(pointersim.oracle, "_gap_sums", _exact_gap_sums)
+    assert defect >= model.orthonormality_defect() * (1 - 1e-13)
+
+
+def test_gap_sums_bound_the_exact_ones_on_roots_spread_over_many_scales():
+    # Cauchy-spread roots and weights over 100 orders of magnitude: outlying
+    # roots and heavy windows take both of each window's bounds
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        x = np.unique(rng.standard_cauchy(rng.integers(1, 70)) * 10.0 ** rng.integers(-3, 3))
+        anchor = np.round(x, 1)
+        weights = rng.random((len(x), 2)) ** 4 * 10.0 ** rng.integers(-50, 50, (len(x), 1))
+        sums = pointersim.oracle._gap_sums(anchor, x - anchor, weights)
+        assert np.all(sums >= _exact_gap_sums(anchor, x - anchor, weights) * (1 - 1e-13))
+
+
+@pytest.mark.parametrize("case", ["constant-uniform", "two-level-constant"])
+def test_gate_makes_two_full_passes_per_fold_step(monkeypatch, case):
+    # the probe's forward pass, which also gathers the Gram bound's pole
+    # sums, and its transpose; no block is as wide as the roots
+    model = _cross_check_model(case)
+    inverse_distances, chunks = pointersim.oracle._FoldStep._inverse_distances, pointersim.oracle._chunks
+    rows, blocks = {}, []
+
+    def counted_rows(step, span, out):
+        rows[id(step)] = rows.get(id(step), 0) + (span.stop - span.start)
+        return inverse_distances(step, span, out)
+
+    def counted_chunks(span, width, *args, **kwargs):
+        blocks.append((len(span), width))
+        return chunks(span, width, *args, **kwargs)
+
+    monkeypatch.setattr(pointersim.oracle, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(pointersim.oracle._FoldStep, "_inverse_distances", counted_rows)
+    monkeypatch.setattr(pointersim.oracle, "_chunks", counted_chunks)
+    assert model.orthonormality_defect() <= 1e-10
+    assert rows == {id(step): 2 * len(step.anchor) for step in model.steps}
+    # with one CPU each pass is one walk over every root
+    assert sorted(blocks) == sorted(2 * [(len(step.anchor), len(step.poles)) for step in model.steps])
 
 
 def test_discretize_keeps_level_rows_only(unit_model):
@@ -372,17 +464,21 @@ def test_more_parts_than_cores_write_every_row(monkeypatch, two_level_model, gri
 
 
 def test_parts_keep_the_callers_numpy_error_state(monkeypatch, two_level_model, grid_800):
-    # two equal roots put a zero gap into the Gram pass; the gate ignores the
-    # division by it, in every part, and fails on the NaN it leads to
+    # two equal roots are refused by the Gram bound; a root moved onto its
+    # pole divides by zero in the probe's forward pass, in one of its parts.
+    # The gate ignores the division and fails on the NaN it leads to
     monkeypatch.setattr(pointersim.oracle, "_cpu_count", lambda: 2)
     model = discretize(two_level_model, grid_800)
     step = model.steps[-1]
-    anchor, offset = step.anchor.copy(), step.offset.copy()
-    anchor[401], offset[401] = anchor[400], offset[400]
-    mutant = replace(model, steps=model.steps[:-1] + (replace(step, anchor=anchor, offset=offset),))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert not mutant.orthonormality_defect() <= 1e-10
+    equal = {"anchor": step.anchor.copy(), "offset": step.offset.copy()}
+    equal["anchor"][401], equal["offset"][401] = equal["anchor"][400], equal["offset"][400]
+    on_pole = {"offset": step.offset.copy()}
+    on_pole["offset"][401] = 0.0
+    for changed in (equal, on_pole):
+        mutant = replace(model, steps=model.steps[:-1] + (replace(step, **changed),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not mutant.orthonormality_defect() <= 1e-10
 
 
 def test_secular_iteration_cap_is_an_eigensolver_failure(monkeypatch, unit_model):
@@ -695,6 +791,17 @@ def test_probes_refuse_an_index_out_of_range(two_level_oracle, probe, count, bad
     with pytest.raises(LevelIndexOutOfRange, match=rf"in \[0, {bound}\), got {index}$") as raised:
         probe(two_level_oracle, index)
     assert isinstance(raised.value, IndexError)
+
+
+# the oracle has 2 levels and 200 nodes
+@pytest.mark.parametrize("entries", [["1"] + ["0"] * 201, [True] + [False] * 201, [1.0] * 201 + [None]],
+                         ids=["strings", "bools", "objects"])
+def test_apply_and_its_transpose_refuse_what_is_not_numbers(two_level_oracle, entries):
+    # numpy would parse the strings and read the bools as 1 and 0
+    for name, product in (("coefficients", two_level_oracle.apply),
+                          ("vectors", two_level_oracle.apply_transpose)):
+        with pytest.raises(InvalidState, match=rf"^{name} must be real or complex numbers, got "):
+            product(entries)
 
 
 def test_probes_take_numpy_integer_indices(two_level_oracle):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pointersim import build_grid, level_shift, liouville_spectrum
-from pointersim.errors import LevelIndexOutOfRange
+from pointersim.errors import LevelIndexOutOfRange, OutOfSupport
 from pointersim.spectrum import decay_rate
 from .conftest import make_constant_model
 
@@ -102,6 +102,16 @@ def test_discrete_continuum_rows_match_the_per_level_formula():
         for i in range(2):
             expected = (s.levels[i] - np.asarray(u)) - s.shift[i] + 0.5j * s.gamma[i]
             assert rows[i].tobytes() == np.asarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("u, got", [("5.0", "'5.0'"), (True, "True"), ([3.0, np.nan], "nan")],
+                         ids=["string", "bool", "nan"])
+def test_discrete_continuum_eigenvalues_refuse_energies_that_are_not_finite_numbers(u, got):
+    # numpy would parse the string and read the bool as 1.0
+    s = liouville_spectrum(make_constant_model([1.0], 0.1), build_grid(10.0, 200))
+    with pytest.raises(OutOfSupport) as refused:
+        s.lambda_discrete_continuum(u)
+    assert str(refused.value) == f"u must be finite real numbers, got {got}"
 
 
 @pytest.mark.parametrize("i", [-1, 2, True], ids=["minus-one", "count", "bool"])
