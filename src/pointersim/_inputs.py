@@ -10,6 +10,12 @@ its own ``SimulationError`` subclass with the culprit, in the form
 ``<field> must be <requirement>, got <culprit>``, after its own shape and
 sign checks.
 
+An array a hot path already holds, a state's sector or an oracle product's
+columns, is neither copied nor walked: ``check_dtype`` reads its dtype
+kind alone and raises ``InvalidState`` for strings, bools, objects, and
+complex numbers where real ones are asked for.  It does not check that
+the entries are finite; ``GeneralizedState.validate`` does that.
+
 An integer is an ``int`` or a numpy integer that is not a bool
 (``is_integer``): bool is an int subclass, and numpy reads True as a mask.
 """
@@ -85,8 +91,25 @@ def check_amplitudes(values) -> np.ndarray:
     return amplitudes
 
 
-def read_only(values, dtype) -> np.ndarray:
-    """A read-only view of ``values`` as ``dtype``; no copy when the dtype matches."""
-    view = np.asarray(values, dtype).view()
+def check_dtype(field: str, values, dtype) -> np.ndarray:
+    """``values`` as an array, refused with ``InvalidState`` unless its dtype
+    kind holds numbers of ``dtype``: complex ones only where ``dtype`` is.
+
+    Only the dtype is read, so an array is neither copied nor walked: a
+    string, a bool or an object is refused where numpy would parse it, count
+    it or fail on it, and a complex array where its imaginary part would be
+    dropped.
+    """
+    values = np.asarray(values)
+    kinds, numbers = ("iufc", "real or complex") if np.dtype(dtype).kind == "c" else ("iuf", "real")
+    if values.dtype.kind not in kinds:
+        raise InvalidState(f"{field} must be {numbers} numbers, got an array of {values.dtype}")
+    return values
+
+
+def read_only(field: str, values, dtype) -> np.ndarray:
+    """A read-only view of ``values`` as ``dtype``, through ``check_dtype``;
+    no copy when the dtype matches."""
+    view = np.asarray(check_dtype(field, values, dtype), dtype).view()
     view.flags.writeable = False
     return view

@@ -168,11 +168,6 @@ def _write_csv(path: Path, command: str, cfg: RunConfig, grid, columns, rows):
     return path
 
 
-def _model_grid(cfg: RunConfig):
-    return build_grid(cfg.model.omega_max, cfg.grid_m, cfg.grid_scheme,
-                      avoid=cfg.model.levels)
-
-
 def _level_values(raw, field: str, n_levels: int, pairs: bool = False) -> np.ndarray:
     """One finite number per level from a config list; [re, im] pairs when
     ``pairs``, returned as complex amplitudes."""
@@ -212,9 +207,7 @@ def _rel_error(oracle_value: float, predicted: float) -> float:
 
 # -- subcommands ---------------------------------------------------------------
 
-def run_spectrum(cfg: RunConfig):
-    grid = _model_grid(cfg)
-    spec = liouville_spectrum(cfg.model, grid)
+def run_spectrum(cfg: RunConfig, grid, spec):
     rows = []
     for i in range(spec.n_levels):
         for j in range(spec.n_levels):
@@ -224,34 +217,24 @@ def run_spectrum(cfg: RunConfig):
                        ["i", "j", "re_lambda", "im_lambda", "gamma_i", "delta_i"], rows)]
 
 
-def _evolved(cfg: RunConfig, spec, state0):
-    """The configured times and the physical states at them, as one stack
-    whose leading axis is time: one ``evolve`` and one ``recompose`` call."""
-    return cfg.times, recompose(evolve(state0, spec, cfg.times), spec)
-
-
-def run_evolve(cfg: RunConfig):
+def run_evolve(cfg: RunConfig, grid, spec):
     if cfg.times is None:
         raise ConfigParse("evolve needs a 'times' block")
-    grid = _model_grid(cfg)
-    spec = liouville_spectrum(cfg.model, grid)
     state0 = decompose_initial(_initial_state(cfg, grid), spec)
 
     n = spec.n_levels
     iu, ju = np.triu_indices(n, k=1)
     columns = (["t"] + [f"occ_{i}" for i in range(n)] + [f"atom_{i}" for i in range(n)]
                + [f"abs_coh_{i}_{j}" for i, j in zip(iu, ju)])
-    t, states = _evolved(cfg, spec, state0)
+    states = recompose(evolve(state0, spec, cfg.times), spec)
     occ = np.real(np.diagonal(states.rho_d, axis1=-2, axis2=-1))
-    rows = np.column_stack([t, occ, states.rho_omega_atoms, np.abs(states.rho_d[:, iu, ju])])
+    rows = np.column_stack([cfg.times, occ, states.rho_omega_atoms, np.abs(states.rho_d[:, iu, ju])])
     return [_write_csv(cfg.output_dir / "evolve.csv", "evolve", cfg, grid, columns, rows.tolist())]
 
 
-def run_compare(cfg: RunConfig):
+def run_compare(cfg: RunConfig, grid, spec):
     if cfg.times is None:
         raise ConfigParse("compare needs a 'times' block")
-    grid = _model_grid(cfg)
-    spec = liouville_spectrum(cfg.model, grid)
     oracle = discretize(cfg.model, grid)
 
     n = spec.n_levels
@@ -282,21 +265,19 @@ def run_compare(cfg: RunConfig):
                        ["t", "quantity", "oracle", "predicted", "rel_error", "valid"], rows)]
 
 
-def run_measure(cfg: RunConfig):
+def run_measure(cfg: RunConfig, grid, spec):
     if "amplitudes" not in cfg.effective:
         raise ConfigParse("measure needs an 'amplitudes' list of [re, im] pairs")
     setup = MeasurementSetup(amplitudes=_level_values(
         cfg.effective["amplitudes"], "amplitudes", cfg.model.n_levels, pairs=True))
-    grid = _model_grid(cfg)
-    spec = liouville_spectrum(cfg.model, grid)
     pointer = readout(setup, spec)
     rows = [(i, omega, probability) for i, (omega, probability) in enumerate(pointer)]
     tables = [("measure.csv", ["i", "omega", "probability"], rows)]
     if cfg.times is not None:
         state0 = decompose_initial(premeasure(setup, grid), spec)
         columns = ["t"] + [f"atom_{i}" for i in range(spec.n_levels)]
-        t, states = _evolved(cfg, spec, state0)
-        time_rows = np.column_stack([t, states.rho_omega_atoms]).tolist()
+        states = recompose(evolve(state0, spec, cfg.times), spec)
+        time_rows = np.column_stack([cfg.times, states.rho_omega_atoms]).tolist()
         tables.append(("measure_timeseries.csv", columns, time_rows))
     # every row exists before the first artifact is written, so a failure leaves none
     return [_write_csv(cfg.output_dir / name, "measure", cfg, grid, header, body)
@@ -312,10 +293,13 @@ _RUNNERS = {
 
 
 def run(command: str, config: RunConfig):
-    """Dispatch a subcommand; returns the list of written artifact paths."""
+    """Dispatch a subcommand on the config's grid and spectrum, which every
+    subcommand reads; returns the list of written artifact paths."""
     if command not in _RUNNERS:
         raise ConfigParse(f"unknown command '{command}'")
-    return _RUNNERS[command](config)
+    model = config.model
+    grid = build_grid(model.omega_max, config.grid_m, config.grid_scheme, avoid=model.levels)
+    return _RUNNERS[command](config, grid, liouville_spectrum(model, grid))
 
 
 def main(argv=None) -> int:

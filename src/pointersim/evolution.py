@@ -79,6 +79,10 @@ class GeneralizedState:
     ``rho_omega_atoms[..., i]`` is the weight of the continuum-diagonal atom
     at level i's energy.  The atoms and ``rho_iomega`` have the leading axes
     of ``rho_d``; ``rho_omega_regular`` is one density shared by a stack.
+    A sector whose dtype does not hold numbers of its own kind, real for
+    the continuum diagonal's density and atoms and real or complex for
+    ``rho_d`` and ``rho_iomega``, raises ``InvalidState``
+    (``_inputs.check_dtype``).
     """
 
     grid: ContinuumGrid
@@ -92,7 +96,7 @@ class GeneralizedState:
         for name, dtype in _SECTOR_DTYPES:
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, read_only(value, dtype))
+                object.__setattr__(self, name, read_only(name, value, dtype))
         if self.rho_omega_regular.shape != self.grid.nodes.shape:
             raise InvalidState("rho_omega_regular must match the grid size")
         if self.rho_d.ndim < 2 or self.rho_d.shape[-2] != self.rho_d.shape[-1]:

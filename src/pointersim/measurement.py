@@ -31,7 +31,7 @@ class MeasurementSetup:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        a = read_only(np.atleast_1d(check_amplitudes(self.amplitudes)), complex)
+        a = read_only("amplitudes", np.atleast_1d(check_amplitudes(self.amplitudes)), complex)
         if a.ndim != 1:
             raise InvalidState(f"amplitudes must be a 1-d vector, got shape {a.shape}")
         with np.errstate(over="ignore"):  # an overflowing norm is inf: NotNormalized

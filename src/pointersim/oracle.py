@@ -46,7 +46,7 @@ from functools import partial, reduce
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._inputs import check_amplitudes, check_time, read_numbers
+from ._inputs import check_amplitudes, check_dtype, check_time, read_numbers
 from .continuum import ContinuumGrid
 from .errors import (EigensolverFailure, FitFailure, InvalidState, RecurrenceWindowExceeded,
                      SimulationError)
@@ -88,11 +88,11 @@ class OracleModel:
 
         Takes a vector or a matrix of columns, real or complex.
         """
-        return _by_real_columns(self._forward, _numeric("coefficients", coefficients))
+        return _by_real_columns(self._forward, check_dtype("coefficients", coefficients, complex))
 
     def apply_transpose(self, vectors) -> np.ndarray:
         """Q^T @ vectors: (levels, nodes) components to eigenbasis coefficients."""
-        return _by_real_columns(self._backward, _numeric("vectors", vectors))
+        return _by_real_columns(self._backward, check_dtype("vectors", vectors, complex))
 
     def _forward(self, y: np.ndarray, gram_bounds: list | None = None) -> np.ndarray:
         levels = np.empty((self.n_levels, y.shape[1]))
@@ -142,18 +142,6 @@ class OracleModel:
             scale = np.max(np.abs(self.eigenvalues))
             return float(np.max([bound, np.max(np.abs(level_gram)),
                                  np.max(np.abs(round_trip)), np.max(np.abs(residual)) / scale]))
-
-
-def _numeric(field: str, x) -> np.ndarray:
-    """x as an array, refused with ``InvalidState`` unless its dtype holds numbers.
-
-    Only the dtype is read, so an array is neither copied nor walked: a
-    string or a bool is refused where numpy would parse or count it.
-    """
-    x = np.asarray(x)
-    if x.dtype.kind not in "iufc":
-        raise InvalidState(f"{field} must be real or complex numbers, got an array of {x.dtype}")
-    return x
 
 
 def _by_real_columns(linear, x) -> np.ndarray:
@@ -279,11 +267,6 @@ class _FoldStep:
     norms: np.ndarray     # c_n
     order: np.ndarray
 
-    def _inverse_distances(self, rows: slice, out: np.ndarray) -> np.ndarray:
-        """1 / (x_n - w_k) for roots n in ``rows`` (rows) and every active pole k."""
-        _distances(self.poles, self.anchor[rows], self.offset[rows], out)
-        return np.reciprocal(out, out=out)
-
     def level_row(self) -> np.ndarray:
         """S[0, :]: the folded level's component of every eigenvector."""
         row = np.zeros(len(self.order))
@@ -309,7 +292,7 @@ class _FoldStep:
         def part(span: range) -> np.ndarray:
             coupled = np.zeros((len(self.poles), y.shape[1]))
             for rows, block in _chunks(span, len(self.poles)):
-                inverse = self._inverse_distances(rows, block)
+                inverse = _inverse_distances(self.poles, self.anchor[rows], self.offset[rows], block)
                 coupled += inverse.T @ weighted[rows]
                 if gram_bounds is not None:
                     pole_sums[0, rows] = inverse @ g2
@@ -335,7 +318,8 @@ class _FoldStep:
 
         def part(span: range):
             for rows, block in _chunks(span, len(self.poles)):
-                np.matmul(self._inverse_distances(rows, block), coupled, out=unsorted[rows])
+                inverse = _inverse_distances(self.poles, self.anchor[rows], self.offset[rows], block)
+                np.matmul(inverse, coupled, out=unsorted[rows])
 
         _in_parts(k, len(self.poles), part)
         unsorted[:k] += z[0]
@@ -489,10 +473,21 @@ def _in_parts(count: int, width: int, work) -> list:
     return list(pool.map(run, edges[:-1], edges[1:]))
 
 
-def _distances(poles, anchor, offset, out):
-    """x_n - w_k = (anchor_n - w_k) + d_n into ``out``, for roots n (rows) and poles k (columns)."""
-    np.subtract.outer(anchor, poles, out=out)
+def _inverse_distances(at, anchor, offset, out, own=None):
+    """1 / (x_n - w) into ``out`` for roots x_n = anchor_n + offset_n (rows)
+    and poles w (columns): ``at`` holds the poles, one row shared by every
+    root or one row per root.  Each x_n - w is formed as (anchor_n - w) + d_n,
+    accurate however close x_n is to its anchor.  With ``own``, column own_n
+    of row n, the root's own pole, holds 0.
+    """
+    np.subtract(anchor[:, None], at, out=out)
     out += offset[:, None]
+    if own is not None:
+        own = (np.arange(len(anchor)), own)
+        out[own] = 1.0
+    np.reciprocal(out, out=out)
+    if own is not None:
+        out[own] = 0.0
     return out
 
 
@@ -633,10 +628,7 @@ def _near_sums(at, weight, inverse, terms, anchor, offset, own):
     """sum_j weight_nj / (x_n - at_nj) and sum_j weight_nj / (x_n - at_nj)^2
     over every column j but ``own``, for x_n = anchor_n + offset_n, with the
     scratch blocks ``inverse`` and ``terms``."""
-    np.subtract(anchor[:, None], at, out=inverse)
-    inverse += offset[:, None]
-    np.reciprocal(inverse, out=inverse)
-    inverse[np.arange(len(anchor)), own] = 0.0
+    _inverse_distances(at, anchor, offset, inverse, own)
     np.multiply(weight, inverse, out=terms)
     return terms.sum(axis=1), np.einsum("ij,ij->i", terms, inverse)
 
@@ -664,12 +656,8 @@ def _pole_sum(poles, g2, origin, offset):
     magnitude = np.empty(len(offset))
 
     def part(span: range):
-        for rows, distance, terms in _chunks(span, len(poles), scratch=2):
-            _distances(poles, poles[origin[rows]], offset[rows], distance)
-            own = (np.arange(distance.shape[0]), origin[rows])
-            distance[own] = 1.0
-            inverse = np.reciprocal(distance, out=distance)
-            inverse[own] = 0.0
+        for rows, inverse, terms in _chunks(span, len(poles), scratch=2):
+            _inverse_distances(poles, poles[origin[rows]], offset[rows], inverse, origin[rows])
             sums[rows] = inverse @ g2
             magnitude[rows] = np.abs(inverse, out=terms) @ g2
             slopes[rows] = np.multiply(inverse, inverse, out=terms) @ g2

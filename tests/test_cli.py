@@ -297,6 +297,19 @@ def test_missing_initial_block_rejected(tmp_path, capsys):
     assert "initial" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, message", [
+    ("evolve", "evolve needs a 'times' block"),
+    ("compare", "compare needs a 'times' block"),
+    ("measure", "measure needs an 'amplitudes' list of [re, im] pairs"),
+])
+def test_missing_blocks_fail_with_one_line(tmp_path, capsys, command, message):
+    # each subcommand checks its own blocks once the grid and spectrum it
+    # shares with the others are built
+    write_model(tmp_path)
+    assert main([command, "--config", str(write_config(tmp_path))]) == 1
+    assert capsys.readouterr().err == f"pointersim {command}: error: {message}\n"
+
+
 _TIMES = {"t_start": 0.5, "t_end": 5.0, "samples": 3, "spacing": "log"}
 
 

@@ -65,13 +65,37 @@ def _continuum_state(grid):
     (lambda g: _state_with(g, rho_omega_atoms=np.zeros((3, 2))), "rho_omega_atoms must have shape"),
     (lambda g: _state_with(g, rho_d=np.zeros((3, 2, 2)), rho_iomega=None),
      r"rho_omega_atoms must have shape \(3, 2\), got \(2,\)"),
+    # the constructor reads each sector's dtype kind: numpy would read True
+    # as 1.0, parse '1' as 1+0j, fail on an object and drop an imaginary part
+    (lambda g: _state_with(g, rho_omega_atoms=[True, False], rho_d=[["1", "0"], ["0", "0"]]),
+     r"^rho_omega_atoms must be real numbers, got an array of bool$"),
+    (lambda g: _state_with(g, rho_d=[["1", "0"], ["0", "0"]]),
+     r"^rho_d must be real or complex numbers, got an array of <U1$"),
+    (lambda g: _state_with(g, rho_omega_regular=["0"] * g.size),
+     r"^rho_omega_regular must be real numbers, got an array of <U1$"),
+    (lambda g: _state_with(g, rho_iomega=np.full((2, g.size), object())),
+     r"^rho_iomega must be real or complex numbers, got an array of object$"),
+    (lambda g: _state_with(g, rho_omega_atoms=np.array([1.0 + 1.0j, 0.0])),
+     r"^rho_omega_atoms must be real numbers, got an array of complex128$"),
 ], ids=["continuum-size", "non-square-discrete", "scalar-discrete", "scalar-discrete-state",
         "ragged-discrete-state", "string-discrete-state", "bool-discrete-state", "atom-count",
         "mixed-shape", "stacked-atoms-other-times", "stacked-mixed-other-times",
-        "stacked-atoms-single-state", "shared-atoms-beside-a-stack"])
+        "stacked-atoms-single-state", "shared-atoms-beside-a-stack", "bool-atoms-string-discrete",
+        "string-discrete", "string-continuum", "object-mixed", "complex-atoms"])
 def test_malformed_sectors_are_invalid_states(grid, make, match):
     with pytest.raises(InvalidState, match=match):
         make(grid)
+
+
+def test_sectors_of_their_own_dtype_are_viewed_not_copied(grid):
+    sectors = dict(rho_omega_regular=np.zeros(grid.size), rho_omega_atoms=np.zeros(2),
+                   rho_d=np.zeros((2, 2), complex), rho_iomega=np.zeros((2, grid.size), complex))
+    state = GeneralizedState(grid=grid, **sectors)
+    for name, array in sectors.items():
+        assert np.shares_memory(getattr(state, name), array)
+        assert not getattr(state, name).flags.writeable
+    # an integer sector is a number too, converted once
+    assert GeneralizedState(grid=grid, **(sectors | {"rho_omega_atoms": [1, 0]})).rho_omega_atoms[0] == 1.0
 
 
 def _with_entry(array, index, value):

@@ -321,22 +321,24 @@ def test_gate_makes_two_full_passes_per_fold_step(monkeypatch, case):
     # the probe's forward pass, which also gathers the Gram bound's pole
     # sums, and its transpose; no block is as wide as the roots
     model = _cross_check_model(case)
-    inverse_distances, chunks = pointersim.oracle._FoldStep._inverse_distances, pointersim.oracle._chunks
+    inverse_distances, chunks = pointersim.oracle._inverse_distances, pointersim.oracle._chunks
     rows, blocks = {}, []
 
-    def counted_rows(step, span, out):
-        rows[id(step)] = rows.get(id(step), 0) + (span.stop - span.start)
-        return inverse_distances(step, span, out)
+    # rows through the one inverse-distance builder, keyed by the poles they
+    # are measured from: each fold step owns its poles array
+    def counted_rows(at, anchor, *args):
+        rows[id(at)] = rows.get(id(at), 0) + len(anchor)
+        return inverse_distances(at, anchor, *args)
 
     def counted_chunks(span, width, *args, **kwargs):
         blocks.append((len(span), width))
         return chunks(span, width, *args, **kwargs)
 
     monkeypatch.setattr(pointersim.oracle, "_cpu_count", lambda: 1)
-    monkeypatch.setattr(pointersim.oracle._FoldStep, "_inverse_distances", counted_rows)
+    monkeypatch.setattr(pointersim.oracle, "_inverse_distances", counted_rows)
     monkeypatch.setattr(pointersim.oracle, "_chunks", counted_chunks)
     assert model.orthonormality_defect() <= 1e-10
-    assert rows == {id(step): 2 * len(step.anchor) for step in model.steps}
+    assert rows == {id(step.poles): 2 * len(step.anchor) for step in model.steps}
     # with one CPU each pass is one walk over every root
     assert sorted(blocks) == sorted(2 * [(len(step.anchor), len(step.poles)) for step in model.steps])
 
