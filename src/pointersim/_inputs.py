@@ -12,8 +12,9 @@ sign checks.
 
 An array a hot path already holds, a state's sector or an oracle product's
 columns, is neither copied nor walked: ``check_dtype`` reads its dtype
-kind alone and raises ``InvalidState`` for strings, bools, objects, and
-complex numbers where real ones are asked for.  It does not check that
+kind alone and raises ``InvalidState`` for strings, bools, objects,
+complex numbers where real ones are asked for, and a ragged sequence,
+with the culprit ``read_numbers`` would name.  It does not check that
 the entries are finite; ``GeneralizedState.validate`` does that.
 
 An integer is an ``int`` or a numpy integer that is not a bool
@@ -97,11 +98,14 @@ def check_dtype(field: str, values, dtype) -> np.ndarray:
 
     Only the dtype is read, so an array is neither copied nor walked: a
     string, a bool or an object is refused where numpy would parse it, count
-    it or fail on it, and a complex array where its imaginary part would be
-    dropped.
+    it or fail on it, a complex array where its imaginary part would be
+    dropped, and a ragged sequence, which numpy cannot convert.
     """
-    values = np.asarray(values)
     kinds, numbers = ("iufc", "real or complex") if np.dtype(dtype).kind == "c" else ("iuf", "real")
+    try:
+        values = np.asarray(values)
+    except ValueError:  # numpy refuses a ragged sequence
+        raise InvalidState(f"{field} must be {numbers} numbers, got a ragged sequence") from None
     if values.dtype.kind not in kinds:
         raise InvalidState(f"{field} must be {numbers} numbers, got an array of {values.dtype}")
     return values

@@ -29,10 +29,18 @@ so each chunk meets the numpy and BLAS calls of a serial pass, and the
 eigenvalues, the level rows and every artifact do not depend on the CPU
 count.
 
+The probes (``evolve_pure``, ``survival_probability``, ``coherence`` and
+``pointer_weights``) read time as ``evolution.evolve`` does: ``t`` is a real
+scalar or a real array of any shape (``_inputs.check_time``), and its axes
+lead every result.  All times share one pass: a level-only probe is one
+phase matrix and one product over the N level rows, O(T N (N + M)) for T
+times, and a full vector is one multi-column ``OracleModel.apply``, N
+Cauchy passes whatever T is.
+
 A finite grid is quasi-periodic: beyond roughly half the recurrence time
 (``ContinuumGrid.valid_t_max``), the nodes rephase and the dynamics stops
-mimicking irreversible decay.  Evolution past that horizon triggers a warning
-and the corresponding runs must not be tagged valid.
+mimicking irreversible decay.  A probe call with any time past that horizon
+triggers one warning, and the corresponding runs must not be tagged valid.
 """
 
 from __future__ import annotations
@@ -48,8 +56,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._inputs import check_amplitudes, check_dtype, check_time, read_numbers
 from .continuum import ContinuumGrid
-from .errors import (EigensolverFailure, FitFailure, InvalidState, RecurrenceWindowExceeded,
-                     SimulationError)
+from .errors import EigensolverFailure, FitFailure, InvalidState, RecurrenceWindowExceeded
 from .model import ModelSpec, check_index, coupling_at
 
 _ORTHO_TOL = 1e-10
@@ -666,29 +673,30 @@ def _pole_sum(poles, g2, origin, offset):
     return sums, slopes, magnitude
 
 
-def _check_window(model: OracleModel, t: float):
-    """Refuse a time that is not one real, finite t >= 0; warn past ``valid_t_max``."""
+def _check_window(model: OracleModel, t) -> np.ndarray:
+    """The times ``t`` through ``check_time``; one warning when any reaches ``valid_t_max``."""
     times = check_time(t)
-    if times.ndim:
-        raise SimulationError(f"oracle probes take one time, got an array of shape {times.shape}")
-    if t >= model.grid.valid_t_max:
+    if (times >= model.grid.valid_t_max).any():
         warnings.warn(
-            f"t = {t:g} is beyond half the recurrence time {model.grid.recurrence_time:g}; "
+            f"t = {times.max():g} is beyond half the recurrence time {model.grid.recurrence_time:g}; "
             "the discretized dynamics is no longer a faithful decay",
             RecurrenceWindowExceeded,
             stacklevel=3,
         )
+    return times
 
 
-def evolve_pure(model: OracleModel, amplitudes, t: float, levels_only: bool = False) -> np.ndarray:
+def evolve_pure(model: OracleModel, amplitudes, t, levels_only: bool = False) -> np.ndarray:
     """Exact exp(-i H t) applied through the spectral decomposition.
 
     Returns the full (levels, nodes) vector, or with ``levels_only`` the N
-    level amplitudes alone.  Level amplitudes in and levels out read only the
-    level rows, O(N (N + M)); a full vector either way costs N Cauchy passes.
-    Amplitudes that are not finite numbers raise ``InvalidState``.
+    level amplitudes alone, after the axes of ``t``, a real scalar or array
+    of times.  Level amplitudes in and levels out read only the level rows,
+    O(T N (N + M)) for T times; a full vector either way is one product
+    with every time's column, N Cauchy passes.  Amplitudes that are not
+    finite numbers raise ``InvalidState``.
     """
-    _check_window(model, t)
+    times = _check_window(model, t)
     psi = check_amplitudes(amplitudes)
     if psi.shape == (model.n_levels,):
         coefficients = _by_real_columns(partial(np.matmul, model.eigenvectors.T), psi)
@@ -696,10 +704,11 @@ def evolve_pure(model: OracleModel, amplitudes, t: float, levels_only: bool = Fa
         coefficients = model.apply_transpose(psi)
     else:
         raise InvalidState(f"expected {model.n_levels} level amplitudes or a full vector")
-    evolved = np.exp(-1j * model.eigenvalues * t) * coefficients
-    if levels_only:
-        return _by_real_columns(partial(np.matmul, model.eigenvectors), evolved)
-    return model.apply(evolved)
+    # one column per time
+    evolved = np.exp(-1j * model.eigenvalues[:, None] * times.ravel()) * coefficients[:, None]
+    evolved = (_by_real_columns(partial(np.matmul, model.eigenvectors), evolved) if levels_only
+               else model.apply(evolved))
+    return evolved.T.reshape(times.shape + evolved.shape[:1])
 
 
 def _level_row(model: OracleModel, i: int) -> np.ndarray:
@@ -708,43 +717,44 @@ def _level_row(model: OracleModel, i: int) -> np.ndarray:
     return model.eigenvectors[i]
 
 
-def survival_probability(model: OracleModel, i: int, t: float) -> float:
-    """|<i| exp(-i H t) |i>|^2 for level i."""
-    _check_window(model, t)
+def survival_probability(model: OracleModel, i: int, t) -> float | np.ndarray:
+    """|<i| exp(-i H t) |i>|^2 for level i: a float for one time, else an
+    array of the shape of ``t``."""
+    times = _check_window(model, t)
     c = _level_row(model, i)
-    amplitude = np.sum(c * c * np.exp(-1j * model.eigenvalues * t))
-    return float(np.abs(amplitude) ** 2)
+    amplitude = np.sum(c * c * np.exp(-1j * model.eigenvalues * times[..., None]), axis=-1)
+    probability = np.abs(amplitude) ** 2
+    return float(probability) if probability.ndim == 0 else probability
 
 
-def coherence(model: OracleModel, i: int, j: int, amplitudes, t: float) -> complex:
+def coherence(model: OracleModel, i: int, j: int, amplitudes, t) -> complex | np.ndarray:
     """Density-matrix element rho_ij(t) of the evolved pure state; i and j
-    index the levels, then the nodes."""
+    index the levels, then the nodes.  A complex for one time, else an
+    array of the shape of ``t``."""
     check_index(i, model.size)
     check_index(j, model.size)
-    psi = evolve_pure(model, amplitudes, t, levels_only=max(i, j) < model.n_levels)
-    return complex(psi[i] * np.conj(psi[j]))
+    # the level axis first, so one time multiplies numpy scalars
+    psi = evolve_pure(model, amplitudes, t, levels_only=max(i, j) < model.n_levels).T
+    rho = (psi[i] * np.conj(psi[j])).T
+    return complex(rho) if rho.ndim == 0 else rho
 
 
-def pointer_weights(model: OracleModel, amplitudes, t: float) -> np.ndarray:
-    """Probability mass attributed to each level at time t.
+def pointer_weights(model: OracleModel, amplitudes, t) -> np.ndarray:
+    """Probability mass attributed to each level, after the axes of ``t``.
 
     The continuum is partitioned at the midpoints between adjacent level
     energies (the simplest unambiguous attribution of a resonance line to
     its level) and each cell's mass is added to the residual occupation of
-    the level itself.
+    the level itself: one product of the node populations of every time
+    with the cells' indicator matrix.
     """
     psi = evolve_pure(model, amplitudes, t)
     n = model.n_levels
-    discrete = np.abs(psi[:n]) ** 2
-    cont = np.abs(psi[n:]) ** 2
-
     order = np.argsort(model.spec.levels)
     cuts = (model.spec.levels[order][:-1] + model.spec.levels[order][1:]) / 2.0
-    cell = np.searchsorted(cuts, model.grid.nodes)
-    weights = discrete.copy()
-    for rank, level_index in enumerate(order):
-        weights[level_index] += float(np.sum(cont[cell == rank]))
-    return weights
+    # the level whose cell holds each node
+    owner = order[np.searchsorted(cuts, model.grid.nodes)]
+    return np.abs(psi[..., :n]) ** 2 + np.abs(psi[..., n:]) ** 2 @ (owner[:, None] == np.arange(n))
 
 
 # -- fits against the exact dynamics ------------------------------------------
@@ -795,8 +805,7 @@ def fitted_decay_rate(model: OracleModel, i: int, t_min: float | None = None,
         t_min = 0.1 / iqr if t_min is None else t_min
         t_max = 2.0 / iqr if t_max is None else t_max
     times = np.linspace(check_time(t_min), check_time(t_max), _FIT_SAMPLES)
-    values = [survival_probability(model, i, t) for t in times]
-    return fit_exponential_rate(times, values)
+    return fit_exponential_rate(times, survival_probability(model, i, times))
 
 
 def resonance_center(model: OracleModel, i: int) -> float:

@@ -77,11 +77,17 @@ def _continuum_state(grid):
      r"^rho_iomega must be real or complex numbers, got an array of object$"),
     (lambda g: _state_with(g, rho_omega_atoms=np.array([1.0 + 1.0j, 0.0])),
      r"^rho_omega_atoms must be real numbers, got an array of complex128$"),
+    # numpy cannot convert a ragged list at all
+    (lambda g: _state_with(g, rho_omega_atoms=[0.0], rho_d=[[1.0], [1.0, 2.0]]),
+     r"^rho_d must be real or complex numbers, got a ragged sequence$"),
+    (lambda g: _state_with(g, rho_omega_regular=[[0.0], [0.0, 0.0]]),
+     r"^rho_omega_regular must be real numbers, got a ragged sequence$"),
 ], ids=["continuum-size", "non-square-discrete", "scalar-discrete", "scalar-discrete-state",
         "ragged-discrete-state", "string-discrete-state", "bool-discrete-state", "atom-count",
         "mixed-shape", "stacked-atoms-other-times", "stacked-mixed-other-times",
         "stacked-atoms-single-state", "shared-atoms-beside-a-stack", "bool-atoms-string-discrete",
-        "string-discrete", "string-continuum", "object-mixed", "complex-atoms"])
+        "string-discrete", "string-continuum", "object-mixed", "complex-atoms",
+        "ragged-discrete", "ragged-continuum"])
 def test_malformed_sectors_are_invalid_states(grid, make, match):
     with pytest.raises(InvalidState, match=match):
         make(grid)

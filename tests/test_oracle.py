@@ -25,8 +25,7 @@ from pointersim import (
 )
 from pointersim.cli import main
 from pointersim.errors import (EigensolverFailure, FitFailure, InvalidState,
-                               LevelIndexOutOfRange, NegativeTime, RecurrenceWindowExceeded,
-                               SimulationError)
+                               LevelIndexOutOfRange, NegativeTime, RecurrenceWindowExceeded)
 from pointersim.model import coupling_at
 from .conftest import make_constant_model, modules_loaded_by
 
@@ -759,12 +758,37 @@ def test_probes_refuse_a_time_that_is_negative_or_not_finite(oracle_two, t):
             fitted_decay_rate(oracle_two, 0, *window)
 
 
-@pytest.mark.parametrize("t", [np.array([1.0, 2.0]), [3.0], np.zeros((2, 2))])
-def test_probes_take_one_time(oracle_two, t):
-    for probe in _probes(oracle_two, t):
-        with pytest.raises(SimulationError) as refused:
-            probe()
-        assert str(refused.value) == f"oracle probes take one time, got an array of shape {np.shape(t)}"
+# each probe on the times, with how far a call with an array of times may
+# be from the stack of one-time calls: a product over many columns of the
+# level rows may round differently from one over a single column
+_TIME_PROBES = {
+    "evolve_pure-levels-in": (lambda o, t: evolve_pure(o, [0.6, 0.8j], t), 0.0),
+    "evolve_pure-full-in": (
+        lambda o, t: evolve_pure(o, np.cos(np.arange(o.size)) / np.sqrt(o.size / 2), t), 0.0),
+    "evolve_pure-levels-only": (lambda o, t: evolve_pure(o, [0.6, 0.8j], t, levels_only=True), 1e-14),
+    "survival_probability": (lambda o, t: survival_probability(o, 1, t), 0.0),
+    "coherence-levels": (lambda o, t: coherence(o, 0, 1, [0.6, 0.8j], t), 1e-14),
+    "coherence-node": (lambda o, t: coherence(o, 1, 7, [0.6, 0.8j], t), 1e-14),
+    "pointer_weights": (lambda o, t: pointer_weights(o, [0.6, 0.8j], t), 1e-14),
+}
+
+
+@pytest.mark.parametrize("probe, tolerance", _TIME_PROBES.values(), ids=_TIME_PROBES.keys())
+def test_probes_take_times_as_evolve_does(oracle_two, probe, tolerance):
+    horizon = oracle_two.grid.valid_t_max
+    times = np.linspace(0.5, 0.9 * horizon, 4)
+    # one time gives a Python number or one time's array, never a numpy scalar
+    one_by_one = [probe(oracle_two, t) for t in times.tolist()]
+    assert type(one_by_one[0]) in (float, complex, np.ndarray)
+    for shape in [(4,), (2, 2)]:
+        at_once = probe(oracle_two, times.reshape(shape))
+        assert at_once.shape == shape + np.shape(one_by_one[0])
+        assert np.max(np.abs(at_once - np.reshape(one_by_one, at_once.shape))) <= tolerance
+    # times past the horizon warn once per call, naming the latest
+    with pytest.warns(RecurrenceWindowExceeded) as warned:
+        probe(oracle_two, np.linspace(0.0, 2.0 * horizon, 9))
+    assert len(warned) == 1
+    assert str(warned[0].message).startswith(f"t = {2.0 * horizon:g} is beyond")
 
 
 @pytest.fixture(scope="module")
@@ -796,8 +820,9 @@ def test_probes_refuse_an_index_out_of_range(two_level_oracle, probe, count, bad
 
 
 # the oracle has 2 levels and 200 nodes
-@pytest.mark.parametrize("entries", [["1"] + ["0"] * 201, [True] + [False] * 201, [1.0] * 201 + [None]],
-                         ids=["strings", "bools", "objects"])
+@pytest.mark.parametrize("entries", [["1"] + ["0"] * 201, [True] + [False] * 201, [1.0] * 201 + [None],
+                                     [[1.0], [1.0, 2.0]]],
+                         ids=["strings", "bools", "objects", "ragged"])
 def test_apply_and_its_transpose_refuse_what_is_not_numbers(two_level_oracle, entries):
     # numpy would parse the strings and read the bools as 1 and 0
     for name, product in (("coefficients", two_level_oracle.apply),
