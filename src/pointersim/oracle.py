@@ -27,7 +27,11 @@ split into contiguous row parts, one per CPU the process may run on, that
 run on a thread pool (``_in_parts``).  Parts end only at chunk boundaries,
 so each chunk meets the numpy and BLAS calls of a serial pass, and the
 eigenvalues, the level rows and every artifact do not depend on the CPU
-count.
+count.  Each part runs under a small ufunc buffer: at numpy's default, a
+column broadcast over rows of a few thousand entries, as every block of
+1/(x_n - w_k) is built, goes through the buffered iterator at 2-4 times the
+cost.  A pass sums only through BLAS, so the buffer moves no bit of a
+result.
 
 The probes (``evolve_pure``, ``survival_probability``, ``coherence`` and
 ``pointer_weights``) read time as ``evolution.evolve`` does: ``t`` is a real
@@ -46,6 +50,7 @@ triggers one warning, and the corresponding runs must not be tagged valid.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import warnings
 from dataclasses import dataclass
@@ -95,11 +100,18 @@ class OracleModel:
 
         Takes a vector or a matrix of columns, real or complex.
         """
-        return _by_real_columns(self._forward, check_dtype("coefficients", coefficients, complex))
+        return _by_real_columns(self._forward, self._rows("coefficients", coefficients))
 
     def apply_transpose(self, vectors) -> np.ndarray:
         """Q^T @ vectors: (levels, nodes) components to eigenbasis coefficients."""
-        return _by_real_columns(self._backward, check_dtype("vectors", vectors, complex))
+        return _by_real_columns(self._backward, self._rows("vectors", vectors))
+
+    def _rows(self, field: str, values) -> np.ndarray:
+        """``values`` through ``check_dtype``, refused unless its first axis has N + M rows."""
+        values = check_dtype(field, values, complex)
+        if values.ndim == 0 or len(values) != self.size:
+            raise InvalidState(f"{field} must have N+M = {self.size} rows, got shape {values.shape}")
+        return values
 
     def _forward(self, y: np.ndarray, gram_bounds: list | None = None) -> np.ndarray:
         levels = np.empty((self.n_levels, y.shape[1]))
@@ -252,6 +264,10 @@ _MODEL_STEPS = 2
 # roots are handled in row chunks of about 64k matrix elements (512 kB), so
 # no M x M temporary exists while solving or applying a step
 _CHUNK_ELEMENTS = 1 << 16
+# the ufunc buffer, in entries, that every pass part runs under: at numpy's
+# default of 8192, a column broadcast over a chunk whose rows have at most
+# 4096 entries goes through the buffered iterator and costs 2-4 times as much
+_UFUNC_BUFFER = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,26 +472,32 @@ def _in_parts(count: int, width: int, work) -> list:
     call sees the block it sees serially, and no row depends on the CPU
     count.  The parts run on a thread pool (numpy releases the GIL), each
     under the caller's numpy error state, which does not reach other
-    threads by itself.  A pass of one chunk runs inline.
+    threads by itself.  A pass of one chunk runs inline.  Every part, the
+    inline one too, runs under a ufunc buffer of ``_UFUNC_BUFFER`` entries
+    and gives the thread back its own buffer size when it ends.
     """
     global _POOL
+    errors = np.geterr()
+
+    def run(start: int, stop: int):
+        buffer = np.setbufsize(_UFUNC_BUFFER)
+        try:
+            with np.errstate(**errors):
+                return work(range(start, stop))
+        finally:
+            np.setbufsize(buffer)
+
     step = _chunk_rows(width)
     chunks = -(-count // step)
     parts = min(chunks, _cpu_count())
     if parts <= 1:
-        return [work(range(count))]
+        return [run(0, count)]
     with _POOL_LOCK:
         if _POOL is None or _POOL[0] != os.getpid():
             # imported here: at the top it would slow down every import of the package
             from concurrent.futures import ThreadPoolExecutor
             _POOL = os.getpid(), ThreadPoolExecutor(_cpu_count())
         pool = _POOL[1]
-    errors = np.geterr()
-
-    def run(start: int, stop: int):
-        with np.errstate(**errors):
-            return work(range(start, stop))
-
     edges = [min(count, step * (chunks * p // parts)) for p in range(parts + 1)]
     return list(pool.map(run, edges[:-1], edges[1:]))
 
@@ -667,7 +689,7 @@ def _pole_sum(poles, g2, origin, offset):
             _inverse_distances(poles, poles[origin[rows]], offset[rows], inverse, origin[rows])
             sums[rows] = inverse @ g2
             magnitude[rows] = np.abs(inverse, out=terms) @ g2
-            slopes[rows] = np.multiply(inverse, inverse, out=terms) @ g2
+            slopes[rows] = np.square(inverse, out=terms) @ g2
 
     _in_parts(len(offset), len(poles), part)
     return sums, slopes, magnitude
@@ -677,11 +699,16 @@ def _check_window(model: OracleModel, t) -> np.ndarray:
     """The times ``t`` through ``check_time``; one warning when any reaches ``valid_t_max``."""
     times = check_time(t)
     if (times >= model.grid.valid_t_max).any():
+        # the warning names the first caller outside this module, however
+        # many of its probes the call passed through
+        frame, level = sys._getframe(), 1
+        while frame is not None and frame.f_globals is globals():
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"t = {times.max():g} is beyond half the recurrence time {model.grid.recurrence_time:g}; "
             "the discretized dynamics is no longer a faithful decay",
             RecurrenceWindowExceeded,
-            stacklevel=3,
+            stacklevel=level,
         )
     return times
 

@@ -1,5 +1,6 @@
 import json
 import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -482,6 +483,35 @@ def test_parts_keep_the_callers_numpy_error_state(monkeypatch, two_level_model, 
             assert not mutant.orthonormality_defect() <= 1e-10
 
 
+@pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pooled"])
+def test_parts_run_under_a_small_ufunc_buffer(monkeypatch, two_level_model, grid_800, cpus):
+    # numpy's default buffer sends a broadcast column over a row of at most
+    # 4096 entries through its buffered iterator; each part runs under a
+    # small buffer instead, and the caller keeps its own
+    in_parts = pointersim.oracle._in_parts
+    seen = []
+
+    def recording(count, width, work):
+        def part(span):
+            seen.append((span.start, threading.get_ident(), np.getbufsize()))
+            return work(span)
+        return in_parts(count, width, part)
+
+    monkeypatch.setattr(pointersim.oracle, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(pointersim.oracle, "_in_parts", recording)
+    buffer = np.setbufsize(16384)
+    try:
+        discretize(two_level_model, grid_800)
+        assert np.getbufsize() == 16384
+    finally:
+        np.setbufsize(buffer)
+    assert {size for _, _, size in seen} == {pointersim.oracle._UFUNC_BUFFER}
+    # at M=800 a pass has 10 chunks: two CPUs give it a second part, which
+    # runs on a pool thread
+    second = {thread for start, thread, _ in seen if start > 0}
+    assert bool(second) == (cpus == 2) and threading.get_ident() not in second
+
+
 def test_secular_iteration_cap_is_an_eigensolver_failure(monkeypatch, unit_model):
     monkeypatch.setattr(pointersim.oracle, "_SECULAR_MAX_ITER", 1)
     with pytest.raises(EigensolverFailure, match="did not converge"):
@@ -789,6 +819,8 @@ def test_probes_take_times_as_evolve_does(oracle_two, probe, tolerance):
         probe(oracle_two, np.linspace(0.0, 2.0 * horizon, 9))
     assert len(warned) == 1
     assert str(warned[0].message).startswith(f"t = {2.0 * horizon:g} is beyond")
+    # the warning names the caller's line, not one inside the oracle
+    assert warned[0].filename == __file__
 
 
 @pytest.fixture(scope="module")
@@ -829,6 +861,18 @@ def test_apply_and_its_transpose_refuse_what_is_not_numbers(two_level_oracle, en
                           ("vectors", two_level_oracle.apply_transpose)):
         with pytest.raises(InvalidState, match=rf"^{name} must be real or complex numbers, got "):
             product(entries)
+
+
+@pytest.mark.parametrize("values", [np.zeros(5), 1.0, np.zeros((5, 3)), np.zeros((0, 202))],
+                         ids=["short", "scalar", "short-columns", "columns-first"])
+def test_apply_and_its_transpose_refuse_a_wrong_row_count(two_level_oracle, values):
+    # numpy would raise a bare ValueError, IndexError or TypeError
+    for name, product in (("coefficients", two_level_oracle.apply),
+                          ("vectors", two_level_oracle.apply_transpose)):
+        with pytest.raises(InvalidState) as refused:
+            product(values)
+        assert str(refused.value) == (f"{name} must have N+M = 202 rows, "
+                                      f"got shape {np.shape(values)}")
 
 
 def test_probes_take_numpy_integer_indices(two_level_oracle):
