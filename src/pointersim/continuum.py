@@ -94,8 +94,9 @@ def build_grid(omega_max: float, m: int, scheme: str = "uniform-midpoint",
         culprit = cutoff if isinstance(cutoff, str) else repr(omega_max)
         raise InvalidGrid(f"omega_max must be a positive finite number, got {culprit}")
     targets = read_numbers(avoid)
-    if isinstance(targets, str):
-        raise InvalidGrid(f"avoid must be finite numbers, got {targets}")
+    if isinstance(targets, str) or targets.ndim > 1:
+        culprit = targets if isinstance(targets, str) else f"an array of shape {targets.shape}"
+        raise InvalidGrid(f"avoid must be finite numbers in at most one dimension, got {culprit}")
 
     try:
         if scheme == "uniform-midpoint":
@@ -132,29 +133,15 @@ def build_grid(omega_max: float, m: int, scheme: str = "uniform-midpoint",
     return ContinuumGrid(nodes=nodes, weights=weights, omega_max=float(omega_max))
 
 
-def _check_continuity(f, singularity: float, grid: ContinuumGrid, f_at: float):
-    """Probe the subtracted integrand approaching the singularity.
-
-    For continuous f the probes approach the derivative; a pole-like growth
-    (factor ~4 per factor-4 shrink of the probe distance) signals a jump.
-    The probes start half a node spacing away, or half the distance to the
-    nearer end of the support if that is closer, so they stay inside it.
-    """
-    edge = min(singularity, grid.omega_max - singularity)
-    d0 = min(grid.spacing_near(singularity), edge) / 2
-    scale = max(abs(f_at), 1e-12)
-    for side in (1.0, -1.0):
-        residuals = []
-        for d in (d0, d0 / 4, d0 / 16):
-            x = singularity + side * d
-            residuals.append(abs((float(f(x)) - f_at) / (x - singularity)))
-        if (residuals[2] > 2.5 * residuals[1] > 0
-                and residuals[1] > 2.5 * residuals[0] > 0
-                and residuals[2] * d0 / 16 > 1e-8 * scale):
-            raise DiscontinuousAtSingularity(
-                f"subtracted integrand grows like a pole near {singularity}; "
-                "the integrand appears discontinuous there"
-            )
+def _read_integrand(f, points: np.ndarray) -> np.ndarray:
+    """``f(points)`` as floats of the shape of ``points``: one finite real
+    number per point, or one for all, else ``NonFiniteValue``."""
+    values = read_numbers(f(points))
+    if isinstance(values, str) or values.shape not in ((), points.shape):
+        culprit = values if isinstance(values, str) else f"an array of shape {values.shape}"
+        raise NonFiniteValue(
+            f"integrand must give one finite real number per point or one for all, got {culprit}")
+    return np.broadcast_to(values, points.shape)
 
 
 def principal_value(f, singularity: float, grid: ContinuumGrid) -> float:
@@ -163,8 +150,13 @@ def principal_value(f, singularity: float, grid: ContinuumGrid) -> float:
     Parameters
     ----------
     f : callable
-        Real function, continuous at the singularity; evaluated on grid
-        nodes and at probe points next to the singularity.
+        Real function, continuous at the singularity.  It is called once, on
+        one array: the singularity, six continuity probes at singularity +- d
+        for d = d0, d0/4, d0/16, then the grid nodes.  d0 is half the local
+        node spacing, or half the distance to the nearer end of the support if
+        that is closer, so every probe lies inside it.  ``f`` returns one
+        finite real number per point, or one for all; anything else raises
+        ``NonFiniteValue``.
     singularity : float
         Pole position, strictly inside (0, omega_max).
     grid : ContinuumGrid
@@ -174,6 +166,10 @@ def principal_value(f, singularity: float, grid: ContinuumGrid) -> float:
     float
         Subtracted quadrature plus the analytic logarithmic term.  Converges
         at the quadrature order of the underlying scheme as the grid refines.
+
+    For continuous f the subtracted integrand at the probes approaches the
+    derivative; a pole-like growth (factor ~4 per factor-4 shrink of the probe
+    distance) on either side raises ``DiscontinuousAtSingularity``.
     """
     if not callable(f):
         raise TypeError("principal_value needs a callable integrand")
@@ -182,20 +178,27 @@ def principal_value(f, singularity: float, grid: ContinuumGrid) -> float:
         culprit = at if isinstance(at, str) else repr(singularity)
         raise SingularityOutsideSupport(
             f"singularity must be a number strictly inside (0, {grid.omega_max}), got {culprit}")
-    f_at = float(f(singularity))
-    if not np.isfinite(f_at):
-        raise NonFiniteValue("integrand is not finite at the singularity")
-    _check_continuity(f, singularity, grid, f_at)
+    d0 = min(grid.spacing_near(at), at, grid.omega_max - at) / 2
+    d = d0 / np.array([1.0, 4.0, 16.0])
+    points = np.concatenate(([at], at + d, at - d, grid.nodes))
+    values = _read_integrand(f, points)
+    f_at = values[0]
 
-    values = np.broadcast_to(np.asarray(f(grid.nodes), float), grid.nodes.shape)
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteValue("integrand is not finite on every grid node")
-    subtracted = (values - f_at) / (grid.nodes - singularity)
-    log_term = f_at * np.log((grid.omega_max - singularity) / singularity)
+    # per side, farthest probe first: a jump makes each residual ~4x the one before
+    residuals = np.abs((values[1:7] - f_at) / (points[1:7] - at)).reshape(2, 3)
+    grows = (np.all(residuals[:, 1:] > 2.5 * residuals[:, :-1], axis=1) & (residuals[:, 0] > 0)
+             & (residuals[:, 2] * d[2] > 1e-8 * max(abs(f_at), 1e-12)))
+    if np.any(grows):
+        raise DiscontinuousAtSingularity(
+            f"subtracted integrand grows like a pole near {singularity}; "
+            "the integrand appears discontinuous there")
+
+    subtracted = (values[7:] - f_at) / (grid.nodes - at)
+    log_term = f_at * np.log((grid.omega_max - at) / at)
     return float(np.dot(grid.weights, subtracted) + log_term)
 
 
 def resolvent_boundary(f, singularity: float, grid: ContinuumGrid) -> complex:
     """Boundary value int f(w)/(w - i0 - singularity) dw = i*pi*f + PV."""
     pv = principal_value(f, singularity, grid)
-    return complex(pv, np.pi * float(f(singularity)))
+    return complex(pv, np.pi * _read_integrand(f, np.asarray(singularity, float)))

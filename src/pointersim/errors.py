@@ -43,7 +43,7 @@ class InvalidGrid(SimulationError, ValueError):
 
 
 class NonFiniteValue(SimulationError):
-    """Integrand produced NaN or infinity on the grid."""
+    """Integrand produced a value that is not a finite real number."""
 
 
 class SingularityOutsideSupport(SimulationError):

@@ -97,8 +97,9 @@ def csco_diagonalize(blocks):
         block = read_numbers(block, complex)
         if isinstance(block, str):
             raise NonHermitianBlock(f"block {k} is not finite or not numeric, got {block}")
-        if block.ndim != 2 or block.shape[0] != block.shape[1]:
-            raise NonHermitianBlock(f"block {k} is not square: shape {block.shape}")
+        if block.ndim != 2 or block.shape[0] != block.shape[1] or not block.size:
+            problem = "not square" if block.size else "empty"
+            raise NonHermitianBlock(f"block {k} is {problem}: shape {block.shape}")
         if np.max(np.abs(block - block.conj().T), initial=0.0) > _HERM_TOL:
             raise NonHermitianBlock(f"block {k} is not Hermitian")
         results.append(_ordered_eigenpairs(block))

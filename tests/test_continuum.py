@@ -64,8 +64,12 @@ def test_unknown_scheme_rejected():
     ((10.0, True), {}),
     ((10.0, 64), {"avoid": ["x"]}),
     ((10.0, 64), {"avoid": [1.0, [2.0]]}),
+    # avoid is a number or a flat sequence of them, never a table
+    ((10.0, 64), {"avoid": [[1.0, 2.0]]}),
+    ((10.0, 64), {"avoid": np.array([[1.0], [2.0]])}),
 ], ids=["zero-cutoff", "infinite-cutoff", "colliding-shifts", "string-cutoff", "bool-cutoff",
-        "fractional-count", "string-count", "bool-count", "string-avoid", "ragged-avoid"])
+        "fractional-count", "string-count", "bool-count", "string-avoid", "ragged-avoid",
+        "row-avoid", "column-avoid"])
 def test_malformed_grid_is_an_invalid_grid(args, kwargs):
     with pytest.raises(InvalidGrid):
         build_grid(*args, **kwargs)
@@ -91,6 +95,40 @@ def test_pv_rejects_non_finite_on_grid():
     grid = build_grid(10.0, 100)
     with np.errstate(divide="ignore"), pytest.raises(NonFiniteValue):
         principal_value(lambda w: 1.0 / (np.asarray(w, float) - grid.nodes[0]), 5.0, grid)
+
+
+@pytest.mark.parametrize("value, culprit", [
+    ("1.0", "'1.0'"),
+    (True, "True"),
+    (None, "None"),
+    (1 + 0j, r"\(1\+0j\)"),
+    ([1.0], r"an array of shape \(1,\)"),
+    (np.ones(200), r"an array of shape \(200,\)"),
+], ids=["string", "bool", "none", "complex", "one-entry-list", "wrong-length"])
+def test_pv_integrand_values_follow_the_number_rule(value, culprit):
+    # no string is parsed as a number and no boolean read as 1; the grid
+    # nodes and probes are 207 points, so 200 values are one per node only
+    grid = build_grid(10.0, 200)
+    with pytest.raises(NonFiniteValue, match=f"got {culprit}$"):
+        principal_value(lambda w: value, 5.0, grid)
+
+
+def test_resolvent_boundary_integrand_values_follow_the_number_rule():
+    grid = build_grid(10.0, 200)
+    with pytest.raises(NonFiniteValue, match="got '1.0'$"):
+        resolvent_boundary(lambda w: "1.0", 5.0, grid)
+
+
+def test_pv_evaluates_the_integrand_once():
+    grid = build_grid(10.0, 200)
+    calls = []
+
+    def counted(w):
+        calls.append(np.shape(w))
+        return np.cos(w)
+
+    principal_value(counted, 1.0, grid)
+    assert calls == [(grid.size + 7,)]
 
 
 def test_pv_constant_at_midpoint_vanishes():

@@ -4,6 +4,12 @@ package names a subclass of ``errors.SimulationError``.
 The one exception is the ``TypeError`` of ``principal_value`` for an
 integrand that is not callable, a programming error rather than bad input.
 A bare ``raise`` names nothing and is refused too.
+
+The walk is static: it sees only the package's own ``raise`` statements.
+An error that numpy or Python raises inside a call, a broadcast
+``ValueError`` or a ``float()`` ``TypeError``, passes it unseen, so each
+input check needs its own test with the bad input itself (as in
+``test_continuum`` and ``test_measurement``).
 """
 
 import ast

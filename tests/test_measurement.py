@@ -131,6 +131,8 @@ def test_csco_rejects_non_hermitian_block():
         csco_diagonalize([np.array([[0.0, 1.0], [0.0, 0.0]])])
     with pytest.raises(NonHermitianBlock):
         csco_diagonalize([np.zeros((2, 3))])
+    with pytest.raises(NonHermitianBlock, match="block 0 is empty"):
+        csco_diagonalize([np.zeros((0, 0))])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, "0.5", True, [0.5]],
