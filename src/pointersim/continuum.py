@@ -158,7 +158,8 @@ def principal_value(f, singularity: float, grid: ContinuumGrid) -> float:
         finite real number per point, or one for all; anything else raises
         ``NonFiniteValue``.
     singularity : float
-        Pole position, strictly inside (0, omega_max).
+        Pole position, strictly inside (0, omega_max), and far enough from
+        its ends that every probe rounds to a point other than it.
     grid : ContinuumGrid
 
     Returns
@@ -171,6 +172,11 @@ def principal_value(f, singularity: float, grid: ContinuumGrid) -> float:
     derivative; a pole-like growth (factor ~4 per factor-4 shrink of the probe
     distance) on either side raises ``DiscontinuousAtSingularity``.
     """
+    return _principal_value(f, singularity, grid)[0]
+
+
+def _principal_value(f, singularity, grid: ContinuumGrid):
+    """``principal_value`` and the f(singularity) it read."""
     if not callable(f):
         raise TypeError("principal_value needs a callable integrand")
     at = read_numbers(singularity)
@@ -181,6 +187,10 @@ def principal_value(f, singularity: float, grid: ContinuumGrid) -> float:
     d0 = min(grid.spacing_near(at), at, grid.omega_max - at) / 2
     d = d0 / np.array([1.0, 4.0, 16.0])
     points = np.concatenate(([at], at + d, at - d, grid.nodes))
+    if np.any(points[1:7] == at):
+        raise SingularityOutsideSupport(
+            f"singularity {float(at)!r} is too close to an end of (0, {grid.omega_max}): "
+            "its continuity probes round onto it")
     values = _read_integrand(f, points)
     f_at = values[0]
 
@@ -195,10 +205,13 @@ def principal_value(f, singularity: float, grid: ContinuumGrid) -> float:
 
     subtracted = (values[7:] - f_at) / (grid.nodes - at)
     log_term = f_at * np.log((grid.omega_max - at) / at)
-    return float(np.dot(grid.weights, subtracted) + log_term)
+    return float(np.dot(grid.weights, subtracted) + log_term), float(f_at)
 
 
 def resolvent_boundary(f, singularity: float, grid: ContinuumGrid) -> complex:
-    """Boundary value int f(w)/(w - i0 - singularity) dw = i*pi*f + PV."""
-    pv = principal_value(f, singularity, grid)
-    return complex(pv, np.pi * _read_integrand(f, np.asarray(singularity, float)))
+    """Boundary value int f(w)/(w - i0 - singularity) dw = i*pi*f + PV.
+
+    ``f`` is called once, as ``principal_value`` calls it.
+    """
+    pv, f_at = _principal_value(f, singularity, grid)
+    return complex(pv, np.pi * f_at)

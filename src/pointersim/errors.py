@@ -47,7 +47,8 @@ class NonFiniteValue(SimulationError):
 
 
 class SingularityOutsideSupport(SimulationError):
-    """Principal-value singularity must lie strictly inside (0, omega_max)."""
+    """Principal-value singularity must lie strictly inside (0, omega_max),
+    far enough from its ends that the continuity probes round to other points."""
 
 
 class DiscontinuousAtSingularity(SimulationError):

@@ -11,7 +11,10 @@ Neither H nor its eigenvector matrix Q is ever stored.  The levels couple to
 the nodes but not to each other, so H is diagonalized one level at a time
 (Bunch, Nielsen & Sorensen 1978): against the eigenbasis found so far, each
 level is an arrowhead matrix whose eigenvalues solve a secular equation in
-O(M^2) and whose eigenvectors have a closed form (``_FoldStep``).  Q is the
+O(M^2) and whose eigenvectors have a closed form (``_FoldStep``).  The solve
+makes two exact Cauchy passes over every root, one at the gaps' midpoints and
+one Newton pass, and checks each Newton step in O(M) from its nearest poles
+and that pass's sums carried to it (``_secular_roots``).  Q is the
 product of those N closed forms, so every product with Q or Q^T is a chain of
 N chunked Cauchy passes, O(N M^2) time and O(M) memory per column.  The
 returned ``OracleModel`` holds the ascending eigenvalues, the N level rows
@@ -249,11 +252,11 @@ def discretize(spec: ModelSpec, grid: ContinuumGrid) -> OracleModel:
 # solves F(d) = d * f(w_p + d), which has no pole at d = 0.  Every exact
 # evaluation of f sums over all k poles, an O(k^2) Cauchy pass, so the solve
 # makes as few as it can: one at the gap midpoints, whose sums also feed a
-# cheap near-field start model, then two Newton passes over every root and
-# short ones over the few left.  The eigenvector of root x_n is
-# c_n (1, g_k / (x_n - w_k)), with c_n the norm that makes it a unit vector,
-# so a product with the step's eigenvectors is a Cauchy matrix product that
-# never needs them stored.
+# cheap near-field start model, then one Newton pass over every root, whose
+# sums also check each root's Newton step, and short ones over the few left.
+# The eigenvector of root x_n is c_n (1, g_k / (x_n - w_k)), with c_n the
+# norm that makes it a unit vector, so a product with the step's
+# eigenvectors is a Cauchy matrix product that never needs them stored.
 
 _EPS = np.finfo(float).eps
 _SECULAR_MAX_ITER = 64
@@ -529,14 +532,20 @@ def _secular_roots(level: float, poles: np.ndarray, g2: np.ndarray):
     two poles exact and the rest frozen at the midpoint give a first guess,
     which ``_near_field_start`` refines in O(k B) on a model with the 2B
     nearest poles exact and the far field linear.  Then a vectorized
-    safeguarded Newton iteration on F(d) = d * f(w_p + d) runs, one exact
-    pass per iteration: every root keeps a bracket on which f changes sign,
-    and a Newton step that leaves it is replaced by bisection.  From the
-    near-field start, the second iteration finds almost every root converged,
-    so a fold step makes three exact passes over every root.  The last
-    iteration's pole sums give each norm,
-    1 / c_n^2 = 1 + sum_k g_k^2 / (x_n - w_k)^2.  Without poles the one root
-    is the level itself.
+    safeguarded Newton iteration on F(d) = d * f(w_p + d) runs
+    (``_newton_step``), one exact pass per iteration: every root keeps a
+    bracket on which f changes sign, and a Newton step that leaves it is
+    replaced by bisection.  From the near-field start, almost every root has
+    converged after its first Newton step.  So the first pass also sums
+    g_k^2 / (x_n - w_k)^3, and ``_near_check`` tests each step in O(k B)
+    instead of a second pass: the 2B poles nearest the root exact and the
+    first pass's far field carried to the step by Taylor terms, for a root
+    whose remainder bound lies below the stopping rule's rounding.  Only
+    the roots the check does not accept get more exact passes, so a fold
+    step makes two exact passes over every root.  Each root's norm comes
+    from the pole sums at its final offset, exact or carried,
+    1 / c_n^2 = 1 + sum_k g_k^2 / (x_n - w_k)^2.  Without poles the one
+    root is the level itself.
     """
     k = len(poles)
     if k == 0:
@@ -556,7 +565,7 @@ def _secular_roots(level: float, poles: np.ndarray, g2: np.ndarray):
         # gap's midpoint says which half holds the root, hence its pole
         half = 0.5 * np.diff(poles)
         left = np.arange(k - 1)
-        others, squares, _ = _pole_sum(poles, g2, left, half)
+        others, squares = _pole_sum(poles, g2, left, half, magnitude=False)
         f_mid = (poles[left] + half - level) - (others + g2[left] / half)
         lower_half = f_mid >= 0
         origin[1:k] = np.where(lower_half, left, left + 1)
@@ -578,32 +587,141 @@ def _secular_roots(level: float, poles: np.ndarray, g2: np.ndarray):
     base = poles[origin] - level
     norms = np.empty(k + 1)
     pending = np.arange(k + 1)
-    for _ in range(_SECULAR_MAX_ITER):
-        d, p, b = offset[pending], origin[pending], base[pending]
-        low, high = lo[pending], hi[pending]
-        sums, slopes, magnitude = _pole_sum(poles, g2, p, d)
-        reduced = b + d - sums                      # f without the pole at w_p
-        value = d * reduced - g2[p]                 # F(d)
-        slope = reduced + d * (1.0 + slopes)        # F'(d)
-        bound = np.abs(d) * (np.abs(b + d) + magnitude) + g2[p]
-
-        # f < 0 where F and d differ in sign: the root lies further up
-        up = (value < 0) == (d > 0)
-        low = np.where(up, d, low)
-        high = np.where(up | (value == 0), high, d)
-        newton = d - np.divide(value, slope, out=np.full_like(d, np.nan), where=slope != 0)
-        step = np.where((newton > low) & (newton < high), newton, 0.5 * (low + high))
-        done = (np.abs(value) <= 4 * _EPS * bound) | (np.abs(step - d) <= 2 * _EPS * np.abs(d))
+    for iteration in range(_SECULAR_MAX_ITER):
+        d, p = offset[pending], origin[pending]
+        first = iteration == 0
+        at_d = _pole_sum(poles, g2, p, d, cubes=first)
+        done, step, lo[pending], hi[pending], _ = _newton_step(
+            base[pending], d, g2[p], lo[pending], hi[pending], *at_d[:3])
         offset[pending] = np.where(done, d, step)
-        lo[pending], hi[pending] = low, high
         # a finished root keeps d, so its sums are those of its final offset
-        norms[pending[done]] = 1.0 / np.sqrt(1.0 + slopes[done] + g2[p[done]] / d[done] ** 2)
+        norms[pending[done]] = 1.0 / np.sqrt(1.0 + at_d[1][done] + g2[p[done]] / d[done] ** 2)
+        if first:
+            # every root is pending: each step is checked from its near field
+            # and this pass's far field, and a root the check cannot vouch
+            # for gets an exact pass
+            checked, own = _near_check(poles, g2, base, origin, d, step, lo, hi, at_d)
+            checked &= ~done
+            norms[checked] = 1.0 / np.sqrt(own[checked])
+            done |= checked
         pending = pending[~done]
         if not len(pending):
             return poles[origin], offset, norms
     raise EigensolverFailure(
         f"secular equation: {len(pending)} of {k + 1} roots did not converge "
         f"in {_SECULAR_MAX_ITER} iterations")
+
+
+def _newton_step(base, d, g2p, low, high, sums, slopes, magnitude):
+    """One safeguarded Newton step on F(d) = d * f(w_p + d) from the pole sums
+    at d: whether d is converged, the next offset, the bracket narrowed by
+    the sign of f, and the rounding scale of F(d).
+
+    d is converged when |F(d)| is within 4 eps of that scale or the next
+    step moves it by at most 2 eps |d|.  A step that leaves the bracket, or
+    is not finite, is replaced by bisection.
+    """
+    reduced = base + d - sums                   # f without the pole at w_p
+    value = d * reduced - g2p                   # F(d)
+    slope = reduced + d * (1.0 + slopes)        # F'(d)
+    bound = np.abs(d) * (np.abs(base + d) + magnitude) + g2p
+    # f < 0 where F and d differ in sign: the root lies further up
+    up = (value < 0) == (d > 0)
+    low = np.where(up, d, low)
+    high = np.where(up | (value == 0), high, d)
+    newton = d - np.divide(value, slope, out=np.full_like(d, np.nan), where=slope != 0)
+    step = np.where((newton > low) & (newton < high), newton, 0.5 * (low + high))
+    done = (np.abs(value) <= 4 * _EPS * bound) | (np.abs(step - d) <= 2 * _EPS * np.abs(d))
+    return done, step, low, high, bound
+
+
+def _near_check(poles, g2, base, origin, start, offset, low, high, at_start):
+    """Which of the k + 1 roots are converged at ``offset``, and their
+    1 / c_n^2 there, from ``_carried_sums`` in O(k B).
+
+    A root passes when ``_newton_step``'s stopping rule holds on the carried
+    sums and both remainders lie below the rounding they feed: |offset|
+    times the sums' bound, which moves F, within eps of the rule's scale,
+    and the squares' bound within eps of 1 / c_n^2, which the norm reads.
+    Any other root needs an exact pass.
+    """
+    sums, slopes, magnitude, sum_error, slope_error = _carried_sums(
+        poles, g2, origin, start, offset, at_start)
+    g2p = g2[origin]
+    # the check only vouches for roots: one whose carried sums overflow is
+    # not finite, and fails it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        done, _, _, _, bound = _newton_step(base, offset, g2p, low, high, sums, slopes, magnitude)
+        own = 1.0 + slopes + g2p / offset ** 2
+        # written so that a NaN remainder fails the check
+        done &= (np.abs(offset) * sum_error <= _EPS * bound) & (slope_error <= _EPS * own)
+    return done, own
+
+
+def _near_windows(poles, g2):
+    """Row n: the 2B poles n-B .. n+B-1 around root n's gap, B = ``_NEAR_POLES``,
+    and their weights g^2.
+
+    Root n lies between poles n-1 and n, so columns B-1 and B hold the
+    gap's own two.  Past the grid's ends a window reads padding poles of
+    no weight.  Both are views, k + 1 rows of 2B.
+    """
+    width = 2 * _NEAR_POLES
+    return (sliding_window_view(np.pad(poles, _NEAR_POLES, mode="edge"), width),
+            sliding_window_view(np.pad(g2, _NEAR_POLES), width))
+
+
+def _carried_sums(poles, g2, origin, start, offset, at_start):
+    """``_pole_sum``'s sums at ``offset`` for all k + 1 roots, in order, carried
+    from their exact sums ``at_start`` at ``start`` in O(k B), and bounds on
+    the error of the first two.
+
+    ``at_start`` holds the four sums of ``_pole_sum(..., cubes=True)``.  Root
+    n's near field, the poles of its row of ``_near_windows``, is summed
+    exactly at the new offset.  Its far field, every other pole but its own,
+    is ``at_start`` less its near part: with S, T, U and A its sums of
+    g_k^2 / (x - w_k), of the square, of the cube and of the absolute value
+    at the start x, a move by D = offset - start, and r = |D| over the
+    distance from x to the nearest far pole, for r < 1,
+
+    - the sums are S - D T + D^2 U, within |D| r^2 T / (1 - r);
+    - the squares are T - 2 D U, within r^2 (3 + 2 r) T / (1 - r)^2;
+    - the absolute sums are at least A / (1 + r), which is what is returned,
+      so the stopping rule's scale can only shrink.
+
+    Each bound is the tail of the geometric series of 1 / (x + D - w_k) in
+    D / (x - w_k), term by term.  For r >= 1 both error bounds are infinite.
+    """
+    k = len(poles)
+    at, weight = _near_windows(poles, g2)
+    anchor = poles[origin]
+    move = offset - start
+    # the nearest far poles, n - B - 1 below the root and n + B above it,
+    # infinitely far where the grid ends first
+    fence = np.concatenate(([-np.inf], poles, [np.inf]))
+    roots = np.arange(k + 1)
+    below = fence[np.maximum(roots - _NEAR_POLES, 0)]
+    above = fence[np.minimum(roots + _NEAR_POLES + 1, k + 1)]
+    distance = np.minimum((anchor - below) + start, (above - anchor) - start)
+    # the near field's four sums, in the order of ``at_start``, at the start
+    # and at the new offset
+    near = np.empty((2, 4, k + 1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for rows, inverse, terms in _chunks(range(k + 1), 2 * _NEAR_POLES, scratch=2):
+            window = at[rows], weight[rows], inverse, terms
+            own = _NEAR_POLES + origin[rows] - roots[rows]
+            for moments, x in zip(near, (start, offset)):
+                moments[:2, rows] = _near_sums(*window, anchor[rows], x[rows], own)
+                np.multiply(terms, inverse, out=terms)
+                moments[3, rows] = np.einsum("ij,ij->i", terms, inverse)
+                moments[2, rows] = np.einsum("ij,ij->i", weight[rows], np.abs(inverse, out=inverse))
+        sums, squares, magnitude, cubes = np.asarray(at_start) - near[0]
+        r = np.abs(move) / distance
+        return (near[1, 0] + (sums - move * squares + move * move * cubes),
+                near[1, 1] + (squares - 2.0 * move * cubes),
+                near[1, 2] + magnitude / (1.0 + r),
+                np.where(r < 1, np.abs(move) * r * r * np.abs(squares) / (1.0 - r), np.inf),
+                np.where(r < 1, r * r * (3.0 + 2.0 * r) * np.abs(squares) / (1.0 - r) ** 2, np.inf))
 
 
 def _near_field_start(level, poles, g2, half, at_mid, origin, offset, lo, hi):
@@ -622,10 +740,9 @@ def _near_field_start(level, poles, g2, half, at_mid, origin, offset, lo, hi):
     k = len(poles)
     offset = offset.copy()
     width = 2 * _NEAR_POLES
-    # row i holds poles i-B+1 .. i+B, so columns B-1 and B are the gap's own
-    # two; past the grid's ends the windows read padding poles of no weight
-    at = sliding_window_view(np.pad(poles, _NEAR_POLES, mode="edge"), width)[1:k]
-    weight = sliding_window_view(np.pad(g2, _NEAR_POLES), width)[1:k]
+    # row i holds poles i-B+1 .. i+B, the window of root i + 1, so columns
+    # B-1 and B are the gap's own two
+    at, weight = (window[1:k] for window in _near_windows(poles, g2))
     # the model only proposes steps: one that overflows or divides by zero
     # is not finite, and is not taken
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -673,26 +790,30 @@ def _two_pole_root(c, own, far, gap):
     return np.divide(numerator, denominator, out=np.zeros_like(c), where=denominator != 0)
 
 
-def _pole_sum(poles, g2, origin, offset):
+def _pole_sum(poles, g2, origin, offset, magnitude=True, cubes=False):
     """Sums over all poles but each root's own, in row chunks.
 
-    For roots x_n = w_origin(n) + offset_n, returns sum g_k^2 / (x_n - w_k),
-    sum g_k^2 / (x_n - w_k)^2 and sum |g_k^2 / (x_n - w_k)| with k != origin(n).
-    Since g_k^2 >= 0, each is a matrix-vector product with g^2.
+    For roots x_n = w_origin(n) + offset_n, returns sum g_k^2 / (x_n - w_k)
+    and sum g_k^2 / (x_n - w_k)^2 with k != origin(n), then, as asked,
+    sum |g_k^2 / (x_n - w_k)| and sum g_k^2 / (x_n - w_k)^3, each formed in
+    place on the block of the others.  Since g_k^2 >= 0, each is a
+    matrix-vector product with g^2.
     """
-    sums = np.empty(len(offset))
-    slopes = np.empty(len(offset))
-    magnitude = np.empty(len(offset))
+    out = np.empty((4, len(offset)))
+    sums, slopes, size, cube = out
 
     def part(span: range):
         for rows, inverse, terms in _chunks(span, len(poles), scratch=2):
             _inverse_distances(poles, poles[origin[rows]], offset[rows], inverse, origin[rows])
             sums[rows] = inverse @ g2
-            magnitude[rows] = np.abs(inverse, out=terms) @ g2
+            if magnitude:
+                size[rows] = np.abs(inverse, out=terms) @ g2
             slopes[rows] = np.square(inverse, out=terms) @ g2
+            if cubes:
+                cube[rows] = np.multiply(terms, inverse, out=terms) @ g2
 
     _in_parts(len(offset), len(poles), part)
-    return sums, slopes, magnitude
+    return tuple(out[[True, True, magnitude, cubes]])
 
 
 def _check_window(model: OracleModel, t) -> np.ndarray:

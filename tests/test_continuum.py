@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,33 @@ def test_pv_evaluates_the_integrand_once():
 
     principal_value(counted, 1.0, grid)
     assert calls == [(grid.size + 7,)]
+
+
+def test_resolvent_boundary_evaluates_the_integrand_once():
+    grid = build_grid(10.0, 200)
+    calls = []
+
+    def counted(w):
+        calls.append(np.shape(w))
+        return np.cos(w)
+
+    value = resolvent_boundary(counted, 1.0, grid)
+    assert calls == [(grid.size + 7,)]
+    assert value == complex(principal_value(np.cos, 1.0, grid), np.pi * np.cos(1.0))
+
+
+@pytest.mark.parametrize("singularity", [np.nextafter(10.0, 0.0), 5e-324], ids=["top", "bottom"])
+def test_pv_refuses_a_singularity_its_probes_round_onto(singularity):
+    # within an ulp or two of an end, singularity +- d0/16 rounds back onto
+    # the singularity, and the continuity residuals would be 0/0
+    grid = build_grid(10.0, 200)
+    calls = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for boundary in (principal_value, resolvent_boundary):
+            with pytest.raises(SingularityOutsideSupport, match="probes round onto it$"):
+                boundary(lambda w: calls.append(w) or np.cos(w), singularity, grid)
+    assert calls == []
 
 
 def test_pv_constant_at_midpoint_vanishes():

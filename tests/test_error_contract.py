@@ -1,8 +1,10 @@
 """Bad input ends as a ``SimulationError``: every explicit ``raise`` in the
 package names a subclass of ``errors.SimulationError``.
 
-The one exception is the ``TypeError`` of ``principal_value`` for an
-integrand that is not callable, a programming error rather than bad input.
+The one exception is the ``TypeError`` of ``principal_value`` and
+``resolvent_boundary`` for an integrand that is not callable, a programming
+error rather than bad input; both raise it from their shared
+``_principal_value``.
 A bare ``raise`` names nothing and is refused too.
 
 The walk is static: it sees only the package's own ``raise`` statements.
@@ -19,7 +21,7 @@ import pointersim
 from pointersim import errors
 
 SRC = Path(pointersim.__file__).resolve().parent
-_ALLOWED = {("continuum", "principal_value", "TypeError")}
+_ALLOWED = {("continuum", "_principal_value", "TypeError")}
 
 
 class _Raises(ast.NodeVisitor):

@@ -236,9 +236,9 @@ def test_broken_fold_data_fails_the_gate_and_the_materialized_check(case, mutati
 
 
 @pytest.mark.parametrize("case", ["constant-uniform", "two-level-constant"])
-def test_secular_solve_makes_three_full_passes_per_fold_step(monkeypatch, case):
-    # the midpoint pass and two Newton passes over every root; the near-field
-    # start leaves later passes a few stragglers
+def test_secular_solve_makes_two_full_passes_per_fold_step(monkeypatch, case):
+    # the midpoint pass and one Newton pass over every root; the near-field
+    # check of each Newton step leaves later passes a few stragglers
     pole_sum, secular_roots = pointersim.oracle._pole_sum, pointersim.oracle._secular_roots
     rows = []
 
@@ -246,9 +246,9 @@ def test_secular_solve_makes_three_full_passes_per_fold_step(monkeypatch, case):
         rows.append([])
         return secular_roots(*args)
 
-    def counted_sum(poles, g2, origin, offset):
+    def counted_sum(poles, g2, origin, offset, *args, **kwargs):
         rows[-1].append(len(offset))
-        return pole_sum(poles, g2, origin, offset)
+        return pole_sum(poles, g2, origin, offset, *args, **kwargs)
 
     monkeypatch.setattr(pointersim.oracle, "_secular_roots", counted_roots)
     monkeypatch.setattr(pointersim.oracle, "_pole_sum", counted_sum)
@@ -256,8 +256,118 @@ def test_secular_solve_makes_three_full_passes_per_fold_step(monkeypatch, case):
     assert len(rows) == model.n_levels
     for step, counts in zip(model.steps, rows):
         roots = len(step.anchor)
-        assert counts[:3] == [roots - 2, roots, roots]
-        assert sum(count >= roots / 2 for count in counts) <= 3, counts
+        assert counts[:2] == [roots - 2, roots]
+        assert sum(count >= roots / 2 for count in counts) <= 2, counts
+
+
+def _unchecked(carried_sums):
+    """``_carried_sums`` with both error bounds infinite: no root passes the
+    near-field check, and every Newton step gets an exact pass."""
+
+    def unchecked(*args):
+        sums, slopes, magnitude, _, _ = carried_sums(*args)
+        return sums, slopes, magnitude, np.full_like(sums, np.inf), np.full_like(sums, np.inf)
+
+    return unchecked
+
+
+def _two_pole_start(level, poles, g2, half, at_mid, origin, offset, lo, hi):
+    # the first guess as it is, without the near-field model's steps
+    return offset
+
+
+def _midpoint_start(level, poles, g2, half, at_mid, origin, offset, lo, hi):
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("start", [_two_pole_start, _midpoint_start], ids=["two-pole", "midpoint"])
+@pytest.mark.parametrize("case", ["constant-uniform", "gaussian-symmetric", "strong-coupling"])
+def test_a_poor_start_falls_back_to_the_exact_passes(monkeypatch, case, start):
+    # far from the roots the first Newton steps are long, the far field's
+    # remainder bound refuses them, and the exact passes take over
+    pole_sum = pointersim.oracle._pole_sum
+    counts = []
+
+    def counted_sum(poles, g2, origin, offset, *args, **kwargs):
+        counts.append(len(offset))
+        return pole_sum(poles, g2, origin, offset, *args, **kwargs)
+
+    monkeypatch.setattr(pointersim.oracle, "_near_field_start", start)
+    monkeypatch.setattr(pointersim.oracle, "_pole_sum", counted_sum)
+    model = _cross_check_model(case)
+    roots = len(model.steps[0].anchor)
+    assert counts[1] == roots and counts[2] >= roots / 2, counts
+    monkeypatch.setattr(pointersim.oracle, "_carried_sums",
+                        _unchecked(pointersim.oracle._carried_sums))
+    exact = _cross_check_model(case)
+    assert np.all(np.abs(model.eigenvalues - exact.eigenvalues)
+                  <= 2 * np.spacing(np.abs(exact.eigenvalues)))
+    assert np.max(np.abs(model.eigenvectors - exact.eigenvectors)) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("scheme", ["uniform-midpoint", "gauss-legendre-composite"])
+@pytest.mark.parametrize("scale", [1e-3, 1e-2, 0.1, 0.5])
+def test_carried_far_field_stays_within_its_remainder_bound(scheme, scale):
+    # roots a quarter gap off a pole, moved by up to ``scale`` gaps: the
+    # carried sums against the exact ones at the new offsets
+    grid = build_grid(10.0, 400, scheme)
+    poles = grid.nodes
+    k = len(poles)
+    g2 = (0.05 * (1.0 + np.sin(poles)) ** 2 + 1e-4) * grid.weights
+    gaps = np.diff(poles)
+    roots = np.arange(k + 1)
+    origin = np.clip(roots - 1, 0, k - 1)
+    gap = np.concatenate([gaps[:1], gaps, gaps[-1:]])
+    start = np.where(roots == 0, -0.25, 0.25) * gap
+    offset = start + scale * gap * np.cos(3.0 * roots)
+    at_start = pointersim.oracle._pole_sum(poles, g2, origin, start, cubes=True)
+    sums, slopes, magnitude, sum_error, slope_error = pointersim.oracle._carried_sums(
+        poles, g2, origin, start, offset, at_start)
+    exact_sums, exact_slopes, exact_magnitude = pointersim.oracle._pole_sum(poles, g2, origin, offset)
+    # the rounding of the exact sums and of the far field's difference
+    rounding = 64 * np.finfo(float).eps
+    assert np.all(np.abs(sums - exact_sums) <= sum_error + rounding * exact_magnitude)
+    assert np.all(np.abs(slopes - exact_slopes) <= slope_error + rounding * exact_slopes)
+    assert np.all(magnitude <= exact_magnitude * (1 + rounding))
+    # the bounds are finite, and at the larger moves more than rounding
+    assert np.all(np.isfinite(sum_error)) and np.all(np.isfinite(slope_error))
+    if scale >= 0.1:
+        assert np.max(sum_error / exact_magnitude) > 1e3 * rounding
+
+
+def test_near_check_refuses_a_step_whose_remainder_exceeds_the_rounding():
+    # converged roots, checked from starts a move r = 1e-5 of the distance to
+    # the nearest far pole away: the carried sums still pass the stopping
+    # rule, but the squares' remainder is above the norm's rounding, and so
+    # is their actual error, so no root may pass; from the roots themselves,
+    # every root passes with its own norm
+    spec, m, scheme = _CROSS_CHECK_CASES["strong-coupling"]
+    grid = build_grid(spec.omega_max, m, scheme, avoid=spec.levels)
+    poles = grid.nodes
+    g2 = pointersim.oracle._couplings(spec, grid)[0] ** 2
+    anchor, offset, norms = pointersim.oracle._secular_roots(spec.levels[0], poles, g2)
+    origin = np.searchsorted(poles, anchor)
+    base = anchor - spec.levels[0]
+    low, high = np.minimum(0.0, 2 * offset), np.maximum(0.0, 2 * offset)
+    distance = (pointersim.oracle._NEAR_POLES + 0.5) * np.median(np.diff(poles))
+    eps = np.finfo(float).eps
+    for move, passing in ((0.0, True), (1e-5 * distance, False)):
+        start = offset - move
+        at_start = pointersim.oracle._pole_sum(poles, g2, origin, start, cubes=True)
+        checked, own = pointersim.oracle._near_check(
+            poles, g2, base, origin, start, offset, low, high, at_start)
+        if passing:
+            assert np.all(checked)
+            assert np.all(np.abs(1.0 / np.sqrt(own) - norms) <= 4 * eps * norms)
+            continue
+        sums, slopes, magnitude, _, _ = pointersim.oracle._carried_sums(
+            poles, g2, origin, start, offset, at_start)
+        rule, *_ = pointersim.oracle._newton_step(base, offset, g2[origin], low, high,
+                                                  sums, slopes, magnitude)
+        exact_slopes = pointersim.oracle._pole_sum(poles, g2, origin, offset)[1]
+        own = 1.0 + exact_slopes + g2[origin] / offset ** 2
+        assert np.all(rule) and np.max(np.abs(slopes - exact_slopes) / own) > 4 * eps
+        assert not np.any(checked)
 
 
 @pytest.mark.parametrize("case", ["constant-uniform", "two-level-constant"])
