@@ -83,7 +83,8 @@ def _parse_times(data) -> np.ndarray:
     space = np.linspace if spacing == "linear" else np.geomspace
     try:
         return space(t_start, t_end, samples)
-    except MemoryError as exc:
+    # numpy refuses a size past its limit with a ValueError, before allocating
+    except (MemoryError, ValueError) as exc:
         raise ConfigParse(f"times.samples = {samples} times do not fit in memory") from exc
 
 

@@ -98,12 +98,14 @@ def build_grid(omega_max: float, m: int, scheme: str = "uniform-midpoint",
         culprit = targets if isinstance(targets, str) else f"an array of shape {targets.shape}"
         raise InvalidGrid(f"avoid must be finite numbers in at most one dimension, got {culprit}")
 
+    if scheme not in GRID_SCHEMES:
+        raise InvalidGrid(f"unknown grid scheme '{scheme}'")
     try:
         if scheme == "uniform-midpoint":
             h = omega_max / m
             nodes = (np.arange(m) + 0.5) * h
             weights = np.full(m, h)
-        elif scheme == "gauss-legendre-composite":
+        else:
             panels = m // _GL_ORDER
             x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
             edges = np.linspace(0.0, omega_max, panels + 1)
@@ -111,9 +113,8 @@ def build_grid(omega_max: float, m: int, scheme: str = "uniform-midpoint",
             mid = (edges[:-1] + edges[1:]) / 2
             nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
             weights = (half[:, None] * w[None, :]).ravel()
-        else:
-            raise InvalidGrid(f"unknown grid scheme '{scheme}'")
-    except MemoryError as exc:
+    # numpy refuses a size past its limit with a ValueError, before allocating
+    except (MemoryError, ValueError) as exc:
         raise InvalidGrid(f"grid.m = {m} nodes do not fit in memory") from exc
 
     for target in np.atleast_1d(targets):

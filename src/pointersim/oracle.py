@@ -13,9 +13,10 @@ the nodes but not to each other, so H is diagonalized one level at a time
 level is an arrowhead matrix whose eigenvalues solve a secular equation in
 O(M^2) and whose eigenvectors have a closed form (``_FoldStep``).  The solve
 makes two exact Cauchy passes over every root, one at the gaps' midpoints and
-one Newton pass, and checks each Newton step in O(M) from its nearest poles
-and that pass's sums carried to it (``_secular_roots``).  Q is the
-product of those N closed forms, so every product with Q or Q^T is a chain of
+one Newton pass, and checks each Newton step in O(M) from the poles nearest
+its root, summed by one near-field evaluator (``_near_moments``), and that
+pass's sums carried to it (``_secular_roots``).  Q is the product of those N
+closed forms, so every product with Q or Q^T is a chain of
 N chunked Cauchy passes, O(N M^2) time and O(M) memory per column.  The
 returned ``OracleModel`` holds the ascending eigenvalues, the N level rows
 Q[:N, :] (all that survival probabilities, level coherences and spectral
@@ -528,21 +529,22 @@ def _secular_roots(level: float, poles: np.ndarray, g2: np.ndarray):
     norms c_n of their eigenvectors.
 
     One exact pass at the gap midpoints picks each interior root's half-gap
-    bracket and its pole.  Its sums also seed the root's start: the gap's
-    two poles exact and the rest frozen at the midpoint give a first guess,
-    which ``_near_field_start`` refines in O(k B) on a model with the 2B
-    nearest poles exact and the far field linear.  Then a vectorized
-    safeguarded Newton iteration on F(d) = d * f(w_p + d) runs
+    bracket and its pole; a root on a midpoint closes its bracket there.
+    The pass's sums also seed the root's start: the gap's two poles exact
+    and the rest frozen at the midpoint give a first guess, which
+    ``_near_field_start`` refines in O(k B) on a model with the root's near
+    field (``_near_moments``) exact and the far field linear.  Then a
+    vectorized safeguarded Newton iteration on F(d) = d * f(w_p + d) runs
     (``_newton_step``), one exact pass per iteration: every root keeps a
     bracket on which f changes sign, and a Newton step that leaves it is
     replaced by bisection.  From the near-field start, almost every root has
     converged after its first Newton step.  So the first pass also sums
     g_k^2 / (x_n - w_k)^3, and ``_near_check`` tests each step in O(k B)
-    instead of a second pass: the 2B poles nearest the root exact and the
-    first pass's far field carried to the step by Taylor terms, for a root
-    whose remainder bound lies below the stopping rule's rounding.  Only
-    the roots the check does not accept get more exact passes, so a fold
-    step makes two exact passes over every root.  Each root's norm comes
+    instead of a second pass: the near field exact and the first pass's far
+    field carried to the step by Taylor terms, for a root whose remainder
+    bound lies below the stopping rule's rounding.  Only the roots the
+    check does not accept get more exact passes, so a fold step makes two
+    exact passes over every root.  Each root's norm comes
     from the pole sums at its final offset, exact or carried,
     1 / c_n^2 = 1 + sum_k g_k^2 / (x_n - w_k)^2.  Without poles the one
     root is the level itself.
@@ -571,6 +573,9 @@ def _secular_roots(level: float, poles: np.ndarray, g2: np.ndarray):
         origin[1:k] = np.where(lower_half, left, left + 1)
         lo[1:k] = np.where(lower_half, 0.0, -half)
         hi[1:k] = np.where(lower_half, half, 0.0)
+        # a root on the midpoint: a bracket open at half would keep every
+        # Newton step out and leave only bisection toward it
+        np.copyto(lo[1:k], half, where=f_mid == 0)
         # first guess: the gap's two poles exact, the rest frozen at the
         # midpoint, c - g_l^2 / (x - w_l) - g_r^2 / (x - w_r) = 0; it is only
         # a start, so an overflow in it just fails the bracket test below
@@ -658,17 +663,33 @@ def _near_check(poles, g2, base, origin, start, offset, low, high, at_start):
     return done, own
 
 
-def _near_windows(poles, g2):
-    """Row n: the 2B poles n-B .. n+B-1 around root n's gap, B = ``_NEAR_POLES``,
-    and their weights g^2.
+def _near_moments(poles, g2, first, origin, offset):
+    """``_pole_sum``'s four sums over the near field of roots first, first + 1,
+    ... at x_n = w_origin(n) + offset_n, in its order: of g_k^2 / (x_n - w_k),
+    its square, its absolute value and its cube.
 
-    Root n lies between poles n-1 and n, so columns B-1 and B hold the
-    gap's own two.  Past the grid's ends a window reads padding poles of
-    no weight.  Both are views, k + 1 rows of 2B.
+    Root n lies between poles n-1 and n.  Its near field is the 2B poles
+    n-B .. n+B-1 around that gap, B = ``_NEAR_POLES``, less its own pole;
+    past the grid's ends the window reads padding poles of no weight, so
+    there it holds fewer.  Each sum is formed in O(B) per root, in place on
+    the window's block of weighted inverse distances.
     """
     width = 2 * _NEAR_POLES
-    return (sliding_window_view(np.pad(poles, _NEAR_POLES, mode="edge"), width),
-            sliding_window_view(np.pad(g2, _NEAR_POLES), width))
+    stop = first + len(offset)
+    at, weight = (sliding_window_view(padded, width)[first:stop] for padded in
+                  (np.pad(poles, _NEAR_POLES, mode="edge"), np.pad(g2, _NEAR_POLES)))
+    # the own pole's column in each root's window
+    own = _NEAR_POLES + origin - np.arange(first, stop)
+    out = np.empty((4, len(offset)))
+    sums, squares, magnitude, cubes = out
+    for rows, inverse, terms in _chunks(range(len(offset)), width, scratch=2):
+        _inverse_distances(at[rows], poles[origin[rows]], offset[rows], inverse, own[rows])
+        np.multiply(weight[rows], inverse, out=terms)
+        sums[rows] = terms.sum(axis=1)
+        squares[rows] = np.einsum("ij,ij->i", terms, inverse)
+        cubes[rows] = np.einsum("ij,ij->i", np.multiply(terms, inverse, out=terms), inverse)
+        magnitude[rows] = np.einsum("ij,ij->i", weight[rows], np.abs(inverse, out=inverse))
+    return out
 
 
 def _carried_sums(poles, g2, origin, start, offset, at_start):
@@ -676,13 +697,13 @@ def _carried_sums(poles, g2, origin, start, offset, at_start):
     from their exact sums ``at_start`` at ``start`` in O(k B), and bounds on
     the error of the first two.
 
-    ``at_start`` holds the four sums of ``_pole_sum(..., cubes=True)``.  Root
-    n's near field, the poles of its row of ``_near_windows``, is summed
-    exactly at the new offset.  Its far field, every other pole but its own,
-    is ``at_start`` less its near part: with S, T, U and A its sums of
-    g_k^2 / (x - w_k), of the square, of the cube and of the absolute value
-    at the start x, a move by D = offset - start, and r = |D| over the
-    distance from x to the nearest far pole, for r < 1,
+    ``at_start`` holds the four sums of ``_pole_sum(..., cubes=True)``.  Each
+    root's near field (``_near_moments``) is summed exactly at the new
+    offset.  Its far field, every other pole but its own, is ``at_start``
+    less its near part: with S, T, U and A its sums of g_k^2 / (x - w_k), of
+    the square, of the cube and of the absolute value at the start x, a
+    move by D = offset - start, and r = |D| over the distance from x to the
+    nearest far pole, for r < 1,
 
     - the sums are S - D T + D^2 U, within |D| r^2 T / (1 - r);
     - the squares are T - 2 D U, within r^2 (3 + 2 r) T / (1 - r)^2;
@@ -693,7 +714,6 @@ def _carried_sums(poles, g2, origin, start, offset, at_start):
     D / (x - w_k), term by term.  For r >= 1 both error bounds are infinite.
     """
     k = len(poles)
-    at, weight = _near_windows(poles, g2)
     anchor = poles[origin]
     move = offset - start
     # the nearest far poles, n - B - 1 below the root and n + B above it,
@@ -703,23 +723,14 @@ def _carried_sums(poles, g2, origin, start, offset, at_start):
     below = fence[np.maximum(roots - _NEAR_POLES, 0)]
     above = fence[np.minimum(roots + _NEAR_POLES + 1, k + 1)]
     distance = np.minimum((anchor - below) + start, (above - anchor) - start)
-    # the near field's four sums, in the order of ``at_start``, at the start
-    # and at the new offset
-    near = np.empty((2, 4, k + 1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for rows, inverse, terms in _chunks(range(k + 1), 2 * _NEAR_POLES, scratch=2):
-            window = at[rows], weight[rows], inverse, terms
-            own = _NEAR_POLES + origin[rows] - roots[rows]
-            for moments, x in zip(near, (start, offset)):
-                moments[:2, rows] = _near_sums(*window, anchor[rows], x[rows], own)
-                np.multiply(terms, inverse, out=terms)
-                moments[3, rows] = np.einsum("ij,ij->i", terms, inverse)
-                moments[2, rows] = np.einsum("ij,ij->i", weight[rows], np.abs(inverse, out=inverse))
-        sums, squares, magnitude, cubes = np.asarray(at_start) - near[0]
+        sums, squares, magnitude, cubes = np.asarray(at_start) - _near_moments(
+            poles, g2, 0, origin, start)
+        near = _near_moments(poles, g2, 0, origin, offset)
         r = np.abs(move) / distance
-        return (near[1, 0] + (sums - move * squares + move * move * cubes),
-                near[1, 1] + (squares - 2.0 * move * cubes),
-                near[1, 2] + magnitude / (1.0 + r),
+        return (near[0] + (sums - move * squares + move * move * cubes),
+                near[1] + (squares - 2.0 * move * cubes),
+                near[2] + magnitude / (1.0 + r),
                 np.where(r < 1, np.abs(move) * r * r * np.abs(squares) / (1.0 - r), np.inf),
                 np.where(r < 1, r * r * (3.0 + 2.0 * r) * np.abs(squares) / (1.0 - r) ** 2, np.inf))
 
@@ -729,54 +740,31 @@ def _near_field_start(level, poles, g2, half, at_mid, origin, offset, lo, hi):
 
     Row i holds the root in the gap between poles i and i + 1, at ``offset``
     from its pole ``origin``, inside its bracket (lo, hi).  The model keeps
-    the 2B poles nearest the gap exact, B = ``_NEAR_POLES`` on each side and
-    fewer at the grid's ends.  The rest, the far field, enters to first order
-    about the gap's midpoint m: its sum of g_k^2 / (x - w_k) is S - T (x - m),
-    with S and T its sums of g_k^2 / (m - w_k) and g_k^2 / (m - w_k)^2.  They
-    are ``at_mid``, the midpoint pass's sums over every pole but pole i, less
-    their near part.  ``_MODEL_STEPS`` Newton steps on the model's F(d)
-    follow; a step is taken only when it is finite and inside the bracket.
+    the root's near field (``_near_moments``) exact.  The rest, the far
+    field, enters to first order about the gap's midpoint m: its sum of
+    g_k^2 / (x - w_k) is S - T (x - m), with S and T its sums of
+    g_k^2 / (m - w_k) and g_k^2 / (m - w_k)^2.  They are ``at_mid``, the
+    midpoint pass's sums over every pole but pole i, less their near part.
+    ``_MODEL_STEPS`` Newton steps on the model's F(d) follow; a step is
+    taken only when it is finite and inside the bracket.
     """
-    k = len(poles)
-    offset = offset.copy()
-    width = 2 * _NEAR_POLES
-    # row i holds poles i-B+1 .. i+B, the window of root i + 1, so columns
-    # B-1 and B are the gap's own two
-    at, weight = (window[1:k] for window in _near_windows(poles, g2))
+    gap = np.arange(len(poles) - 1)
     # the model only proposes steps: one that overflows or divides by zero
     # is not finite, and is not taken
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for rows, inverse, terms in _chunks(range(k - 1), width, scratch=2):
-            gap = np.arange(rows.start, rows.stop)
-            own = origin[rows]
-            middle = half[rows]
-            near = (at[rows], weight[rows], inverse, terms)
-            mid_sums, mid_squares = _near_sums(*near, poles[gap], middle, _NEAR_POLES - 1)
-            far = at_mid[0][rows] - mid_sums
-            far_squares = at_mid[1][rows] - mid_squares
-            # x - midpoint is d - half from the gap's left pole, d + half from its right one
-            base = (poles[own] - level) - far + far_squares * np.where(own == gap, -middle, middle)
-            column = _NEAR_POLES - 1 + (own - gap)
-            d, low, high = offset[rows], lo[rows], hi[rows]
-            for _ in range(_MODEL_STEPS):
-                sums, squares = _near_sums(*near, poles[own], d, column)
-                reduced = base + d - sums + far_squares * d
-                value = d * reduced - g2[own]
-                slope = reduced + d * (1.0 + squares + far_squares)
-                step = d - value / slope
-                # NaN and infinite steps fail the comparisons too
-                d = np.where((step > low) & (step < high), step, d)
-            offset[rows] = d
+        # the midpoint pass left out each gap's left pole: the near part too
+        far, far_squares = np.asarray(at_mid) - _near_moments(poles, g2, 1, gap, half)[:2]
+        # x - midpoint is d - half from the gap's left pole, d + half from its right one
+        base = (poles[origin] - level) - far + far_squares * np.where(origin == gap, -half, half)
+        for _ in range(_MODEL_STEPS):
+            sums, squares = _near_moments(poles, g2, 1, origin, offset)[:2]
+            reduced = base + offset - sums + far_squares * offset
+            value = offset * reduced - g2[origin]
+            slope = reduced + offset * (1.0 + squares + far_squares)
+            step = offset - value / slope
+            # NaN and infinite steps fail the comparisons too
+            offset = np.where((step > lo) & (step < hi), step, offset)
     return offset
-
-
-def _near_sums(at, weight, inverse, terms, anchor, offset, own):
-    """sum_j weight_nj / (x_n - at_nj) and sum_j weight_nj / (x_n - at_nj)^2
-    over every column j but ``own``, for x_n = anchor_n + offset_n, with the
-    scratch blocks ``inverse`` and ``terms``."""
-    _inverse_distances(at, anchor, offset, inverse, own)
-    np.multiply(weight, inverse, out=terms)
-    return terms.sum(axis=1), np.einsum("ij,ij->i", terms, inverse)
 
 
 def _two_pole_root(c, own, far, gap):

@@ -463,6 +463,21 @@ def test_unallocatable_time_grid_fails_with_one_line(tmp_path, capsys, monkeypat
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("size", [2 ** 62, 10 ** 30])
+@pytest.mark.parametrize("block,field", [("grid", "m"), ("times", "samples")])
+def test_a_size_past_numpys_limit_fails_with_one_line(tmp_path, capsys, block, field, size):
+    # numpy refuses these sizes before it allocates anything
+    write_model(tmp_path)
+    times = {"t_start": 1.0, "t_end": 10.0, "samples": 10, "spacing": "log"}
+    config = {"grid": {"m": 200, "scheme": "uniform-midpoint"}, "times": times,
+              "initial": {"diagonal": [0.3, 0.7]}}
+    config[block][field] = size
+    assert main(["evolve", "--config", str(write_config(tmp_path, **config))]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and f"{block}.{field} = {size} " in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["evolve", "measure"])
 def test_unallocatable_stack_fails_with_one_line(tmp_path, capsys, monkeypatch, command):
     monkeypatch.setattr("pointersim.evolution.np", NumpyWithoutMemory())

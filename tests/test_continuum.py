@@ -41,6 +41,14 @@ def test_unallocatable_grid_is_invalid_grid(monkeypatch, scheme):
         build_grid(10.0, 100_000_000_000, scheme)
 
 
+@pytest.mark.parametrize("scheme", ["uniform-midpoint", "gauss-legendre-composite"])
+@pytest.mark.parametrize("m", [2 ** 62, 10 ** 30])
+def test_grid_past_numpys_size_limit_is_invalid_grid(scheme, m):
+    # numpy refuses these sizes before it allocates anything
+    with pytest.raises(InvalidGrid, match=rf"grid\.m = {m} nodes do not fit in memory"):
+        build_grid(10.0, m, scheme)
+
+
 def test_too_few_nodes_rejected():
     with pytest.raises(TooFewNodes):
         build_grid(10.0, 8)

@@ -235,10 +235,9 @@ def test_broken_fold_data_fails_the_gate_and_the_materialized_check(case, mutati
     assert not (gram <= 1e-10 and decomposition <= 1e-12)
 
 
-@pytest.mark.parametrize("case", ["constant-uniform", "two-level-constant"])
-def test_secular_solve_makes_two_full_passes_per_fold_step(monkeypatch, case):
-    # the midpoint pass and one Newton pass over every root; the near-field
-    # check of each Newton step leaves later passes a few stragglers
+def _counted_passes(monkeypatch):
+    """A list that gets, for each fold step's secular solve from now on, the
+    list of its exact passes' row counts."""
     pole_sum, secular_roots = pointersim.oracle._pole_sum, pointersim.oracle._secular_roots
     rows = []
 
@@ -252,12 +251,32 @@ def test_secular_solve_makes_two_full_passes_per_fold_step(monkeypatch, case):
 
     monkeypatch.setattr(pointersim.oracle, "_secular_roots", counted_roots)
     monkeypatch.setattr(pointersim.oracle, "_pole_sum", counted_sum)
+    return rows
+
+
+@pytest.mark.parametrize("case", ["constant-uniform", "two-level-constant"])
+def test_secular_solve_makes_two_full_passes_per_fold_step(monkeypatch, case):
+    # the midpoint pass and one Newton pass over every root; the near-field
+    # check of each Newton step leaves later passes a few stragglers
+    rows = _counted_passes(monkeypatch)
     model = _cross_check_model(case)
     assert len(rows) == model.n_levels
     for step, counts in zip(model.steps, rows):
         roots = len(step.anchor)
         assert counts[:2] == [roots - 2, roots]
         assert sum(count >= roots / 2 for count in counts) <= 2, counts
+
+
+def test_a_root_on_its_gaps_midpoint_is_accepted_without_bisection(monkeypatch):
+    # level 0 sits at the middle of a symmetric grid, so f is exactly 0 at
+    # its gap's midpoint: the root's bracket closes there and the first
+    # Newton pass accepts it; bisecting toward an open bracket end at the
+    # midpoint would take some 44 passes more
+    rows = _counted_passes(monkeypatch)
+    step = _cross_check_model("near-field-wider-than-grid").steps[0]
+    assert len(rows[0]) <= 10, rows[0]
+    assert np.any((step.anchor + step.offset == step.level)
+                  & (step.offset == 0.5 * np.diff(step.poles)[0]))
 
 
 def _unchecked(carried_sums):
