@@ -5,10 +5,18 @@ values are asked for.  It is never a bool and never a string, and it is
 finite.  numpy would parse a string as a number and read a bool as 0 or 1,
 so ``read_numbers`` walks the input itself, in input order, before anything
 is converted.  It returns the converted array, or the *culprit*: ``"a ragged
-sequence"``, or the repr of the first entry it refuses.  Each caller raises
-its own ``SimulationError`` subclass with the culprit, in the form
-``<field> must be <requirement>, got <culprit>``, after its own shape and
-sign checks.
+sequence"``, or the repr of the first entry it refuses.
+
+A caller refuses through ``require_numbers``, with its own
+``SimulationError`` subclass and requirement, in the form ``<field> must
+be <requirement>, got <culprit>``.  A range rule, a negative time or a
+frequency outside the support, is a mask over the read array, so it is
+checked after the number rule and names its own first refused entry; shape
+checks follow the read.  Five reads keep ``read_numbers``'s culprit
+themselves, because a refusal there names the whole value rather than an
+entry: ``build_grid``'s ``omega_max`` and ``avoid``, the values an
+integrand returns, ``principal_value``'s singularity, and a CLI number,
+where any list is refused by its repr.
 
 An array a hot path already holds, a state's sector or an oracle product's
 columns, is neither copied nor walked: ``check_dtype`` reads its dtype
@@ -68,28 +76,36 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def require_numbers(value, error, requirement: str, dtype=float, refused=None) -> np.ndarray:
+    """``value`` read through ``read_numbers`` as ``dtype``, or
+    ``error(f"{requirement}, got {culprit}")``.
+
+    The culprit is the one ``read_numbers`` names; else, given ``refused``, a
+    map from the read array to a mask of the entries a range rule refuses,
+    the repr of the first masked entry.
+    """
+    numbers = read_numbers(value, dtype)
+    bad = isinstance(numbers, str) or refused is not None and refused(numbers)
+    if np.count_nonzero(bad):
+        culprit = numbers if isinstance(numbers, str) else repr(numbers[bad][0].item())
+        raise error(f"{requirement}, got {culprit}")
+    return numbers
+
+
 def check_time(t) -> np.ndarray:
     """Evolution times ``t``, a real scalar or an array of any shape, as floats.
 
     Refuses with ``NegativeTime`` any time that is not a finite integer or
     float (a string is never parsed as a time), then any that is negative.
-    The message names the first bad entry.
     """
-    times = read_numbers(t)
-    negative = isinstance(times, str) or times < 0
-    if np.count_nonzero(negative):
-        culprit = times if isinstance(times, str) else repr(times[negative][0].item())
-        raise NegativeTime(f"evolution time must be real, finite and >= 0, got {culprit}")
-    return times
+    return require_numbers(t, NegativeTime, "evolution time must be real, finite and >= 0",
+                           refused=lambda times: times < 0)
 
 
 def check_amplitudes(values) -> np.ndarray:
     """A complex copy of ``values``, which must hold finite integers, floats
     and complex numbers only; anything else raises ``InvalidState``."""
-    amplitudes = read_numbers(values, complex)
-    if isinstance(amplitudes, str):
-        raise InvalidState(f"amplitudes must be finite numbers, got {amplitudes}")
-    return amplitudes
+    return require_numbers(values, InvalidState, "amplitudes must be finite numbers", complex)
 
 
 def check_dtype(field: str, values, dtype) -> np.ndarray:

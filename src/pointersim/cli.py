@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._inputs import is_integer, read_numbers
+from ._inputs import is_integer, read_numbers, require_numbers
 from .continuum import GRID_SCHEMES, build_grid
 from .errors import ConfigParse, RecurrenceWindowExceeded, SimulationError
 from .evolution import decompose_initial, discrete_state, evolve, recompose
@@ -173,9 +173,7 @@ def _level_values(raw, field: str, n_levels: int, pairs: bool = False) -> np.nda
     """One finite number per level from a config list; [re, im] pairs when
     ``pairs``, returned as complex amplitudes."""
     shape = (n_levels, 2) if pairs else (n_levels,)
-    arr = read_numbers(raw)
-    if isinstance(arr, str):
-        raise ConfigParse(f"'{field}' must be finite floats or 64-bit integers, got {arr}")
+    arr = require_numbers(raw, ConfigParse, f"'{field}' must be finite floats or 64-bit integers")
     if arr.shape != shape:
         raise ConfigParse(f"'{field}' must have shape {shape}, one row per level; got {arr.shape}")
     return arr[:, 0] + 1j * arr[:, 1] if pairs else arr

@@ -56,7 +56,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._inputs import check_time, read_numbers, read_only
+from ._inputs import check_time, read_only, require_numbers
 from .continuum import ContinuumGrid
 from .errors import InvalidState, TraceViolation
 from .spectrum import LiouvilleSpectrum
@@ -176,9 +176,7 @@ def zero_state(grid: ContinuumGrid, n_levels: int) -> GeneralizedState:
 def discrete_state(grid: ContinuumGrid, rho_d) -> GeneralizedState:
     """State with only the discrete block occupied (a private copy of rho_d,
     whose entries must be finite numbers)."""
-    rho_d = read_numbers(rho_d, complex)
-    if isinstance(rho_d, str):
-        raise InvalidState(f"rho_d must be finite numbers, got {rho_d}")
+    rho_d = require_numbers(rho_d, InvalidState, "rho_d must be finite numbers", complex)
     return replace(zero_state(grid, 0), rho_omega_atoms=np.zeros(rho_d.shape[:-1]), rho_d=rho_d)
 
 

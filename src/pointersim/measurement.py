@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._inputs import check_amplitudes, read_numbers, read_only
+from ._inputs import check_amplitudes, read_only, require_numbers
 from .continuum import ContinuumGrid
 from .errors import InvalidState, NonHermitianBlock, NotNormalized
 from .evolution import GeneralizedState, discrete_state, equilibrium
@@ -94,9 +94,8 @@ def csco_diagonalize(blocks):
     results = []
     for k, block in enumerate(blocks):
         # finite first, so that a NaN cannot pass the comparison below
-        block = read_numbers(block, complex)
-        if isinstance(block, str):
-            raise NonHermitianBlock(f"block {k} is not finite or not numeric, got {block}")
+        block = require_numbers(block, NonHermitianBlock, f"block {k} is not finite or not numeric",
+                                complex)
         if block.ndim != 2 or block.shape[0] != block.shape[1] or not block.size:
             problem = "not square" if block.size else "empty"
             raise NonHermitianBlock(f"block {k} is {problem}: shape {block.shape}")

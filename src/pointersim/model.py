@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._inputs import is_integer, read_numbers
+from ._inputs import is_integer, require_numbers
 from .errors import (
     DegenerateLevels,
     LevelIndexOutOfRange,
@@ -132,9 +132,7 @@ def _numbers(name: str, value, max_ndim: int) -> np.ndarray:
     """A read-only float copy of ``value``, finite floats and 64-bit integers
     only, with at most ``max_ndim`` dimensions; strings and booleans are
     refused, never parsed."""
-    arr = read_numbers(value)
-    if isinstance(arr, str):
-        raise ModelInvalid(f"'{name}' must be finite floats or 64-bit integers, got {arr}")
+    arr = require_numbers(value, ModelInvalid, f"'{name}' must be finite floats or 64-bit integers")
     if arr.ndim > max_ndim:
         raise ModelInvalid(f"'{name}' has shape {arr.shape}, expected at most {max_ndim} dimensions")
     arr.flags.writeable = False
@@ -212,11 +210,8 @@ def check_index(i, count: int):
 def coupling_at(spec: ModelSpec, omega, i: int):
     """Evaluate coupling_scale * V(omega, i); omega may be a scalar or array."""
     check_index(i, spec.n_levels)
-    om = read_numbers(omega)
-    outside = isinstance(om, str) or (om < -_SUPPORT_TOL) | (om > spec.omega_max + _SUPPORT_TOL)
-    if np.count_nonzero(outside):
-        culprit = om if isinstance(om, str) else repr(om[outside][0].item())
-        raise OutOfSupport(f"omega must be finite numbers in [0, {spec.omega_max}], got {culprit}")
+    om = require_numbers(omega, OutOfSupport, f"omega must be finite numbers in [0, {spec.omega_max}]",
+                         refused=lambda w: (w < -_SUPPORT_TOL) | (w > spec.omega_max + _SUPPORT_TOL))
     value = spec.coupling_scale * _profile_values(spec.coupling, om, i)
     return float(value) if om.ndim == 0 else value
 

@@ -63,7 +63,7 @@ from functools import partial, reduce
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._inputs import check_amplitudes, check_dtype, check_time, read_numbers
+from ._inputs import check_amplitudes, check_dtype, check_time, require_numbers
 from .continuum import ContinuumGrid
 from .errors import EigensolverFailure, FitFailure, InvalidState, RecurrenceWindowExceeded
 from .model import ModelSpec, check_index, coupling_at
@@ -897,11 +897,8 @@ def pointer_weights(model: OracleModel, amplitudes, t) -> np.ndarray:
 
 def fit_exponential_rate(times, values) -> float:
     """Least-squares decay rate of values ~ exp(-rate * t) on a log scale."""
-    times, values = read_numbers(times), read_numbers(values)
-    if isinstance(times, str):
-        raise FitFailure(f"exponential fit needs finite times, got {times}")
-    if isinstance(values, str):
-        raise FitFailure(f"exponential fit needs strictly positive finite values, got {values}")
+    times = require_numbers(times, FitFailure, "exponential fit needs finite times")
+    values = require_numbers(values, FitFailure, "exponential fit needs strictly positive finite values")
     if times.ndim != 1 or times.shape != values.shape:
         raise FitFailure(f"exponential fit needs one value per time, got shapes "
                          f"{times.shape} and {values.shape}")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._inputs import read_numbers
+from ._inputs import require_numbers
 from .continuum import ContinuumGrid, principal_value
 from .errors import ModelInvalid, OutOfSupport
 from .model import ModelSpec, check_index, coupling_at
@@ -72,9 +72,7 @@ class LiouvilleSpectrum:
 
         Energies ``u`` that are not finite real numbers raise ``OutOfSupport``.
         """
-        u = read_numbers(u)
-        if isinstance(u, str):
-            raise OutOfSupport(f"u must be finite real numbers, got {u}")
+        u = require_numbers(u, OutOfSupport, "u must be finite real numbers")
         column = (slice(None),) + (None,) * u.ndim
         re = self.levels[column] - u - self.shift[column]
         return re + 0.5j * self.gamma[column]

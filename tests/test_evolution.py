@@ -53,7 +53,7 @@ def _continuum_state(grid):
     (lambda g: _state_with(g, rho_d=0.5), "square"),
     (lambda g: discrete_state(g, 0.5), "square"),
     (lambda g: discrete_state(g, [[1.0, 0.0], [0.0]]), "finite numbers, got a ragged sequence"),
-    (lambda g: discrete_state(g, [["1", "0"], ["0", "0"]]), "finite numbers, got '1'"),
+    (lambda g: discrete_state(g, [["1", "0"], ["0", "0"]]), r"^rho_d must be finite numbers, got '1'$"),
     (lambda g: discrete_state(g, [[True, False], [False, False]]), "got True"),
     (lambda g: _state_with(g, rho_omega_atoms=np.zeros(3)), "rho_omega_atoms must have shape"),
     (lambda g: _state_with(g, rho_iomega=np.zeros((2, g.size + 1))), "mixed sectors must have shape"),
@@ -424,6 +424,8 @@ def test_negative_time_rejected(grid, spectrum):
                      ([1.0, True], "True"), ([(0.5, 1.0), [2.0, False]], "False"),
                      (np.array([1.0, np.nan, 2.0]), "nan"),
                      (np.array([[1.0, 2.0], [-3.0, -4.0]]), "-3.0"),
+                     # the number rule reads the whole input before the sign
+                     ([-0.5, np.nan], "nan"),
                      ([1.0, [2.0]], "a ragged sequence"),
                      # numpy casts these lists to object and to str: the
                      # refusal names the entry itself, not the first one

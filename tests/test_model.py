@@ -122,15 +122,16 @@ def test_vectorized_evaluation_matches_scalar():
 
 def test_out_of_support_rejected():
     spec = make_constant_model([1.0], 0.1)
-    with pytest.raises(OutOfSupport):
-        coupling_at(spec, -0.5, 0)
-    with pytest.raises(OutOfSupport):
-        coupling_at(spec, 10.5, 0)
     # NaN fails every comparison, so it must not pass as inside the support;
-    # a string is never parsed as a frequency, nor a boolean read as 0 or 1
-    for omega in (np.nan, np.array([1.0, np.nan]), [1.0, [2.0]], "5.0", True):
-        with pytest.raises(OutOfSupport):
+    # a string is never parsed as a frequency, nor a boolean read as 0 or 1.
+    # The number rule reads the whole input before the support is checked.
+    for omega, culprit in ((-0.5, "-0.5"), (10.5, "10.5"), (np.nan, "nan"),
+                           (np.array([1.0, np.nan]), "nan"), ([1.0, [2.0]], "a ragged sequence"),
+                           ("5.0", "'5.0'"), (True, "True"), ([1.0, -0.5, 11.0], "-0.5"),
+                           ([-0.5, np.nan], "nan")):
+        with pytest.raises(OutOfSupport) as refused:
             coupling_at(spec, omega, 0)
+        assert str(refused.value) == f"omega must be finite numbers in [0, 10.0], got {culprit}"
 
 
 def test_bad_level_index_rejected():
