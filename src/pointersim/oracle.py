@@ -21,21 +21,26 @@ N chunked Cauchy passes, O(N M^2) time and O(M) memory per column.  The
 returned ``OracleModel`` holds the ascending eigenvalues, the N level rows
 Q[:N, :] (all that survival probabilities, level coherences and spectral
 measures read) and each step's O(M) fold data, and must pass an
-orthonormality gate.  The gate costs two Cauchy passes per fold step: a
-probe's forward pass, which gathers from the same blocks the pole sums each
-step's Gram bound needs, and the probe's transpose.  That bound's sums over
-pairs of roots are bounded from above in O(M log M), never computed in full.
+orthonormality gate.  The gate takes a probe x through Q^T and back through
+Q, and gathers from the forward pass's blocks the pole sums each step's Gram
+bound needs.  At the last fold step one pass does both: each chunk forms its
+roots' entries of the transpose from the block it builds for the forward
+product.  So the gate costs one Cauchy pass at the last step and two at each
+earlier one.  The Gram bound's sums over pairs of roots are bounded from
+above in O(M log M), never computed in full.
 
 Every chunked pass, those of the secular iteration and of the gate too, is
 split into contiguous row parts, one per CPU the process may run on, that
 run on a thread pool (``_in_parts``).  Parts end only at chunk boundaries,
 so each chunk meets the numpy and BLAS calls of a serial pass, and the
 eigenvalues, the level rows and every artifact do not depend on the CPU
-count.  Each part runs under a small ufunc buffer: at numpy's default, a
-column broadcast over rows of a few thousand entries, as every block of
-1/(x_n - w_k) is built, goes through the buffered iterator at 2-4 times the
-cost.  A pass sums only through BLAS, so the buffer moves no bit of a
-result.
+count.  A part multiplies through ``np.dot``, which releases the GIL for
+one matrix product where ``@`` and ``np.matmul`` hold it, so two parts'
+products overlap; both make the same BLAS call, so no bit moves.  Each part
+runs under a small ufunc buffer: at numpy's default, a column broadcast
+over rows of a few thousand entries, as every block of 1/(x_n - w_k) is
+built, goes through the buffered iterator at 2-4 times the cost.  A pass
+sums only through BLAS, so the buffer moves no bit of a result.
 
 The probes (``evolve_pure``, ``survival_probability``, ``coherence`` and
 ``pointer_weights``) read time as ``evolution.evolve`` does: ``t`` is a real
@@ -117,19 +122,24 @@ class OracleModel:
             raise InvalidState(f"{field} must have N+M = {self.size} rows, got shape {values.shape}")
         return values
 
-    def _forward(self, y: np.ndarray, gram_bounds: list | None = None) -> np.ndarray:
-        levels = np.empty((self.n_levels, y.shape[1]))
-        for s in reversed(range(self.n_levels)):
-            y = self.steps[s].forward(y, gram_bounds)
-            levels[s] = y[0]
-            y = y[1:]
-        return np.concatenate([levels, y])
+    def _forward(self, y: np.ndarray, gram_bounds: list | None = None, energies=None) -> np.ndarray:
+        """Q @ y.  Given the eigenvalues ``energies`` E, y is instead what
+        ``_backward(v, N - 1)`` returns, and the result is Q @ [u, E u] for
+        u = Q^T v: the last fold step forms u itself (``_FoldStep.forward``)."""
+        levels = []
+        for step in reversed(self.steps):
+            y = step.forward(y, gram_bounds, energies)
+            levels.insert(0, y[0])
+            y, energies = y[1:], None
+        return np.vstack(levels + [y])
 
-    def _backward(self, v: np.ndarray) -> np.ndarray:
+    def _backward(self, v: np.ndarray, stop: int | None = None) -> np.ndarray:
+        """Q^T @ v, or given ``stop``, the input that fold step ``stop``'s
+        transpose takes after the steps before it."""
         y = v[self.n_levels:]
-        for s, step in enumerate(self.steps):
+        for s, step in enumerate(self.steps[:stop]):
             y = step.transpose(np.concatenate([v[s:s + 1], y]))
-        return y
+        return y if stop is None else np.concatenate([v[stop:stop + 1], y])
 
     def orthonormality_defect(self) -> float:
         """A bound on max |Q^T Q - I|, checked against the level rows and a probe.
@@ -143,24 +153,29 @@ class OracleModel:
           1 plus the composed bound is the product of every 1 + b_s, so the
           steps compose in any order;
         - max |L L^T - I_N| over the stored level rows L;
-        - for the fixed probe x_j = cos(j): max |Q^T (Q x) - x| and the
-          eigen-equation residual max |H (Q x) - Q (E x)| / max |E|.
+        - for the fixed probe x_j = cos(j) and y = Q^T x: the round trip
+          max |Q y - x| and the eigen-equation residual
+          max |H (Q y) - Q (E y)| / max |E|.  Q is square, so
+          ||Q Q^T - I|| = ||Q^T Q - I||, and the round trip checks the same
+          pair of forward and transpose passes as Q^T (Q x) - x would.
 
-        Each b_s needs the pole sums of the step's stored roots, and the
-        probe's forward pass gathers them from the inverse-distance blocks it
-        builds anyway, so a fold step costs the gate two Cauchy passes: that
-        forward pass and the probe's transpose.
+        Each b_s needs the pole sums of the step's stored roots, which the
+        forward pass gathers from the inverse-distance blocks it builds
+        anyway.  The last fold step forms y's entries in that same pass
+        (``_FoldStep.forward``), so the gate costs one Cauchy pass there and
+        two at each earlier step.
         """
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             probe = np.cos(np.arange(self.size))
             gram_bounds = []
-            states = self._forward(np.column_stack([probe, self.eigenvalues * probe]), gram_bounds)
+            states = self._forward(self._backward(probe[:, None], self.n_levels - 1), gram_bounds,
+                                   self.eigenvalues)
             bound = 0.0
             for own in gram_bounds:
                 bound = own + (1.0 + own) * bound
             rows = self.eigenvectors
             level_gram = rows @ rows.T - np.eye(self.n_levels)
-            round_trip = self.apply_transpose(states[:, 0]) - probe
+            round_trip = states[:, 0] - probe
             residual = _hamiltonian_times(self.spec, self.grid, states[:, 0]) - states[:, 1]
             scale = np.max(np.abs(self.eigenvalues))
             return float(np.max([bound, np.max(np.abs(level_gram)),
@@ -300,34 +315,51 @@ class _FoldStep:
         row[: len(self.anchor)] = self.norms
         return row[self.order]
 
-    def forward(self, y: np.ndarray, gram_bounds: list | None = None) -> np.ndarray:
+    def forward(self, y: np.ndarray, gram_bounds: list | None = None,
+                energies: np.ndarray | None = None) -> np.ndarray:
         """S @ y for columns y: rows (level, previous basis).
 
         Each row part of the roots adds its own partial sum; the partial sums
         are added in part order.  Given a list ``gram_bounds``, the pass also
         sums g_k^2 / (x_n - w_k) and g_k^2 / (x_n - w_k)^2 for every root from
         the same inverse-distance blocks, and appends the step's
-        ``gram_bound``.
+        ``gram_bound``.  Given the step's ascending eigenvalues ``energies``
+        E, y is instead one column z with rows (level, previous basis), and
+        the pass returns S @ [u, E u] for u = S^T z: each chunk forms its
+        roots' rows of u from the block it builds for the product, so u costs
+        no pass of its own.
         """
         k = len(self.anchor)
-        unsorted = np.empty_like(y)
-        unsorted[self.order] = y
-        weighted = self.norms[:, None] * unsorted[:k]
+        if energies is None:
+            unsorted = np.empty_like(y)
+            unsorted[self.order] = y
+            weighted = self.norms[:, None] * unsorted[:k]
+        else:
+            # each row holds (1, E) until its u multiplies it; a deflated
+            # pole's u is its entry of z
+            along = self.coupling[:, None] * y[1:][self.active]
+            unsorted, weighted = np.empty((len(self.order), 2)), np.empty((k, 2))
+            unsorted[self.order] = np.column_stack([np.ones_like(energies), energies])
+            unsorted[k:] *= y[1:][~self.active]
         g2 = self.coupling * self.coupling
         pole_sums = np.empty((2, k))
 
         def part(span: range) -> np.ndarray:
-            coupled = np.zeros((len(self.poles), y.shape[1]))
+            coupled = np.zeros((len(self.poles), weighted.shape[1]))
             for rows, block in _chunks(span, len(self.poles)):
                 inverse = _inverse_distances(self.poles, self.anchor[rows], self.offset[rows], block)
-                coupled += inverse.T @ weighted[rows]
+                if energies is not None:
+                    # as ``transpose`` forms it, then as ``forward`` weighs [u, E u]
+                    u = (np.dot(inverse, along) + y[0]) * self.norms[rows, None]
+                    weighted[rows] = self.norms[rows, None] * (u * unsorted[rows])
+                coupled += np.dot(inverse.T, weighted[rows])
                 if gram_bounds is not None:
-                    pole_sums[0, rows] = inverse @ g2
-                    pole_sums[1, rows] = np.square(inverse, out=inverse) @ g2
+                    np.dot(inverse, g2, out=pole_sums[0, rows])
+                    np.dot(np.square(inverse, out=inverse), g2, out=pole_sums[1, rows])
             return coupled
 
         coupled = reduce(np.add, _in_parts(k, len(self.poles), part))
-        out = np.empty((1 + len(self.active), y.shape[1]))
+        out = np.empty((1 + len(self.active), weighted.shape[1]))
         out[0] = weighted.sum(axis=0)
         rest = out[1:]
         rest[self.active] = self.coupling[:, None] * coupled
@@ -346,7 +378,7 @@ class _FoldStep:
         def part(span: range):
             for rows, block in _chunks(span, len(self.poles)):
                 inverse = _inverse_distances(self.poles, self.anchor[rows], self.offset[rows], block)
-                np.matmul(inverse, coupled, out=unsorted[rows])
+                np.dot(inverse, coupled, out=unsorted[rows])
 
         _in_parts(k, len(self.poles), part)
         unsorted[:k] += z[0]
@@ -474,9 +506,9 @@ def _in_parts(count: int, width: int, work) -> list:
     A part starts only where a chunk of a serial walk over range(count)
     starts, so its ``_chunks`` are that walk's chunks: every numpy and BLAS
     call sees the block it sees serially, and no row depends on the CPU
-    count.  The parts run on a thread pool (numpy releases the GIL), each
-    under the caller's numpy error state, which does not reach other
-    threads by itself.  A pass of one chunk runs inline.  Every part, the
+    count.  The parts run on a thread pool (ufuncs and ``np.dot`` release
+    the GIL, ``@`` does not), each under the caller's numpy error state,
+    which does not reach other threads by itself.  A pass of one chunk runs inline.  Every part, the
     inline one too, runs under a ufunc buffer of ``_UFUNC_BUFFER`` entries
     and gives the thread back its own buffer size when it ends.
     """
@@ -793,12 +825,12 @@ def _pole_sum(poles, g2, origin, offset, magnitude=True, cubes=False):
     def part(span: range):
         for rows, inverse, terms in _chunks(span, len(poles), scratch=2):
             _inverse_distances(poles, poles[origin[rows]], offset[rows], inverse, origin[rows])
-            sums[rows] = inverse @ g2
+            np.dot(inverse, g2, out=sums[rows])
             if magnitude:
-                size[rows] = np.abs(inverse, out=terms) @ g2
-            slopes[rows] = np.square(inverse, out=terms) @ g2
+                np.dot(np.abs(inverse, out=terms), g2, out=size[rows])
+            np.dot(np.square(inverse, out=terms), g2, out=slopes[rows])
             if cubes:
-                cube[rows] = np.multiply(terms, inverse, out=terms) @ g2
+                np.dot(np.multiply(terms, inverse, out=terms), g2, out=cube[rows])
 
     _in_parts(len(offset), len(poles), part)
     return tuple(out[[True, True, magnitude, cubes]])

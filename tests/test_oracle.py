@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import re
 import sys
@@ -230,7 +232,9 @@ def _mutated_last_step(model, mutation):
 def test_broken_fold_data_fails_the_gate_and_the_materialized_check(case, mutation):
     model = _cross_check_model(case)
     mutant = _mutated_last_step(model, mutation)
-    # written so that NaN fails each check
+    # written so that NaN fails each check.  A flipped coupling leaves S
+    # orthogonal: the Gram bound and the round trip Q (Q^T x) = x hold, and
+    # only the eigen-equation residual H (Q y) = Q (E y) catches it
     assert not mutant.orthonormality_defect() <= 1e-10
     gram, decomposition = _materialized_defects(mutant)
     assert not (gram <= 1e-10 and decomposition <= 1e-12)
@@ -447,9 +451,11 @@ def test_gap_sums_bound_the_exact_ones_on_roots_spread_over_many_scales():
 
 
 @pytest.mark.parametrize("case", ["constant-uniform", "two-level-constant"])
-def test_gate_makes_two_full_passes_per_fold_step(monkeypatch, case):
-    # the probe's forward pass, which also gathers the Gram bound's pole
-    # sums, and its transpose; no block is as wide as the roots
+def test_gate_walks_the_last_step_once_and_earlier_steps_twice(monkeypatch, case):
+    # the probe's transposes through steps 0 .. N-2, then one sweep of the
+    # last step that forms u = S^T z and adds S [u, E u] from the same blocks,
+    # gathering the Gram bound's pole sums too, then the forward passes
+    # through steps N-2 .. 0; no block is as wide as the roots
     model = _cross_check_model(case)
     inverse_distances, chunks = pointersim.oracle._inverse_distances, pointersim.oracle._chunks
     rows, blocks = {}, []
@@ -468,9 +474,50 @@ def test_gate_makes_two_full_passes_per_fold_step(monkeypatch, case):
     monkeypatch.setattr(pointersim.oracle, "_inverse_distances", counted_rows)
     monkeypatch.setattr(pointersim.oracle, "_chunks", counted_chunks)
     assert model.orthonormality_defect() <= 1e-10
-    assert rows == {id(step.poles): 2 * len(step.anchor) for step in model.steps}
+    last = model.steps[-1]
+    assert rows == {id(step.poles): (1 if step is last else 2) * len(step.anchor)
+                    for step in model.steps}
     # with one CPU each pass is one walk over every root
-    assert sorted(blocks) == sorted(2 * [(len(step.anchor), len(step.poles)) for step in model.steps])
+    walks = [(len(step.anchor), len(step.poles)) for step in model.steps]
+    assert sorted(blocks) == sorted(walks[:-1] * 2 + walks[-1:])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("case", list(_CROSS_CHECK_CASES))
+def test_the_gates_fused_last_step_matches_its_transpose_then_its_forward(monkeypatch, case, cpus):
+    monkeypatch.setattr(pointersim.oracle, "_cpu_count", lambda: cpus)
+    model = _cross_check_model(case)
+    step, energies = model.steps[-1], model.eigenvalues
+    probe = np.cos(np.arange(model.size))
+    z = model._backward(probe[:, None], model.n_levels - 1)
+    u = step.transpose(z)[:, 0]
+    assert np.array_equal(u, model.apply_transpose(probe))
+    fused_bounds, bounds = [], []
+    fused = step.forward(z, fused_bounds, energies)
+    two_pass = step.forward(np.column_stack([u, energies * u]), bounds)
+    assert np.max(np.abs(fused - two_pass)) <= 1e-13
+    # the pole sums come from the same blocks
+    assert fused_bounds == bounds
+
+
+def test_pass_parts_multiply_through_np_dot():
+    # with numpy 2.4, `@` and np.matmul hold the GIL for one matrix product,
+    # and np.dot makes the same BLAS call without it.  On two CPUs, two
+    # threads on 18 x 3500 blocks of a pass ran at 0.78-0.92 times the
+    # serial speed with matmul and at 1.27-1.63 times with np.dot
+    tree = ast.parse(inspect.getsource(pointersim.oracle))
+    functions = {}
+    for node in tree.body:
+        for inner in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if isinstance(inner, ast.FunctionDef):
+                functions[inner.name if inner is node else f"{node.name}.{inner.name}"] = inner
+    products = []
+    for name in ("_pole_sum", "_FoldStep.forward", "_FoldStep.transpose"):
+        for node in ast.walk(functions[name]):
+            if ((isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+                    or (isinstance(node, ast.Attribute) and node.attr == "matmul")):
+                products.append(f"{name}, line {node.lineno}")
+    assert products == []
 
 
 def test_discretize_keeps_level_rows_only(unit_model):
