@@ -46,7 +46,6 @@ from .oracle import (
 )
 from .spectrum import (
     LiouvilleSpectrum,
-    level_shift,
     liouville_spectrum,
 )
 
@@ -75,7 +74,6 @@ __all__ = [
     "evolve_pure",
     "fit_exponential_rate",
     "fitted_decay_rate",
-    "level_shift",
     "liouville_spectrum",
     "load_model",
     "model_from_dict",

@@ -5,8 +5,14 @@ The principal value is computed by singularity subtraction:
     PV int_0^W f(w) / (w - W0) dw
         = int_0^W (f(w) - f(W0)) / (w - W0) dw  +  f(W0) * ln((W - W0) / W0)
 
-The subtracted integrand is regular whenever f is continuous at W0, so node
-placement near the singularity is uncritical.
+The subtracted integrand is regular whenever f is differentiable at W0; on a
+node that coincides with W0 it takes its limit f'(W0).  Node placement near
+the singularity still matters: f(w_k) - f(W0) is rounded, so a node w_k of
+weight h_k contributes an error of up to about
+eps * |f| * h_k / |w_k - W0| (eps the machine epsilon).  For sin on the
+2000-node midpoint grid of [0, 10], a singularity 1e-10 from a node is off by
+8.9e-10, 1e-12 from it (``build_grid``'s ``avoid`` tolerance) by 6.5e-8, and
+1e-13 from it by 3.2e-6.
 """
 
 from __future__ import annotations
@@ -173,11 +179,6 @@ def principal_value(f, singularity: float, grid: ContinuumGrid) -> float:
     derivative; a pole-like growth (factor ~4 per factor-4 shrink of the probe
     distance) on either side raises ``DiscontinuousAtSingularity``.
     """
-    return _principal_value(f, singularity, grid)[0]
-
-
-def _principal_value(f, singularity, grid: ContinuumGrid):
-    """``principal_value`` and the f(singularity) it read."""
     if not callable(f):
         raise TypeError("principal_value needs a callable integrand")
     at = read_numbers(singularity)
@@ -204,15 +205,11 @@ def _principal_value(f, singularity, grid: ContinuumGrid):
             f"subtracted integrand grows like a pole near {singularity}; "
             "the integrand appears discontinuous there")
 
-    subtracted = (values[7:] - f_at) / (grid.nodes - at)
+    gap = grid.nodes - at
+    # a node on the singularity takes the quotient's limit f'(at), the central
+    # difference of the nearest probe pair; every other node keeps its quotient
+    slope = (values[3] - values[6]) / (points[3] - points[6])
+    subtracted = np.divide(values[7:] - f_at, gap, out=np.full(grid.size, slope), where=gap != 0.0)
     log_term = f_at * np.log((grid.omega_max - at) / at)
-    return float(np.dot(grid.weights, subtracted) + log_term), float(f_at)
+    return float(np.dot(grid.weights, subtracted) + log_term)
 
-
-def resolvent_boundary(f, singularity: float, grid: ContinuumGrid) -> complex:
-    """Boundary value int f(w)/(w - i0 - singularity) dw = i*pi*f + PV.
-
-    ``f`` is called once, as ``principal_value`` calls it.
-    """
-    pv, f_at = _principal_value(f, singularity, grid)
-    return complex(pv, np.pi * f_at)

@@ -21,6 +21,12 @@ The imaginary part of lambda_d is computed directly as (gamma_i + gamma_j)/2
 so the damping-rate identity holds exactly in floating point, and the real
 part is assembled antisymmetrically so lambda_d[j, i] == -conj(lambda_d[i, j])
 exactly.
+
+``liouville_spectrum`` is the one place gamma and delta are computed: it
+reads V(Omega_i, i) once per level and forms gamma = 2.0 * pi * v * v in that
+product order (squaring v first moves gamma by an ulp for some amplitudes), and
+takes each delta_i from one ``principal_value`` call.  Readers use
+``LiouvilleSpectrum.gamma`` and ``.shift``.
 """
 
 from __future__ import annotations
@@ -32,20 +38,7 @@ import numpy as np
 from ._inputs import require_numbers
 from .continuum import ContinuumGrid, principal_value
 from .errors import ModelInvalid, OutOfSupport
-from .model import ModelSpec, check_index, coupling_at
-
-
-def decay_rate(spec: ModelSpec, i: int) -> float:
-    """Golden-rule width gamma_i = 2 pi V(Omega_i, i)^2 of level i."""
-    check_index(i, spec.n_levels)
-    v = coupling_at(spec, spec.levels[i], i)
-    return 2.0 * np.pi * v * v
-
-
-def level_shift(spec: ModelSpec, grid: ContinuumGrid, i: int) -> float:
-    """Second-order shift delta_i = PV int V(w, i)^2 / (w - Omega_i) dw."""
-    check_index(i, spec.n_levels)
-    return principal_value(lambda w: coupling_at(spec, w, i) ** 2, spec.levels[i], grid)
+from .model import ModelSpec, coupling_at
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +79,10 @@ def liouville_spectrum(spec: ModelSpec, grid: ContinuumGrid) -> LiouvilleSpectru
     """
     n = spec.n_levels
     with np.errstate(over="ignore", invalid="ignore"):
-        gamma = np.array([decay_rate(spec, i) for i in range(n)])
-        shift = np.array([level_shift(spec, grid, i) for i in range(n)])
+        v = np.array([coupling_at(spec, spec.levels[i], i) for i in range(n)])
+        gamma = 2.0 * np.pi * v * v
+        shift = np.array([principal_value(lambda w: coupling_at(spec, w, i) ** 2, spec.levels[i], grid)
+                          for i in range(n)])
         # both differences are antisymmetric at the ulp level, the sum of rates
         # symmetric, so the pairing lambda_d[j, i] == -conj(lambda_d[i, j]) is exact
         re = (spec.levels[:, None] - spec.levels[None, :]) - (shift[:, None] - shift[None, :])

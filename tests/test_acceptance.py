@@ -21,7 +21,6 @@ from pointersim import (
     evolve,
     fit_exponential_rate,
     fitted_decay_rate,
-    level_shift,
     liouville_spectrum,
     pointer_weights,
     premeasure,
@@ -82,9 +81,9 @@ def test_criterion_2_coherence_damping_and_sign(oracle_two, spectrum_two):
               f"phase error at most {worst_phase:.1e} of the shift phase at t = 100..300")
 
 
-def test_criterion_3_level_shift(single_level_model, grid_2000, oracle_single):
+def test_criterion_3_level_shift(spectrum_single, oracle_single):
     closed_form = 0.05 ** 2 * np.log(9.0)
-    shift = level_shift(single_level_model, grid_2000, 0)
+    shift = spectrum_single.shift[0]
     assert abs(shift - closed_form) < 1e-6
 
     displacement = 1.0 - resonance_center(oracle_single, 0)

@@ -6,7 +6,6 @@ import pytest
 from scipy.special import sici
 
 from pointersim import build_grid, principal_value
-from pointersim.continuum import resolvent_boundary
 from pointersim.errors import (
     DiscontinuousAtSingularity,
     InvalidGrid,
@@ -122,12 +121,6 @@ def test_pv_integrand_values_follow_the_number_rule(value, culprit):
         principal_value(lambda w: value, 5.0, grid)
 
 
-def test_resolvent_boundary_integrand_values_follow_the_number_rule():
-    grid = build_grid(10.0, 200)
-    with pytest.raises(NonFiniteValue, match="got '1.0'$"):
-        resolvent_boundary(lambda w: "1.0", 5.0, grid)
-
-
 def test_pv_evaluates_the_integrand_once():
     grid = build_grid(10.0, 200)
     calls = []
@@ -140,19 +133,6 @@ def test_pv_evaluates_the_integrand_once():
     assert calls == [(grid.size + 7,)]
 
 
-def test_resolvent_boundary_evaluates_the_integrand_once():
-    grid = build_grid(10.0, 200)
-    calls = []
-
-    def counted(w):
-        calls.append(np.shape(w))
-        return np.cos(w)
-
-    value = resolvent_boundary(counted, 1.0, grid)
-    assert calls == [(grid.size + 7,)]
-    assert value == complex(principal_value(np.cos, 1.0, grid), np.pi * np.cos(1.0))
-
-
 @pytest.mark.parametrize("singularity", [np.nextafter(10.0, 0.0), 5e-324], ids=["top", "bottom"])
 def test_pv_refuses_a_singularity_its_probes_round_onto(singularity):
     # within an ulp or two of an end, singularity +- d0/16 rounds back onto
@@ -161,9 +141,8 @@ def test_pv_refuses_a_singularity_its_probes_round_onto(singularity):
     calls = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for boundary in (principal_value, resolvent_boundary):
-            with pytest.raises(SingularityOutsideSupport, match="probes round onto it$"):
-                boundary(lambda w: calls.append(w) or np.cos(w), singularity, grid)
+        with pytest.raises(SingularityOutsideSupport, match="probes round onto it$"):
+            principal_value(lambda w: calls.append(w) or np.cos(w), singularity, grid)
     assert calls == []
 
 
@@ -259,22 +238,26 @@ def test_pv_midpoint_refinement_converges_second_order():
     assert errors[1] / errors[2] >= 2.0
 
 
-def test_resolvent_boundary_symmetric_point():
-    grid = build_grid(10.0, 1000)
-    value = resolvent_boundary(lambda w: np.ones_like(np.asarray(w, float)), 5.0, grid)
-    assert value.real == pytest.approx(0.0, abs=1e-10)
-    assert value.imag == pytest.approx(np.pi)
+@pytest.fixture(scope="module")
+def on_node():
+    # a grid built without avoid, and a singularity exactly on its node 400
+    grid = build_grid(10.0, 2000)
+    return grid, grid.nodes[400]
 
 
-def test_resolvent_boundary_zero_function():
-    grid = build_grid(10.0, 1000)
-    value = resolvent_boundary(lambda w: np.zeros_like(np.asarray(w, float)), 5.0, grid)
-    assert value == 0.0
+def test_pv_on_a_node_of_a_constant_is_the_log_term(on_node):
+    # the node's subtracted quotient is 0/0; its limit f'(E) = 0 stands in
+    grid, at = on_node
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = principal_value(lambda w: 0 * w + 1.0, at, grid)
+    assert value == pytest.approx(np.log((10.0 - at) / at), abs=1e-12)
 
 
-def test_resolvent_boundary_asymmetric_point():
-    grid = build_grid(10.0, 1000)
-    value = resolvent_boundary(lambda w: np.ones_like(np.asarray(w, float)), 1.0, grid)
-    assert value.real == pytest.approx(np.log(9.0), abs=1e-8)
-    assert value.imag == pytest.approx(np.pi)
-
+def test_pv_on_a_node_is_the_smooth_value_there(on_node):
+    # -1.6032086916 is the mean of the values at E +- 1e-6, E = 2.0025
+    grid, at = on_node
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = principal_value(np.sin, at, grid)
+    assert value == pytest.approx(-1.6032086916, abs=1e-10)

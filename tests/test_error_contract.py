@@ -1,10 +1,8 @@
 """Bad input ends as a ``SimulationError``: every explicit ``raise`` in the
 package names a subclass of ``errors.SimulationError``.
 
-The one exception is the ``TypeError`` of ``principal_value`` and
-``resolvent_boundary`` for an integrand that is not callable, a programming
-error rather than bad input; both raise it from their shared
-``_principal_value``.
+The one exception is the ``TypeError`` of ``principal_value`` for an
+integrand that is not callable, a programming error rather than bad input.
 A bare ``raise`` names nothing and is refused too.
 
 ``_inputs.require_numbers`` refuses a number with the error class its
@@ -27,7 +25,7 @@ import pointersim
 from pointersim import errors
 
 SRC = Path(pointersim.__file__).resolve().parent
-_ALLOWED = {("continuum", "_principal_value", "TypeError")}
+_ALLOWED = {("continuum", "principal_value", "TypeError")}
 # the one function that raises the error class it is given
 _HELPER = ("_inputs", "require_numbers")
 

@@ -21,7 +21,7 @@ from pointersim import (
     evolve_pure,
     fit_exponential_rate,
     fitted_decay_rate,
-    level_shift,
+    liouville_spectrum,
     load_model,
     pointer_weights,
     resonance_center,
@@ -741,7 +741,7 @@ def test_second_order_shift_matches_direct_sum(unit_model, grid_800):
     # PV quadrature; both approximate the same displacement, with the exact
     # level pushed down when most continuum weight lies above it
     direct = np.sum(0.1 ** 2 * grid_800.weights / (1.0 - grid_800.nodes))
-    shift = level_shift(unit_model, grid_800, 0)
+    shift = liouville_spectrum(unit_model, grid_800).shift[0]
     assert direct == pytest.approx(-shift, rel=0.1)
     assert shift > 0 and direct < 0
 

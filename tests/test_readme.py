@@ -42,8 +42,14 @@ def test_public_names_resolve():
     for gone in ("eigenvector_corrections", "embed_discrete", "integrate", "model_to_dict",
                  "energy_distribution", "classical_profile", "ClassicalProfile",
                  "EigenvectorCorrections", "diagonal_evolution", "EquilibriumState",
-                 "AtomicMeasure"):
+                 "AtomicMeasure", "decay_rate", "level_shift", "resolvent_boundary"):
         assert gone not in pointersim.__all__ and not hasattr(pointersim, gone)
+    # each level's rate and shift are computed in liouville_spectrum alone, and
+    # principal_value returns its float directly
+    for module, gone in ((pointersim.spectrum, "decay_rate"), (pointersim.spectrum, "level_shift"),
+                         (pointersim.continuum, "resolvent_boundary"),
+                         (pointersim.continuum, "_principal_value")):
+        assert not hasattr(module, gone), gone
     assert not hasattr(pointersim.spectrum, "EigenvectorCorrections")
     # the t -> infinity limit is a GeneralizedState, and recompose(evolve(...))
     # is the one evolution of a diagonal state

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from pointersim import build_grid, level_shift, liouville_spectrum
-from pointersim.errors import LevelIndexOutOfRange, OutOfSupport
-from pointersim.spectrum import decay_rate
+from pointersim import CouplingProfile, ModelSpec, build_grid, liouville_spectrum, principal_value
+from pointersim.errors import OutOfSupport
+from pointersim.model import coupling_at
 from .conftest import make_constant_model
 
 
@@ -14,29 +14,30 @@ def grid():
 
 def test_decay_rate_constant_coupling(grid):
     spec = make_constant_model([1.0], 0.1)
-    assert decay_rate(spec, 0) == pytest.approx(2 * np.pi * 0.01)
+    assert liouville_spectrum(spec, grid).gamma[0] == pytest.approx(2 * np.pi * 0.01)
 
 
 def test_decay_rate_vanishes_for_decoupled_level(grid):
     spec = make_constant_model([1.0], 0.1, scale=0.0)
-    assert decay_rate(spec, 0) == 0.0
+    assert liouville_spectrum(spec, grid).gamma[0] == 0.0
 
 
 def test_level_shift_symmetric_level_vanishes(grid):
     spec = make_constant_model([5.0], 0.1)
-    assert level_shift(spec, grid, 0) == pytest.approx(0.0, abs=1e-12)
+    assert liouville_spectrum(spec, grid).shift[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_level_shift_constant_coupling_closed_form(grid):
     spec = make_constant_model([1.0], 0.1)
-    assert level_shift(spec, grid, 0) == pytest.approx(0.01 * np.log(9.0), abs=1e-10)
+    assert liouville_spectrum(spec, grid).shift[0] == pytest.approx(0.01 * np.log(9.0), abs=1e-10)
 
 
 def test_diagonal_eigenvalue_is_pure_damping(grid):
     spec = make_constant_model([1.0], 0.1)
-    lam = liouville_spectrum(spec, grid).lambda_d[0, 0]
+    s = liouville_spectrum(spec, grid)
+    lam = s.lambda_d[0, 0]
     assert lam.real == 0.0
-    assert lam.imag == pytest.approx(decay_rate(spec, 0))
+    assert lam.imag == pytest.approx(s.gamma[0])
 
 
 def test_zero_coupling_reduces_to_level_splitting(grid):
@@ -81,9 +82,10 @@ def test_rates_and_shifts_scale_quadratically(grid):
 
 def test_discrete_continuum_eigenvalue_damps_at_half_rate(grid):
     spec = make_constant_model([1.0], 0.1)
-    lam = liouville_spectrum(spec, grid).lambda_discrete_continuum(4.0)[0]
-    assert lam.imag == pytest.approx(decay_rate(spec, 0) / 2.0)
-    assert lam.real == pytest.approx(1.0 - 4.0 - level_shift(spec, grid, 0))
+    s = liouville_spectrum(spec, grid)
+    lam = s.lambda_discrete_continuum(4.0)[0]
+    assert lam.imag == pytest.approx(s.gamma[0] / 2.0)
+    assert lam.real == pytest.approx(1.0 - 4.0 - s.shift[0])
 
 
 def test_mixed_eigenvalues_zero_coupling_reduce_to_detuning(grid):
@@ -114,18 +116,36 @@ def test_discrete_continuum_eigenvalues_refuse_energies_that_are_not_finite_numb
     assert str(refused.value) == f"u must be finite real numbers, got {got}"
 
 
-@pytest.mark.parametrize("i", [-1, 2, True], ids=["minus-one", "count", "bool"])
-def test_rate_and_shift_refuse_a_level_index_out_of_range(grid, i):
-    # checked before the level energy is read: -1 would wrap to the last
-    # level, 2 would fail inside numpy, and numpy reads True as a mask
-    spec = make_constant_model([1.0, 2.0], [0.05, 0.1])
-    for rate_or_shift in (lambda: decay_rate(spec, i), lambda: level_shift(spec, grid, i)):
-        with pytest.raises(LevelIndexOutOfRange, match=rf"integer in \[0, 2\), got {i}$"):
-            rate_or_shift()
+_LEVELS = np.array([1.0, 2.5, 4.0, 7.3])
+_PROFILES = {
+    "constant": CouplingProfile.constant,
+    "gaussian": lambda a: CouplingProfile.gaussian_window(a, 2.0, center=4.0),
+    "lorentzian": lambda a: CouplingProfile.lorentzian_window(a, 1.5, center=3.0),
+    "tabulated": lambda a: CouplingProfile.tabulated(
+        np.linspace(0.0, 10.0, 41), a * (1.0 + 0.3 * np.sin(np.linspace(0.0, 10.0, 41)))),
+}
 
 
-def test_spectrum_container_matches_free_functions(grid):
-    spec = make_constant_model([1.0, 2.0], 0.05)
+@pytest.mark.parametrize("amplitude", [0.01, 0.02, 0.1])
+@pytest.mark.parametrize("kind", sorted(_PROFILES))
+def test_rates_and_shifts_are_the_per_level_formulas_bit_for_bit(kind, amplitude):
+    # gamma_i = 2.0 * pi * v * v in this product order: squaring v first,
+    # 2 * (pi * v^2), moves gamma by an ulp in every case here but constant
+    # 0.1; delta_i is one PV per level
+    spec = ModelSpec(levels=_LEVELS, omega_max=10.0, coupling=_PROFILES[kind](amplitude))
+    grid = build_grid(10.0, 400, avoid=_LEVELS)
     s = liouville_spectrum(spec, grid)
-    assert s.gamma[0] == decay_rate(spec, 0)
-    assert s.shift[1] == level_shift(spec, grid, 1)
+    for i, level in enumerate(_LEVELS):
+        v = coupling_at(spec, level, i)
+        assert s.gamma[i] == 2.0 * np.pi * v * v
+        assert s.shift[i] == principal_value(lambda w: coupling_at(spec, w, i) ** 2, level, grid)
+
+
+def test_a_level_on_a_grid_node_has_a_finite_shift():
+    # a grid built without avoid may put a node on the level: the PV quotient
+    # there is 0/0, and its limit must stand in for it
+    grid = build_grid(10.0, 2000)
+    spec = make_constant_model([grid.nodes[400]], 0.05)
+    s = liouville_spectrum(spec, grid)
+    assert s.shift[0] == pytest.approx(0.05 ** 2 * np.log((10.0 - grid.nodes[400]) / grid.nodes[400]),
+                                       abs=1e-12)
