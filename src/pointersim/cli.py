@@ -205,30 +205,33 @@ def _rel_error(oracle_value: float, predicted: float) -> float:
 
 
 # -- subcommands ---------------------------------------------------------------
+# A runner computes its artifacts as (file name, columns, rows) tables and
+# touches no file; ``run`` writes them.
+
+def _time_series(initial, spec, times):
+    """``initial`` evolved to each of ``times``: one decompose, one evolve
+    over the whole time axis and one recompose."""
+    return recompose(evolve(decompose_initial(initial, spec), spec, times), spec)
+
 
 def run_spectrum(cfg: RunConfig, grid, spec):
-    rows = []
-    for i in range(spec.n_levels):
-        for j in range(spec.n_levels):
-            lam = spec.lambda_d[i, j]
-            rows.append((i, j, lam.real, lam.imag, spec.gamma[i], spec.shift[i]))
-    return [_write_csv(cfg.output_dir / "spectrum.csv", "spectrum", cfg, grid,
-                       ["i", "j", "re_lambda", "im_lambda", "gamma_i", "delta_i"], rows)]
+    rows = [(i, j, lam.real, lam.imag, spec.gamma[i], spec.shift[i])
+            for (i, j), lam in np.ndenumerate(spec.lambda_d)]
+    return [("spectrum.csv", ["i", "j", "re_lambda", "im_lambda", "gamma_i", "delta_i"], rows)]
 
 
 def run_evolve(cfg: RunConfig, grid, spec):
     if cfg.times is None:
         raise ConfigParse("evolve needs a 'times' block")
-    state0 = decompose_initial(_initial_state(cfg, grid), spec)
+    states = _time_series(_initial_state(cfg, grid), spec, cfg.times)
 
     n = spec.n_levels
     iu, ju = np.triu_indices(n, k=1)
     columns = (["t"] + [f"occ_{i}" for i in range(n)] + [f"atom_{i}" for i in range(n)]
                + [f"abs_coh_{i}_{j}" for i, j in zip(iu, ju)])
-    states = recompose(evolve(state0, spec, cfg.times), spec)
     occ = np.real(np.diagonal(states.rho_d, axis1=-2, axis2=-1))
     rows = np.column_stack([cfg.times, occ, states.rho_omega_atoms, np.abs(states.rho_d[:, iu, ju])])
-    return [_write_csv(cfg.output_dir / "evolve.csv", "evolve", cfg, grid, columns, rows.tolist())]
+    return [("evolve.csv", columns, rows.tolist())]
 
 
 def run_compare(cfg: RunConfig, grid, spec):
@@ -240,6 +243,11 @@ def run_compare(cfg: RunConfig, grid, spec):
     rng = np.random.default_rng(cfg.seed)
     amps = rng.normal(size=n) + 1j * rng.normal(size=n)
     amps /= np.linalg.norm(amps)
+    # every prediction is |rho_ij(0)| exp(-Im lambda_ij t); a survival starts
+    # from the level alone, rho_ii(0) = 1
+    quantities = ([(i, i, 1.0, f"survival_{i}") for i in range(n)]
+                  + [(i, j, float(np.abs(np.conj(amps[i]) * amps[j])), f"abs_coherence_{i}_{j}")
+                     for i in range(n) for j in range(i + 1, n)])
 
     rows = []
     with warnings.catch_warnings():
@@ -248,20 +256,13 @@ def run_compare(cfg: RunConfig, grid, spec):
         for t in cfg.times:
             t = float(t)
             valid = int(t < grid.valid_t_max)
-            for i in range(n):
-                predicted = float(np.exp(-spec.gamma[i] * t))
-                measured = survival_probability(oracle, i, t)
+            for i, j, initial, name in quantities:
+                predicted = initial * float(np.exp(-spec.lambda_d[i, j].imag * t))
+                measured = (survival_probability(oracle, i, t) if i == j
+                            else abs(coherence(oracle, i, j, amps, t)))
                 err = _rel_error(measured, predicted) if valid else float("nan")
-                rows.append((t, f"survival_{i}", measured, predicted, err, valid))
-            for i in range(n):
-                for j in range(i + 1, n):
-                    initial = float(np.abs(np.conj(amps[i]) * amps[j]))
-                    predicted = initial * float(np.exp(-spec.lambda_d[i, j].imag * t))
-                    measured = abs(coherence(oracle, i, j, amps, t))
-                    err = _rel_error(measured, predicted) if valid else float("nan")
-                    rows.append((t, f"abs_coherence_{i}_{j}", measured, predicted, err, valid))
-    return [_write_csv(cfg.output_dir / "compare.csv", "compare", cfg, grid,
-                       ["t", "quantity", "oracle", "predicted", "rel_error", "valid"], rows)]
+                rows.append((t, name, measured, predicted, err, valid))
+    return [("compare.csv", ["t", "quantity", "oracle", "predicted", "rel_error", "valid"], rows)]
 
 
 def run_measure(cfg: RunConfig, grid, spec):
@@ -273,14 +274,11 @@ def run_measure(cfg: RunConfig, grid, spec):
     rows = [(i, omega, probability) for i, (omega, probability) in enumerate(pointer)]
     tables = [("measure.csv", ["i", "omega", "probability"], rows)]
     if cfg.times is not None:
-        state0 = decompose_initial(premeasure(setup, grid), spec)
+        states = _time_series(premeasure(setup, grid), spec, cfg.times)
         columns = ["t"] + [f"atom_{i}" for i in range(spec.n_levels)]
-        states = recompose(evolve(state0, spec, cfg.times), spec)
         time_rows = np.column_stack([cfg.times, states.rho_omega_atoms]).tolist()
         tables.append(("measure_timeseries.csv", columns, time_rows))
-    # every row exists before the first artifact is written, so a failure leaves none
-    return [_write_csv(cfg.output_dir / name, "measure", cfg, grid, header, body)
-            for name, header, body in tables]
+    return tables
 
 
 _RUNNERS = {
@@ -293,12 +291,18 @@ _RUNNERS = {
 
 def run(command: str, config: RunConfig):
     """Dispatch a subcommand on the config's grid and spectrum, which every
-    subcommand reads; returns the list of written artifact paths."""
+    subcommand reads, then write its tables; returns the written artifact paths.
+
+    Every row exists before the first artifact is written, so a subcommand
+    that fails leaves no artifact behind.
+    """
     if command not in _RUNNERS:
         raise ConfigParse(f"unknown command '{command}'")
     model = config.model
     grid = build_grid(model.omega_max, config.grid_m, config.grid_scheme, avoid=model.levels)
-    return _RUNNERS[command](config, grid, liouville_spectrum(model, grid))
+    tables = _RUNNERS[command](config, grid, liouville_spectrum(model, grid))
+    return [_write_csv(config.output_dir / name, command, config, grid, columns, rows)
+            for name, columns, rows in tables]
 
 
 def main(argv=None) -> int:

@@ -117,7 +117,7 @@ class ModelSpec:
         probe = np.unique(np.concatenate([np.linspace(0.0, self.omega_max, 257), self.levels]))
         for i in range(self.n_levels):
             with np.errstate(all="ignore"):
-                v = self.coupling_scale * _profile_values(self.coupling, probe, i)
+                v = coupling_at(self, probe, i)
                 finite = np.all(np.isfinite(v * v))
             if not finite:
                 raise ModelInvalid(f"coupling for level {i} or its square is non-finite "

@@ -491,6 +491,29 @@ def test_unallocatable_stack_fails_with_one_line(tmp_path, capsys, monkeypatch, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, names", [
+    ("spectrum", ["spectrum.csv"]),
+    ("evolve", ["evolve.csv"]),
+    ("compare", ["compare.csv"]),
+    ("measure", ["measure.csv", "measure_timeseries.csv"]),
+])
+def test_runners_return_their_tables_and_write_nothing(tmp_path, command, names):
+    # a runner only computes; run writes its tables, after the runner has returned
+    write_model(tmp_path)
+    config = write_config(tmp_path, output_dir=str(tmp_path / "absent"), times=_TIMES,
+                          initial={"diagonal": [0.3, 0.7]}, amplitudes=[[0.6, 0.0], [0.0, 0.8]])
+    cfg = pointersim.cli.load_config(config)
+    grid = build_grid(cfg.model.omega_max, cfg.grid_m, avoid=cfg.model.levels)
+    runner = getattr(pointersim.cli, f"run_{command}")
+    tables = runner(cfg, grid, liouville_spectrum(cfg.model, grid))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "model.json"]
+    assert [name for name, _, _ in tables] == names
+    assert main([command, "--config", str(config)]) == 0
+    for name, columns, rows in tables:
+        written = read_artifact(tmp_path / "absent" / name)[1:]
+        assert written == (columns, [[str(cell) for cell in row] for row in rows])
+
+
 @pytest.mark.parametrize("extra", [
     {"model": 5},
     {"output_dir": 5},

@@ -261,3 +261,36 @@ def test_pv_on_a_node_is_the_smooth_value_there(on_node):
         warnings.simplefilter("error")
         value = principal_value(np.sin, at, grid)
     assert value == pytest.approx(-1.6032086916, abs=1e-10)
+
+
+def _gaussian(w):
+    return np.exp(-0.5 * ((np.asarray(w, float) - 2.0) / 0.1) ** 2)
+
+
+# `before` is the error, rounded up, when only a node exactly on the
+# singularity took the slope, the central difference of one probe pair: a node
+# 1e-12 or 1e-13 from it must now be at least 100x closer, the node on it no worse
+@pytest.mark.parametrize("f,delta,before", [
+    (np.sin, 1e-12, 6.46e-8), (np.sin, 1e-13, 3.20e-6), (np.sin, 0.0, 7.64e-12),
+    (_gaussian, 1e-12, 1.64e-7), (_gaussian, 1e-13, 3.91e-7), (_gaussian, 0.0, 1.53e-9),
+], ids=["sin-1e-12", "sin-1e-13", "sin-on", "gaussian-1e-12", "gaussian-1e-13", "gaussian-on"])
+def test_pv_next_to_a_node_is_the_smooth_value_there(on_node, f, delta, before):
+    # the smooth value is the mean of the values at E +- 1e-6, whose nodes keep their quotients
+    grid, node = on_node
+    at = node + delta
+    smooth = (principal_value(f, at + 1e-6, grid) + principal_value(f, at - 1e-6, grid)) / 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        error = abs(principal_value(f, at, grid) - smooth)
+    assert error <= (before / 100 if delta else before)
+
+
+@pytest.mark.parametrize("f,delta", [(np.sin, 1e-6), (_gaussian, 1e-7)], ids=["sin", "gaussian"])
+def test_pv_a_node_beyond_the_rounding_threshold_keeps_its_quotient(on_node, f, delta):
+    # nearer than the nearest probe, but far beyond x* (2e-8 for sin, 2e-9 for
+    # the Gaussian): the limit in its place would be off by |f''| h delta / 2 > 2e-9
+    grid, node = on_node
+    at = node + delta
+    quotients = (f(grid.nodes) - f(at)) / (grid.nodes - at)
+    plain = np.dot(grid.weights, quotients) + f(at) * np.log((10.0 - at) / at)
+    assert principal_value(f, at, grid) == pytest.approx(plain, abs=1e-12)
